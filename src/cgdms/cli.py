@@ -6,7 +6,7 @@ artifacts written before the failure are left in place).
 
 Every output file carries a metadata header sufficient to reproduce it;
 data rows are decimal with 17 significant digits and do not depend on the
-worker count.
+worker count, which only splits the alpha-targets of ``spectrum``.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import measures, multifractal, thermo
-from .config import (TOOL_VERSION, RunConfig, expand_t_grid, load_config,
-                     validate_config)
+from .config import (TOOL_VERSION, RunConfig, bernoulli_specs, expand_t_grid,
+                     load_config, validate_config)
 from .errors import CgdmsError, ConfigError
 from .symbolic import enumerate_words
 from .thermo import PressureQuery
@@ -86,7 +86,7 @@ def cmd_pressure(rc: RunConfig, outdir: Path) -> list:
                               word_length=rc.word_length,
                               truncation=rc.system.effective_truncation(rc.truncation))
             br = thermo.pressure_bracket(rc.system, rc.potential, q,
-                                         window=rc.window, workers=rc.workers)
+                                         window=rc.window)
             rows.append(list(tv) + [float(beta), br.lower, br.upper,
                                     br.n, br.N, br.tail_bound])
     path = outdir / "pressure.csv"
@@ -98,7 +98,7 @@ def cmd_pressure(rc: RunConfig, outdir: Path) -> list:
 
 def cmd_dimension(rc: RunConfig, outdir: Path) -> list:
     report = thermo.thermo_report(rc.system, rc.word_length, rc.truncation,
-                                  rc.tolerance, workers=rc.workers)
+                                  rc.tolerance)
     th = report.theta
     rows = [[th.lo if th else math.nan, th.hi if th else math.nan,
              report.hausdorff_dim.lo, report.hausdorff_dim.hi,
@@ -125,10 +125,10 @@ def cmd_beta(rc: RunConfig, outdir: Path) -> list:
         tv = tuple(float(x) for x in (t if isinstance(t, list) else [t]))
         bp = multifractal.solve_beta(rc.system, rc.potential, tv, rc.tolerance,
                                      n=rc.word_length, N=rc.truncation,
-                                     window=rc.window, workers=rc.workers)
+                                     window=rc.window)
         gr = multifractal.grad_beta(rc.system, rc.potential, tv, rc.tolerance,
                                     n=rc.word_length, N=rc.truncation,
-                                    window=rc.window, workers=rc.workers)
+                                    window=rc.window)
         rows.append(list(tv) + [bp.beta.lo, bp.beta.hi, bp.estimate]
                     + list(gr.primary) + [int(gr.flagged)])
     path = outdir / "beta.csv"
@@ -172,7 +172,7 @@ def cmd_sets(rc: RunConfig, outdir: Path) -> list:
     t_grid = expand_t_grid(rc.command_params.get("t_grid"), d)
     mres = multifractal.estimate_M(sysd, rc.potential, t_grid, rc.tolerance,
                                    n=rc.word_length, N=rc.truncation,
-                                   window=rc.window, workers=rc.workers)
+                                   window=rc.window)
     # default short cycles and simple product measures when not specified
     N_small = sysd.effective_truncation(min(rc.truncation or 6, 6))
     cycles = rc.command_params.get("cycles")
@@ -183,13 +183,7 @@ def cmd_sets(rc: RunConfig, outdir: Path) -> list:
                 syms = tuple(w)
                 if sysd.incidence.entry(syms[-1], syms[0]):
                     cycles.append(list(syms))
-    specs = []
-    for i, bcfg in enumerate(rc.command_params.get("bernoulli", []) or []):
-        if "rule" in bcfg:
-            specs.append(measures.BernoulliSpec.named(bcfg["rule"]))
-        else:
-            specs.append(measures.BernoulliSpec.finite(
-                {int(k): float(v) for k, v in bcfg["probs"].items()}))
+    specs = bernoulli_specs(rc.command_params)
     if not specs:
         specs = [measures.BernoulliSpec.finite(
             {k: 1.0 / N_small for k in range(1, N_small + 1)})]
@@ -256,7 +250,8 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="JSON config path")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--workers", type=int, default=None,
-                        help="override numerics.workers")
+                        help="override numerics.workers (threads over the "
+                             "alpha-targets of spectrum)")
     parser.add_argument("--seed", type=int, default=None,
                         help="override numerics.seed")
     parser.add_argument("--verbose", action="store_true")

@@ -11,10 +11,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import potentials
-from .errors import ConfigError
+from .errors import ConfigError, InvalidWordError
 from .families import Custom1DFamily
+from .measures import BernoulliSpec
 from .potentials import PotentialVector
-from .symbolic import IncidenceMatrix, Multigraph
+from .symbolic import IncidenceMatrix, Multigraph, closed_cycle
 from .system import (SystemDescriptor, TailRule, moebius_cf_system,
                      similarity_system, truncated_cf_system)
 
@@ -44,11 +45,16 @@ class RunConfig:
     command_params: dict = field(default_factory=dict)
 
 
-def _expect(cfg: dict, key: str, types, path: str, default=_NUMERIC_DEFAULTS):
+def _typed(val, types) -> bool:
+    """isinstance, except that JSON true/false never counts as a number."""
+    return isinstance(val, types) and not isinstance(val, bool)
+
+
+def _expect(cfg: dict, key: str, types, path: str):
     if key not in cfg:
         raise ConfigError(f"{path}.{key}", "missing required field")
     val = cfg[key]
-    if not isinstance(val, types):
+    if not _typed(val, types):
         raise ConfigError(f"{path}.{key}",
                           f"expected {types}, got {type(val).__name__}")
     return val
@@ -58,7 +64,7 @@ def _optional(cfg: dict, key: str, types, path: str, default=None):
     if key not in cfg or cfg[key] is None:
         return default
     val = cfg[key]
-    if not isinstance(val, types):
+    if not _typed(val, types):
         raise ConfigError(f"{path}.{key}",
                           f"expected {types}, got {type(val).__name__}")
     return val
@@ -68,7 +74,7 @@ def build_system(cfg: dict, path: str = "system") -> SystemDescriptor:
     kind = _expect(cfg, "kind", str, path)
     if kind == "similarity":
         ratios = _expect(cfg, "ratios", list, path)
-        if not ratios or not all(isinstance(r, (int, float)) for r in ratios):
+        if not ratios or not all(_typed(r, (int, float)) for r in ratios):
             raise ConfigError(f"{path}.ratios", "need a nonempty list of numbers")
         if any(not (0 < r < 1) for r in ratios):
             raise ConfigError(f"{path}.ratios", "ratios must lie strictly in (0,1)")
@@ -155,37 +161,38 @@ def validate_config(doc: dict, command: str) -> RunConfig:
     merged = dict(_NUMERIC_DEFAULTS)
     merged.update(num)
     wl = merged["word_length"]
-    if not isinstance(wl, int) or wl < 1:
+    if not _typed(wl, int) or wl < 1:
         raise ConfigError("numerics.word_length", "must be a positive integer")
     trunc = merged["truncation"]
-    if trunc is not None and (not isinstance(trunc, int) or trunc < 1):
+    if trunc is not None and (not _typed(trunc, int) or trunc < 1):
         raise ConfigError("numerics.truncation", "must be a positive integer")
     if trunc is None and not system.is_finite:
         raise ConfigError("numerics.truncation",
                           "required for infinite-alphabet systems")
     window = merged["window"]
-    if window is not None and (not isinstance(window, int) or window < 1):
+    if window is not None and (not _typed(window, int) or window < 1):
         raise ConfigError("numerics.window", "must be a positive integer")
     tol = merged["tolerance"]
-    if not isinstance(tol, (int, float)) or not (0 < tol < 1):
+    if not _typed(tol, (int, float)) or not (0 < tol < 1):
         raise ConfigError("numerics.tolerance", "must lie in (0,1)")
     workers = merged["workers"]
-    if not isinstance(workers, int) or workers < 1:
+    if not _typed(workers, int) or workers < 1:
         raise ConfigError("numerics.workers", "must be a positive integer")
     seed = merged["seed"]
-    if not isinstance(seed, int) or seed < 0:
+    if not _typed(seed, int) or seed < 0:
         raise ConfigError("numerics.seed", "must be a nonnegative integer")
     params = doc.get(command, {})
     if not isinstance(params, dict):
         raise ConfigError(command, "command parameters must be an object")
-    _validate_command(command, params, potential)
+    _validate_command(command, params, system, potential)
     return RunConfig(raw=doc, system=system, potential=potential,
                      word_length=wl, truncation=trunc, window=window,
                      tolerance=float(tol), workers=workers, seed=seed,
                      command_params=params)
 
 
-def _validate_command(command: str, params: dict, potential: PotentialVector):
+def _validate_command(command: str, params: dict, system: SystemDescriptor,
+                      potential: PotentialVector):
     d = potential.dim
 
     def check_vectors(key, allow_empty=True):
@@ -198,7 +205,7 @@ def _validate_command(command: str, params: dict, potential: PotentialVector):
             raise ConfigError(f"{command}.{key}", "must be nonempty")
         for i, p in enumerate(pts):
             vec = p if isinstance(p, list) else [p]
-            if len(vec) != d or not all(isinstance(x, (int, float)) for x in vec):
+            if len(vec) != d or not all(_typed(x, (int, float)) for x in vec):
                 raise ConfigError(f"{command}.{key}[{i}]",
                                   f"expected a numeric vector of length {d}")
 
@@ -208,7 +215,7 @@ def _validate_command(command: str, params: dict, potential: PotentialVector):
         if not isinstance(grid, list) or not grid:
             raise ConfigError("pressure.beta_grid", "must be a nonempty list")
         for i, b in enumerate(grid):
-            if not isinstance(b, (int, float)):
+            if not _typed(b, (int, float)):
                 raise ConfigError(f"pressure.beta_grid[{i}]", "must be a number")
             if b < 0:
                 raise ConfigError(f"pressure.beta_grid[{i}]",
@@ -227,21 +234,62 @@ def _validate_command(command: str, params: dict, potential: PotentialVector):
                     raise ConfigError(f"{command}.t_grid.{key}",
                                       f"need a numeric vector of length {d}")
             pts = tg.get("points", 9)
-            if not isinstance(pts, int) or pts < 2:
+            if not _typed(pts, int) or pts < 2:
                 raise ConfigError(f"{command}.t_grid.points", "must be an int >= 2")
+        if command == "sets":
+            bernoulli_specs(params)
+            _check_cycles(params, system)
     elif command == "counterexample":
         m = params.get("M_param", 100.0)
-        if not isinstance(m, (int, float)) or m <= 0:
+        if not _typed(m, (int, float)) or m <= 0:
             raise ConfigError("counterexample.M_param", "must be positive")
         nl = params.get("n_list", [1000, 10000, 100000])
         if (not isinstance(nl, list) or not nl
-                or not all(isinstance(n, int) and n >= 2 for n in nl)):
+                or not all(_typed(n, int) and n >= 2 for n in nl)):
             raise ConfigError("counterexample.n_list",
                               "must be a nonempty list of integers >= 2")
     elif command == "dimension":
         pass
     else:
         raise ConfigError("", f"unknown command {command!r}")
+
+
+def bernoulli_specs(params: dict) -> list:
+    """The measures of ``sets.bernoulli``: each entry names a closed-form
+    ``rule`` or gives ``probs``, a map from edge to mass summing to 1.
+    A malformed entry raises :class:`ConfigError` naming its field."""
+    entries = _optional(params, "bernoulli", list, "sets", [])
+    specs = []
+    for i, entry in enumerate(entries):
+        path = f"sets.bernoulli[{i}]"
+        if not isinstance(entry, dict):
+            raise ConfigError(path, "must be an object with 'probs' or 'rule'")
+        try:
+            if "rule" in entry:
+                specs.append(BernoulliSpec.named(_expect(entry, "rule", str, path)))
+                continue
+            probs = _expect(entry, "probs", dict, path)
+            if not all(_typed(p, (int, float)) for p in probs.values()):
+                raise ValueError("masses must be numbers")
+            specs.append(BernoulliSpec.finite(
+                {int(k): float(p) for k, p in probs.items()}))
+        except ValueError as exc:
+            raise ConfigError(path + (".rule" if "rule" in entry else ".probs"),
+                              str(exc)) from exc
+    return specs
+
+
+def _check_cycles(params: dict, system: SystemDescriptor) -> None:
+    """Each ``sets.cycles`` entry must close into an admissible cycle."""
+    cycles = _optional(params, "cycles", list, "sets", [])
+    for i, cyc in enumerate(cycles):
+        path = f"sets.cycles[{i}]"
+        if not isinstance(cyc, list) or not all(_typed(s, int) for s in cyc):
+            raise ConfigError(path, "must be a list of edge indices")
+        try:
+            closed_cycle(cyc, system.incidence)
+        except InvalidWordError as exc:
+            raise ConfigError(path, str(exc)) from exc
 
 
 def expand_t_grid(tg, dim: int):

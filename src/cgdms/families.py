@@ -54,15 +54,12 @@ class MapFamily:
         (the continued-fraction family needs 2).
     distortion_constant : float
         K >= 1 bounding derivative ratios along any word.
-    hoelder : tuple
-        (exponent, constant) of the derivative regularity condition.
     """
 
     kind = "abstract"
     contraction_bound = 0.5
     contraction_prefactor = 1.0
     distortion_constant = 1.0
-    hoelder = (1.0, 0.0)
     n_edges: Optional[int] = None
     distortion_free = False  # True when derivative brackets have zero width
 
@@ -169,7 +166,6 @@ class SimilarityFamily(MapFamily):
         self.contraction_bound = max(ratios)
         self.contraction_prefactor = 1.0
         self.distortion_constant = 1.0
-        self.hoelder = (1.0, 0.0)
         self._logr = np.array([0.0] + [math.log(r) for r in ratios])
 
     def domain(self, vertex=0):
@@ -218,7 +214,6 @@ class MoebiusCFFamily(MapFamily):
     contraction_bound = 0.5
     contraction_prefactor = 2.0
     distortion_constant = 4.0
-    hoelder = (1.0, 8.0)
     n_edges = None
 
     def image(self, e, iv):
@@ -495,7 +490,6 @@ class Custom1DFamily(MapFamily):
     def __init__(self, map_expr: str, abs_deriv_expr: str, *,
                  contraction_bound: float, distortion_constant: float = 1.0,
                  contraction_prefactor: float = 1.0,
-                 hoelder: tuple = (1.0, 0.0),
                  domain: tuple = (0.0, 1.0), n_edges: Optional[int] = None):
         if not (0.0 < contraction_bound < 1.0):
             raise ValueError("contraction_bound must lie in (0,1)")
@@ -508,7 +502,6 @@ class Custom1DFamily(MapFamily):
         self.contraction_bound = float(contraction_bound)
         self.distortion_constant = float(distortion_constant)
         self.contraction_prefactor = float(contraction_prefactor)
-        self.hoelder = tuple(hoelder)
         self._domain = (float(domain[0]), float(domain[1]))
         self.n_edges = n_edges
 

@@ -5,10 +5,9 @@ log sums over admissible length-n words, lower using per-cylinder infima
 and upper using suprema):
 
 * ``enumerate``: every word is visited once with an exact per-word bracket;
-  feasible while truncation**length stays below a cap.  Words are
-  partitioned by first symbol; each partition is reduced in lexicographic
-  order with compensated summation and partitions are combined in symbol
-  order, so results are independent of the worker count.
+  feasible while truncation**length stays below a cap.  Words are grouped
+  by first symbol; each group is reduced in lexicographic order with
+  compensated summation and the groups are combined in symbol order.
 
 * ``dp``: cylinder brackets are refined only to a fixed window depth q and
   the sum is driven by a transfer recursion over (q-1)-gram states.  The
@@ -16,14 +15,15 @@ and upper using suprema):
   same length, and the length can be pushed far beyond enumeration limits,
   which is what shrinks the bracket gap.
 
-The same tables drive anchored point evaluations (weights at bracket
-midpoints) and first-moment accumulators for Gibbs-type averages.
+Each mode has one reduction, which takes its per-word or per-window
+weights at the infimum, supremum or midpoint of their brackets; bounds,
+anchored point values and bracket pairs are all that reduction.  The same
+tables drive first-moment accumulators for Gibbs-type averages.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 import numpy as np
@@ -34,6 +34,9 @@ from .util import combine_partition_sums
 
 EXACT_CAP = 1 << 17      # max truncation**length for per-word enumeration
 DP_WINDOW_CAP = 1 << 19  # max truncation**window for fused-mode tables
+# default weight of anchored point values: the exact per-word suprema when
+# enumerating, bracket midpoints in the transfer recursion
+_ANCHOR = {"enumerate": "sup", "dp": "mid"}
 
 
 def _symbol_grid(N: int, length: int, codes: np.ndarray) -> np.ndarray:
@@ -47,6 +50,16 @@ def _symbol_grid(N: int, length: int, codes: np.ndarray) -> np.ndarray:
     return syms
 
 
+def _pick(lo, hi, which: str):
+    """The infimum ('inf'), supremum ('sup') or midpoint ('mid') of a
+    bracket pair."""
+    if which == "inf":
+        return lo
+    if which == "sup":
+        return hi
+    return 0.5 * (lo + hi)
+
+
 def _pair_valid(syms: np.ndarray, dense: np.ndarray) -> np.ndarray:
     """Admissibility of each column word under a dense 0/1 block."""
     ok = np.ones(syms.shape[1], dtype=bool)
@@ -56,23 +69,19 @@ def _pair_valid(syms: np.ndarray, dense: np.ndarray) -> np.ndarray:
 
 
 class _Tables:
-    """Geometry and potential tables for one (system, N, window) choice."""
+    """Potential tables for one (system, N, window) choice, plus the
+    window geometry of the transfer recursion when ``windows`` is set."""
 
     def __init__(self, sys: SystemDescriptor, J: PotentialVector, N: int,
-                 q: int, tighten_hull: bool):
+                 q: int, windows: bool):
         if J.depth > q:
             raise ValueError(
                 f"window depth {q} shorter than potential depth {J.depth}")
         if N ** q > DP_WINDOW_CAP * 4:
             raise ValueError(f"window table too large: {N}**{q}")
-        self.sys = sys
-        self.J = J
-        self.N = N
-        self.q = q
-        self.hull = sys.hull(N, tighten=tighten_hull)
+        self.hull = sys.hull(N)
         fam = sys.family
         dense = sys.incidence.dense_block(N)
-        self.full_shift = bool(dense.all())
 
         # potential values on admissible depth-m words
         m = J.depth
@@ -85,6 +94,14 @@ class _Tables:
         self.jvals = jvals
         self.mvalid = mvalid
 
+        # trailing (partial) windows of each length l: potential codes for
+        # l >= m, where the value is exact; below that the completion range
+        # is resolved at call time from jvals.  Enumeration only reads the
+        # l < m entries.
+        self.part = {l: {"prefix_block": N ** (m - l)} for l in range(1, m)}
+        if not windows:
+            return
+
         # full windows of depth q
         codes = np.arange(N ** q)
         syms = _symbol_grid(N, q, codes)
@@ -92,21 +109,14 @@ class _Tables:
         self.win_ld_lo, self.win_ld_hi = fam.vec_suffix_then_head(syms, self.hull)
         self.win_jcode = codes // (N ** (q - m))  # first-m-symbol codes
 
-        # trailing (partial) windows of each length l < q: log-derivative
-        # ranges over the l-cylinder, and potential codes: for l >= m the
-        # value is exact, below that the completion range is resolved at
-        # call time from jvals.
-        self.part = {}
+        # log-derivative ranges over the trailing l-cylinders, l < q
         for l in range(1, q):
             pc = np.arange(N ** l)
-            ps = _symbol_grid(N, l, pc)
-            lo, hi = fam.vec_suffix_then_head(ps, self.hull)
-            entry = {"ld_lo": lo, "ld_hi": hi}
+            entry = self.part.setdefault(l, {})
             if l >= m:
                 entry["jcode"] = pc // (N ** (l - m))
-            else:
-                entry["prefix_block"] = N ** (m - l)
-            self.part[l] = entry
+            entry["ld_lo"], entry["ld_hi"] = fam.vec_suffix_then_head(
+                _symbol_grid(N, l, pc), self.hull)
 
     # -- potential projections -------------------------------------------
     def j_dot(self, t: np.ndarray) -> np.ndarray:
@@ -135,8 +145,7 @@ class PressureKernel:
     potential, truncation, word length, and window depth."""
 
     def __init__(self, sys: SystemDescriptor, J: PotentialVector, *,
-                 n: int, N: Optional[int] = None, window: Optional[int] = None,
-                 workers: int = 1, tighten_hull: bool = True):
+                 n: int, N: Optional[int] = None, window: Optional[int] = None):
         if n < 1:
             raise ValueError("word length must be >= 1")
         N = sys.effective_truncation(N)
@@ -161,7 +170,6 @@ class PressureKernel:
         self.n = n
         self.N = N
         self.window = window
-        self.workers = max(1, workers)
         self.mode = "enumerate" if (window == n and N ** n <= EXACT_CAP) else "dp"
         if self.mode == "dp" and window >= n:
             window = max(1, n - 1, J.depth)
@@ -171,7 +179,7 @@ class PressureKernel:
                     "no window shorter than the word; raise the length or "
                     "shrink the truncation")
             self.window = window
-        self.tables = _Tables(sys, J, N, window, tighten_hull)
+        self.tables = _Tables(sys, J, N, window, windows=self.mode == "dp")
         if self.mode == "enumerate":
             self._build_exact()
 
@@ -239,15 +247,6 @@ class PressureKernel:
                 hi = hi + jhi[code]
         return lo, hi
 
-    def _map_parts(self, fn):
-        live = [(i, p) for i, p in enumerate(self._parts) if p is not None]
-        if self.workers == 1 or len(live) <= 1:
-            results = [fn(p) for _, p in live]
-        else:
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                results = list(pool.map(lambda ip: fn(ip[1]), live))
-        return results
-
     @staticmethod
     def _lse_decomp(v: np.ndarray):
         if v.size == 0:
@@ -264,9 +263,7 @@ class PressureKernel:
         tab = self.tables
         u = tab.j_dot(t)
         jw = u[tab.win_jcode]
-        ld = tab.win_ld_lo if which == "inf" else (
-            tab.win_ld_hi if which == "sup" else 0.5 * (tab.win_ld_lo + tab.win_ld_hi))
-        w = jw + beta * ld
+        w = jw + beta * _pick(tab.win_ld_lo, tab.win_ld_hi, which)
         w[~tab.win_valid] = -math.inf
         return w
 
@@ -281,12 +278,8 @@ class PressureKernel:
         for l in range(1, q):
             sub = scodes % (N ** l)
             entry = tab.part[l]
-            ld = entry["ld_lo"] if which == "inf" else (
-                entry["ld_hi"] if which == "sup" else
-                0.5 * (entry["ld_lo"] + entry["ld_hi"]))
-            jlo, jhi = tab.part_j_bounds(l, u)
-            jpart = jlo if which == "inf" else (
-                jhi if which == "sup" else 0.5 * (jlo + jhi))
+            ld = _pick(entry["ld_lo"], entry["ld_hi"], which)
+            jpart = _pick(*tab.part_j_bounds(l, u), which)
             term = term + jpart[sub] + beta * ld[sub]
         return term
 
@@ -331,12 +324,12 @@ class PressureKernel:
         w = self._dp_weight(t, beta, "mid")
         base = float(w[np.isfinite(w)].max())
         eW = np.exp(w - base).reshape(Sm1, N)
-        ld_mid = (0.5 * (tab.win_ld_lo + tab.win_ld_hi)).reshape(Sm1, N)
+        ld_mid = _pick(tab.win_ld_lo, tab.win_ld_hi, "mid").reshape(Sm1, N)
         jfull = tab.jvals[tab.win_jcode].reshape(Sm1, N, self.J.dim)
         if q == 1:
             z = float(eW.sum())
             jq = (tab.jvals[tab.win_jcode] * np.exp(w - base)[:, None]).sum(axis=0) / z
-            ldm = 0.5 * (tab.win_ld_lo + tab.win_ld_hi)
+            ldm = _pick(tab.win_ld_lo, tab.win_ld_hi, "mid")
             iq = float((-(ldm) * np.exp(w - base)).sum()) / z
             return base + math.log(z), jq, iq
         init_codes = np.arange(Sm1)
@@ -366,7 +359,7 @@ class PressureKernel:
         for l in range(1, q):
             sub = scodes % (N ** l)
             entry = tab.part[l]
-            ldm = 0.5 * (entry["ld_lo"] + entry["ld_hi"])
+            ldm = _pick(entry["ld_lo"], entry["ld_hi"], "mid")
             TI += -ldm[sub]
             if "jcode" in entry:
                 TJ += tab.jvals[entry["jcode"][sub]]
@@ -387,52 +380,32 @@ class PressureKernel:
     # ------------------------------------------------------------------
     # public evaluations
     # ------------------------------------------------------------------
+    def _logsum(self, t, beta, which: str) -> float:
+        """The stage-n normalized log sum with every weight taken at the
+        'inf', 'sup' or 'mid' point of its bracket."""
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        if self.mode == "dp":
+            return self._dp_run(t, beta, which)
+        sums = []
+        for part in self._parts:
+            if part is not None:
+                lo, hi = self._exact_exponents(part, t, beta)
+                sums.append(self._lse_decomp(_pick(lo, hi, which)))
+        return combine_partition_sums(sums) / self.n
+
     def values(self, t, beta) -> tuple:
         """Certified (lower, upper) of the stage-n normalized log sum."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        if self.mode == "enumerate":
-            los, his = [], []
-
-            def work(part):
-                lo, hi = self._exact_exponents(part, t, beta)
-                return self._lse_decomp(lo), self._lse_decomp(hi)
-
-            for dlo, dhi in self._map_parts(work):
-                los.append(dlo)
-                his.append(dhi)
-            return (combine_partition_sums(los) / self.n,
-                    combine_partition_sums(his) / self.n)
-        return (self._dp_run(t, beta, "inf"), self._dp_run(t, beta, "sup"))
+        return (self._logsum(t, beta, "inf"), self._logsum(t, beta, "sup"))
 
     def bound(self, t, beta, side: str) -> float:
         """One certified endpoint ('lower' or 'upper') without computing
         the other; half the cost of :meth:`values` during bisection."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        which = "inf" if side == "lower" else "sup"
-        if self.mode == "enumerate":
-            def work(part):
-                lo, hi = self._exact_exponents(part, t, beta)
-                return self._lse_decomp(lo if which == "inf" else hi)
-
-            return combine_partition_sums(self._map_parts(work)) / self.n
-        return self._dp_run(t, beta, which)
+        return self._logsum(t, beta, "inf" if side == "lower" else "sup")
 
     def value(self, t, beta, anchor: Optional[str] = None) -> float:
         """Anchored point value: sup weights in enumerate mode (the exact
         per-word suprema), bracket midpoints in dp mode."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        if self.mode == "enumerate":
-            which = anchor or "sup"
-            parts = []
-
-            def work(part):
-                lo, hi = self._exact_exponents(part, t, beta)
-                v = hi if which == "sup" else (lo if which == "inf" else 0.5 * (lo + hi))
-                return self._lse_decomp(v)
-
-            parts = self._map_parts(work)
-            return combine_partition_sums(parts) / self.n
-        return self._dp_run(t, beta, anchor or "mid")
+        return self._logsum(t, beta, anchor or _ANCHOR[self.mode])
 
     def moments(self, t, beta):
         """(value, J quotient, I quotient) under the anchored weights.
@@ -457,7 +430,7 @@ class PressureKernel:
                 njd[self.J.dim] = math.fsum((wts * (-part["ld_hi"])).tolist())
                 return (mx, wsum, njd)
 
-            parts = self._map_parts(work)
+            parts = [work(p) for p in self._parts if p is not None]
             logz = combine_partition_sums([(m, w) for m, w, _ in parts]) / self.n
             m0 = max(m for m, _, _ in parts if m > -math.inf)
             wtot = math.fsum(w * math.exp(m - m0) for m, w, _ in parts if m > -math.inf)

@@ -9,15 +9,16 @@ statistical estimate with a standard error.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidWordError
 from .potentials import PotentialVector, cycle_birkhoff
-from .symbolic import Word, enumerate_words, find_irreducibility_witness
+from .symbolic import (Word, closed_cycle, enumerate_words,
+                       find_irreducibility_witness)
 from .system import SystemDescriptor
 from .util import Enclosure
 
@@ -100,12 +101,13 @@ def _rule_mass(rule: str, k: int) -> float:
     return 1.0 / (k * math.log(k + 1.0) ** 2) / _HEAVY_NORM
 
 
+# config validation and the sets command both build each named spec
+@functools.lru_cache(maxsize=None)
 def _rule_entropy(rule: str) -> float:
     if rule == "heavy-log":
         # -p log p ~ 1/(k log k), whose sum diverges
         return math.inf
-    ks = np.arange(1, 200001)
-    ps = np.array([_rule_mass(rule, int(k)) for k in ks])
+    ps = np.array([_rule_mass(rule, k) for k in range(1, 200001)])
     return float(-(ps * np.log(ps)).sum())
 
 
@@ -138,7 +140,7 @@ def Q_of_periodic(sys: SystemDescriptor, J: PotentialVector, cycle,
     bracketed by evaluating the period word's derivative on the cycle's
     own coding enclosure, obtained by iterating the period map until the
     interval stabilizes."""
-    syms = _cyclable(sys, cycle)
+    syms = closed_cycle(cycle, sys.incidence)
     p = len(syms)
     fam = sys.family
     iv = fam.domain()
@@ -162,18 +164,6 @@ def Q_of_periodic(sys: SystemDescriptor, J: PotentialVector, cycle,
     return MeasureSummary(Q_value=Q, I_mean=I_mean, J_mean=J_mean, entropy=0.0)
 
 
-def _cyclable(sys: SystemDescriptor, cycle) -> tuple:
-    syms = tuple(int(s) for s in cycle)
-    if not syms:
-        raise InvalidWordError("cycle must be nonempty")
-    ring = syms + (syms[0],)
-    for i in range(len(syms)):
-        if not sys.incidence.entry(ring[i], ring[i + 1]):
-            raise InvalidWordError(
-                f"word {syms} does not close into an admissible cycle")
-    return syms
-
-
 def _symbol_I_bracket(sys: SystemDescriptor, k: int,
                       hull: Optional[tuple] = None) -> tuple:
     """Range of the geometric potential over the depth-1 cylinder of k.
@@ -184,22 +174,6 @@ def _symbol_I_bracket(sys: SystemDescriptor, k: int,
     iv = sys.family.domain() if hull is None else hull
     lo, hi = sys.family.deriv_log_range(k, iv)
     return (-hi, -lo)
-
-
-def _support_hull(sys: SystemDescriptor, symbols, iterations: int = 120) -> tuple:
-    """Interval hull of the limit set of the subsystem spanned by the
-    support symbols (full-shift systems)."""
-    if not sys.is_full_shift:
-        return sys.family.domain()
-    a, b = sys.family.domain()
-    for _ in range(iterations):
-        lo, hi = math.inf, -math.inf
-        for k in symbols:
-            ia, ib = sys.family.image(k, (a, b))
-            lo, hi = min(lo, ia), max(hi, ib)
-        a, b = lo, hi
-    pad = 1e-12 * max(1.0, abs(a), abs(b))
-    return (a - pad, b + pad)
 
 
 def Q_of_bernoulli(sys: SystemDescriptor, J: PotentialVector,
@@ -221,7 +195,7 @@ def Q_of_bernoulli(sys: SystemDescriptor, J: PotentialVector,
             f"system; this one has {sys.alphabet_size} edges")
     if spec.probs is not None:
         items = [(k, p) for k, p in spec.probs if p > 0.0]
-        hull = _support_hull(sys, [k for k, _ in items])
+        hull = sys.support_hull(k for k, _ in items)
         J_lo = np.zeros(J.dim)
         i_lo = i_hi = 0.0
         for k, p in items:
@@ -376,7 +350,6 @@ def construct_generic_word(sys: SystemDescriptor, J: PotentialVector,
     checkpoints = []
     status = "complete"
     achieved = math.inf
-    jacc = np.zeros(J.dim)
     for k, eps_k in enumerate(eps, start=1):
         choice = pick(eps_k)
         if choice is None:
@@ -399,8 +372,8 @@ def construct_generic_word(sys: SystemDescriptor, J: PotentialVector,
         # checkpoint: running quotient over the full prefix
         ld_lo, ld_hi = fam.word_log_deriv_range(tuple(prefix), fam.domain())
         i_mid = -0.5 * (ld_lo + ld_hi)
-        jacc = _prefix_J(J, tuple(prefix))
-        quot = jacc / i_mid
+        # trailing potential windows wrap around the prefix: exact for depth 1
+        quot = cycle_birkhoff(J, prefix) / i_mid
         err = float(np.abs(quot - target).max())
         achieved = min(achieved, err)
         checkpoints.append(Checkpoint(index=k, position=len(prefix),
@@ -409,17 +382,6 @@ def construct_generic_word(sys: SystemDescriptor, J: PotentialVector,
     return GenericWordReport(prefix=Word(tuple(prefix)),
                              checkpoints=tuple(checkpoints),
                              status=status, achieved=achieved)
-
-
-def _prefix_J(J: PotentialVector, syms: tuple) -> np.ndarray:
-    """Potential sum over a finite prefix; trailing windows use the prefix
-    itself as its own continuation, which is exact for depth 1."""
-    n = len(syms)
-    total = np.zeros(J.dim)
-    for i in range(n):
-        window = tuple(syms[(i + j) % n] for j in range(J.depth))
-        total += J.value(window)
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import BracketBudgetError, InvalidWordError
+from .errors import BracketBudgetError
 from .kernel import PressureKernel
 from .potentials import PotentialVector, cycle_birkhoff
-from .symbolic import enumerate_words
+from .symbolic import closed_cycle, enumerate_words
 from .system import SystemDescriptor
 from .thermo import anchored_pressure_root, certified_pressure_zero, estimate_theta
 from .util import Enclosure
@@ -112,18 +112,17 @@ class KLEstimate:
 class BetaSolver:
     """Shared root/gradient/Hessian engine over one anchored kernel.
 
-    Thread-safe; grid scans may call it concurrently.  All numerical
-    differentiation steps are pinned constants so results are reproducible.
+    Thread-safe; the alpha-point scan may call it concurrently.  All
+    numerical differentiation steps are pinned constants so results are
+    reproducible.
     """
 
     def __init__(self, sys: SystemDescriptor, J: PotentialVector, *,
                  n: int = DEFAULT_STAGES, N: Optional[int] = None,
-                 window: Optional[int] = None, workers: int = 1,
-                 tighten_hull: bool = True):
+                 window: Optional[int] = None):
         self.sys = sys
         self.J = J
-        self.kern = PressureKernel(sys, J, n=n, N=N, window=window,
-                                   workers=workers, tighten_hull=tighten_hull)
+        self.kern = PressureKernel(sys, J, n=n, N=N, window=window)
         self._cache: dict = {}
         self._lock = threading.Lock()
 
@@ -189,7 +188,7 @@ class BetaSolver:
 
 def solve_beta(sys: SystemDescriptor, J: PotentialVector, t, tol: float = 1e-8,
                *, n: int = DEFAULT_STAGES, N: Optional[int] = None,
-               window: Optional[int] = None, workers: int = 1,
+               window: Optional[int] = None,
                max_stages: int = 1 << 14) -> BetaPoint:
     """Certified enclosure (width <= tol) plus point estimate of beta(t).
 
@@ -201,14 +200,13 @@ def solve_beta(sys: SystemDescriptor, J: PotentialVector, t, tol: float = 1e-8,
     if t.size != J.dim:
         raise ValueError(f"t has dim {t.size}, potential dim {J.dim}")
     N_eff = sys.effective_truncation(N)
-    kern0 = PressureKernel(sys, J, n=n, N=N_eff, window=window, workers=workers)
+    kern0 = PressureKernel(sys, J, n=n, N=N_eff, window=window)
     win = kern0.window
 
     def factory(stages: int) -> PressureKernel:
         if stages == kern0.n:
             return kern0
-        return PressureKernel(sys, J, n=stages, N=N_eff, window=win,
-                              workers=workers)
+        return PressureKernel(sys, J, n=stages, N=N_eff, window=win)
 
     enc, est, kern_used = certified_pressure_zero(factory, t, tol,
                                                   stages0=n, max_stages=max_stages)
@@ -227,7 +225,7 @@ def solve_beta(sys: SystemDescriptor, J: PotentialVector, t, tol: float = 1e-8,
 
 def grad_beta(sys: SystemDescriptor, J: PotentialVector, t, tol: float = 1e-6,
               *, n: int = DEFAULT_STAGES, N: Optional[int] = None,
-              window: Optional[int] = None, workers: int = 1) -> GradResult:
+              window: Optional[int] = None) -> GradResult:
     """Two estimators of the gradient of beta at t, cross-checked.
 
     (ii) the Gibbs-weighted quotient of word sums (primary) and (i) central
@@ -236,7 +234,7 @@ def grad_beta(sys: SystemDescriptor, J: PotentialVector, t, tol: float = 1e-6,
     potentials leave an order-(depth/length) residual in the comparison.
     Disagreement beyond 10*tol marks the result flagged.
     """
-    solver = BetaSolver(sys, J, n=n, N=N, window=window, workers=workers)
+    solver = BetaSolver(sys, J, n=n, N=N, window=window)
     gq, beta_n, means = solver.grad_with_means(t)
     fd = solver.fd_grad(t)
     flagged = bool(np.abs(gq - fd).max() > 10.0 * tol)
@@ -248,10 +246,10 @@ def grad_beta(sys: SystemDescriptor, J: PotentialVector, t, tol: float = 1e-6,
 
 def hessian_beta(sys: SystemDescriptor, J: PotentialVector, t, tol: float = 1e-6,
                  *, n: int = DEFAULT_STAGES, N: Optional[int] = None,
-                 window: Optional[int] = None, workers: int = 1,
+                 window: Optional[int] = None,
                  pd_tol: float = 1e-8) -> HessianResult:
     """Symmetrized second differences of beta with an eigenvalue report."""
-    solver = BetaSolver(sys, J, n=n, N=N, window=window, workers=workers)
+    solver = BetaSolver(sys, J, n=n, N=N, window=window)
     H = solver.hessian(t)
     eigs = np.linalg.eigvalsh(H)
     return HessianResult(matrix=tuple(map(tuple, H.tolist())),
@@ -263,19 +261,6 @@ def hessian_beta(sys: SystemDescriptor, J: PotentialVector, t, tol: float = 1e-6
 # ---------------------------------------------------------------------------
 # cohomological independence over periodic words
 # ---------------------------------------------------------------------------
-
-def _check_cyclable(sys: SystemDescriptor, word) -> tuple:
-    syms = tuple(int(s) for s in word)
-    if not syms:
-        raise InvalidWordError("cycle must be nonempty")
-    ring = syms + (syms[0],)
-    for i in range(len(syms)):
-        if not sys.incidence.entry(ring[i], ring[i + 1]):
-            raise InvalidWordError(
-                f"word {syms} does not close into an admissible cycle "
-                f"({ring[i]} -> {ring[i+1]} inadmissible)")
-    return syms
-
 
 def independence_certificate(sys: SystemDescriptor, J: PotentialVector,
                              periodic_words: Sequence, *,
@@ -295,7 +280,7 @@ def independence_certificate(sys: SystemDescriptor, J: PotentialVector,
     """
     rows = []
     for w in periodic_words:
-        syms = _check_cyclable(sys, w)
+        syms = closed_cycle(w, sys.incidence)
         rows.append(cycle_birkhoff(J, syms) / len(syms))
     rows = np.array(rows)
     d = J.dim
@@ -400,7 +385,7 @@ def _certify_outside(solver: BetaSolver, alpha, t, gval) -> bool:
 
 def legendre(sys: SystemDescriptor, J: PotentialVector, alpha, tol: float = 1e-6,
              *, n: int = DEFAULT_STAGES, N: Optional[int] = None,
-             window: Optional[int] = None, workers: int = 1,
+             window: Optional[int] = None,
              t0=None, max_iter: int = 80,
              solver: Optional[BetaSolver] = None) -> SpectrumPoint:
     """Evaluate the concave conjugate at alpha by minimizing
@@ -413,7 +398,7 @@ def legendre(sys: SystemDescriptor, J: PotentialVector, alpha, tol: float = 1e-6
     """
     alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
     if solver is None:
-        solver = BetaSolver(sys, J, n=n, N=N, window=window, workers=workers)
+        solver = BetaSolver(sys, J, n=n, N=N, window=window)
     hd_hint = solver.root(np.zeros(J.dim))
     start = np.zeros(J.dim) if t0 is None else np.atleast_1d(np.asarray(t0, dtype=float))
     flags = ()
@@ -444,10 +429,11 @@ def spectrum_scan(sys: SystemDescriptor, J: PotentialVector,
     """Map the Legendre transform over a grid of target quotients and emit
     companion surface samples (t, beta(t)) when a t-grid is supplied.
 
-    Returns (spectrum_points, surface_rows); per-point failures land in
-    the point status, never as a global error.
+    ``workers`` threads share the alpha-targets; the points do not depend
+    on their number.  Returns (spectrum_points, surface_rows); per-point
+    failures land in the point status, never as a global error.
     """
-    solver = BetaSolver(sys, J, n=n, N=N, window=window, workers=workers)
+    solver = BetaSolver(sys, J, n=n, N=N, window=window)
     alphas = [np.atleast_1d(np.asarray(a, dtype=float)) for a in alphas]
 
     def one(a):
@@ -469,10 +455,10 @@ def spectrum_scan(sys: SystemDescriptor, J: PotentialVector,
 def estimate_M(sys: SystemDescriptor, J: PotentialVector, t_grid: Sequence,
                tol: float = 1e-4, *, n: int = DEFAULT_STAGES,
                N: Optional[int] = None, window: Optional[int] = None,
-               workers: int = 1, max_iter: int = 80) -> MEstimate:
+               max_iter: int = 80) -> MEstimate:
     """Sample the gradient range of beta and certify whether 0 belongs to
     it by locating an interior minimizer of beta."""
-    solver = BetaSolver(sys, J, n=n, N=N, window=window, workers=workers)
+    solver = BetaSolver(sys, J, n=n, N=N, window=window)
     pts = []
     for t in t_grid:
         tv = np.atleast_1d(np.asarray(t, dtype=float))

@@ -154,6 +154,25 @@ def is_admissible(word, A: IncidenceMatrix) -> bool:
     return all(A.entry(syms[i], syms[i + 1]) for i in range(len(syms) - 1))
 
 
+def closed_cycle(word, A: IncidenceMatrix) -> tuple:
+    """The word's symbols as a tuple of ints, checked to close into an
+    admissible cycle (its last symbol may be followed by its first).
+
+    Raises :class:`InvalidWordError` for an empty word, an unknown edge or
+    an inadmissible transition, which the message names.
+    """
+    syms = tuple(int(s) for s in word)
+    if not syms:
+        raise InvalidWordError("cycle must be nonempty")
+    ring = syms + (syms[0],)
+    for i in range(len(syms)):
+        if not A.entry(ring[i], ring[i + 1]):
+            raise InvalidWordError(
+                f"word {syms} does not close into an admissible cycle "
+                f"({ring[i]} -> {ring[i+1]} inadmissible)")
+    return syms
+
+
 def enumerate_words(A: IncidenceMatrix, n: int, N: int) -> Iterator[Word]:
     """Yield the admissible words of length n over edges 1..N, in
     lexicographic order, each exactly once."""

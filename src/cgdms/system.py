@@ -9,6 +9,8 @@ from typing import Optional
 from .families import MapFamily, MoebiusCFFamily, SimilarityFamily
 from .symbolic import IncidenceMatrix, Multigraph
 
+HULL_ITERATIONS = 120  # interval self-map iterations of the attractor hull
+
 
 @dataclass(frozen=True)
 class TailRule:
@@ -52,8 +54,8 @@ class TailRule:
 class SystemDescriptor:
     """A graph directed system ready for pressure computations.
 
-    Immutable after construction.  The per-truncation limit-set hull is
-    cached; it tightens cylinder brackets for full-shift systems (the
+    Immutable after construction.  Limit-set hulls are cached per symbol
+    set; they tighten cylinder brackets for full-shift systems (the
     attractor hull is computed by iterating the interval self-map of the
     union of edge images).
     """
@@ -87,21 +89,26 @@ class SystemDescriptor:
             raise ValueError("infinite alphabet requires an explicit truncation")
         return N
 
-    def hull(self, N: int, tighten: bool = True, iterations: int = 120) -> tuple:
-        """Interval hull of the truncated limit set (single-vertex full
-        shifts only; otherwise the ambient domain)."""
-        key = (N, tighten)
+    def hull(self, N: int) -> tuple:
+        """Interval hull of the limit set truncated to edges 1..N."""
+        return self.support_hull(range(1, N + 1))
+
+    def support_hull(self, symbols) -> tuple:
+        """Interval hull of the limit set of the subsystem spanned by the
+        given symbols (single-vertex full shifts only; otherwise the
+        ambient domain)."""
+        key = tuple(sorted(set(int(e) for e in symbols)))
         if key in self._hull_cache:
             return self._hull_cache[key]
         dom = self.family.domain()
-        if not tighten or not self.is_full_shift or len(self.graph.vertices) != 1:
+        if not self.is_full_shift or len(self.graph.vertices) != 1:
             self._hull_cache[key] = dom
             return dom
         a, b = dom
-        for _ in range(iterations):
+        for _ in range(HULL_ITERATIONS):
             lo = math.inf
             hi = -math.inf
-            for e in range(1, N + 1):
+            for e in key:
                 ia, ib = self.family.image(e, (a, b))
                 lo = min(lo, ia)
                 hi = max(hi, ib)
@@ -144,7 +151,6 @@ def moebius_cf_system(name: str = "moebius-cf") -> SystemDescriptor:
 
 def truncated_cf_system(n_edges: int, name: Optional[str] = None) -> SystemDescriptor:
     """Continued-fraction maps restricted to the alphabet {1..n_edges}."""
-    fam = MoebiusCFFamily()
     fam = _BoundedCF(n_edges)
     graph = Multigraph.single_vertex(n_edges=n_edges)
     inc = IncidenceMatrix.full(graph)

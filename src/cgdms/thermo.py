@@ -17,6 +17,11 @@ from .potentials import PotentialVector
 from .system import SystemDescriptor
 from .util import Enclosure
 
+BETA_FLOOR = 0.0     # left edge of the bracketed exponent domain
+ROOT_HI_HINT = 1.0   # first right end tried when bracketing the root
+ROOT_XTOL = 1e-14    # brentq tolerance of the anchored root
+STAGE_GROWTH = 4     # word-length factor per certification escalation
+
 
 @dataclass(frozen=True)
 class PressureQuery:
@@ -89,19 +94,20 @@ class ThermoReport:
 
 def pressure_bracket(sys: SystemDescriptor, J: Optional[PotentialVector],
                      query: PressureQuery, *, window: Optional[int] = None,
-                     workers: int = 1, tighten_hull: bool = True) -> PressureBracket:
+                     workers: int = 1) -> PressureBracket:
     """Bracket the stage-n pressure sum of <t,J> - beta*I over edges <= N.
 
     The lower endpoint uses per-cylinder infima, the upper endpoint
     suprema; in the fused (dp) mode the returned interval contains the
-    per-word interval for the same stage.
+    per-word interval for the same stage.  ``workers`` is accepted for
+    compatibility and ignored: the kernel runs single-threaded.
     """
     if J is None:
         J = potentials.zero(max(1, len(query.t_coeff)))
     if len(query.t_coeff) != J.dim:
         raise ValueError(f"t has dim {len(query.t_coeff)}, potential dim {J.dim}")
     kern = PressureKernel(sys, J, n=query.word_length, N=query.truncation,
-                          window=window, workers=workers, tighten_hull=tighten_hull)
+                          window=window)
     lo, hi = kern.values(np.asarray(query.t_coeff), query.beta_coeff)
     tail = kern.tail_weight(np.asarray(query.t_coeff), query.beta_coeff)
     return PressureBracket(lower=lo, upper=hi, n=kern.n, N=kern.N,
@@ -132,36 +138,46 @@ def estimate_theta(sys: SystemDescriptor) -> ThetaResult:
 # certified zero of the pressure in beta
 # ---------------------------------------------------------------------------
 
-def anchored_pressure_root(kern: PressureKernel, t, *, floor: float = 0.0,
-                           hi_hint: float = 1.0, xtol: float = 1e-14) -> float:
+def anchored_pressure_root(kern: PressureKernel, t) -> float:
     """Root of the anchored stage value in beta; the point estimate that
     certification is built around."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
     f = lambda b: kern.value(t, b)
-    flo = f(floor)
+    flo = f(BETA_FLOOR)
     if flo == 0.0:
-        return floor
+        return BETA_FLOOR
     if flo < 0.0:
         raise BracketBudgetError(
-            f"anchored pressure already negative at beta={floor}; "
+            f"anchored pressure already negative at beta={BETA_FLOOR}; "
             "the zero lies below the supported domain")
-    hi = max(hi_hint, floor + 0.25)
+    hi = ROOT_HI_HINT
     fhi = f(hi)
     for _ in range(80):
         if fhi < 0.0:
             break
-        hi = floor + 2.0 * (hi - floor)
+        hi = BETA_FLOOR + 2.0 * (hi - BETA_FLOOR)
         fhi = f(hi)
     else:
         raise BracketBudgetError("anchored pressure never becomes negative")
-    return float(brentq(f, floor, hi, xtol=xtol, maxiter=256))
+    return float(brentq(f, BETA_FLOOR, hi, xtol=ROOT_XTOL, maxiter=256))
+
+
+def _certifies(kern: PressureKernel, t, est: float,
+               half: float) -> Optional[Enclosure]:
+    """The enclosure [est - half, est + half], clipped at the floor, if the
+    lower bracket is positive on its left end (nonnegative at the floor)
+    and the upper bracket negative on its right end; else None."""
+    left = max(est - half, BETA_FLOOR)
+    lower = kern.bound(t, left, "lower")
+    lo_ok = lower >= 0.0 if left == BETA_FLOOR else lower > 0.0
+    if lo_ok and kern.bound(t, est + half, "upper") < 0.0:
+        return Enclosure(left, est + half)
+    return None
 
 
 def certified_pressure_zero(factory: Callable[[int], PressureKernel], t,
                             tol: float, *, stages0: int,
-                            max_stages: int = 1 << 14,
-                            floor: float = 0.0,
-                            grow: int = 4) -> tuple:
+                            max_stages: int = 1 << 14) -> tuple:
     """Predict-then-certify enclosure of the pressure zero in beta.
 
     ``factory(stages)`` builds the kernel at a given word length with a
@@ -188,27 +204,20 @@ def certified_pressure_zero(factory: Callable[[int], PressureKernel], t,
         else:
             kern = factory(stages)
         est = anchored_pressure_root(kern, t)
-        left = max(est - delta, floor)
-        lo_ok = kern.bound(t, left, "lower") >= 0.0 if left == floor \
-            else kern.bound(t, left, "lower") > 0.0
-        hi_ok = kern.bound(t, est + delta, "upper") < 0.0
-        if lo_ok and hi_ok:
-            return Enclosure(left, est + delta), est, kern
+        enc = _certifies(kern, t, est, delta)
+        if enc is not None:
+            return enc, est, kern
         lo, hi = kern.values(t, est)
         last_gap = hi - lo
         if stages >= max_stages:
             break
-        stages = min(stages * grow, max_stages)
+        stages = min(stages * STAGE_GROWTH, max_stages)
     # budget exhausted: widen until certified so the error carries something
     widen = delta
     for _ in range(60):
         widen *= 2.0
-        left = max(est - widen, floor)
-        lo_ok = kern.bound(t, left, "lower") >= 0.0 if left == floor \
-            else kern.bound(t, left, "lower") > 0.0
-        hi_ok = kern.bound(t, est + widen, "upper") < 0.0
-        if lo_ok and hi_ok:
-            best = Enclosure(left, est + widen)
+        best = _certifies(kern, t, est, widen)
+        if best is not None:
             needed = int(stages * max(1.0, (last_gap or tol) / tol))
             raise BracketBudgetError(
                 f"could not certify width {tol} within {stages} stages; "
@@ -221,15 +230,15 @@ def certified_pressure_zero(factory: Callable[[int], PressureKernel], t,
 
 def bowen_dimension(sys: SystemDescriptor, n: int, N: Optional[int] = None,
                     tol: float = 1e-9, *, workers: int = 1,
-                    max_stages: int = 1 << 14,
-                    tighten_hull: bool = True) -> BowenResult:
+                    max_stages: int = 1 << 14) -> BowenResult:
     """Enclosure of the zero of the one-parameter pressure.
 
     ``n`` fixes the cylinder refinement level; the kernel starts with
     words of exactly that length (per-word enumeration when affordable)
     and, when the distortion gap blocks certification at the requested
     tolerance, keeps the refinement window at n while lengthening the
-    words through the fused recursion.
+    words through the fused recursion.  ``workers`` is accepted for
+    compatibility and ignored: the kernel runs single-threaded.
     """
     J = potentials.zero(1)
     t = np.zeros(1)
@@ -244,8 +253,7 @@ def bowen_dimension(sys: SystemDescriptor, n: int, N: Optional[int] = None,
         win = max(win, 2)
 
     def factory(stages: int) -> PressureKernel:
-        return PressureKernel(sys, J, n=stages, N=N_eff, window=win,
-                              workers=workers, tighten_hull=tighten_hull)
+        return PressureKernel(sys, J, n=stages, N=N_eff, window=win)
 
     kern0 = factory(n)
     if kern0.value(t, 0.0) < 0.0:
@@ -264,8 +272,7 @@ def bowen_dimension(sys: SystemDescriptor, n: int, N: Optional[int] = None,
 
 
 def classify_regularity(sys: SystemDescriptor, probe_ts: Optional[Sequence[float]] = None,
-                        *, n: int = 8, N: Optional[int] = None,
-                        workers: int = 1) -> tuple:
+                        *, n: int = 8, N: Optional[int] = None) -> tuple:
     """Classify the system per its pressure behaviour; never guesses.
 
     Finite alphabets: pressure is finite everywhere, so a certified
@@ -283,7 +290,7 @@ def classify_regularity(sys: SystemDescriptor, probe_ts: Optional[Sequence[float
         N_eff = sys.effective_truncation(N)
         q = PressureQuery(t_coeff=(0.0,), beta_coeff=0.0,
                           word_length=n, truncation=N_eff)
-        br = pressure_bracket(sys, potentials.zero(1), q, workers=workers)
+        br = pressure_bracket(sys, potentials.zero(1), q)
         if br.lower > 1e-12:
             notes.append("finite alphabet: co-finite condition not applicable")
             notes.append(f"certified 0 < p(0) (lower={br.lower:.6g}) < inf")
@@ -305,7 +312,7 @@ def classify_regularity(sys: SystemDescriptor, probe_ts: Optional[Sequence[float
             continue
         q = PressureQuery(t_coeff=(0.0,), beta_coeff=float(beta),
                           word_length=n, truncation=N_eff)
-        br = pressure_bracket(sys, potentials.zero(1), q, workers=workers)
+        br = pressure_bracket(sys, potentials.zero(1), q)
         if br.lower > 0.0 and math.isfinite(br.tail_bound):
             notes.append(f"certified 0 < p({beta}) and finite tail")
             return "strongly-regular", tuple(notes)
@@ -313,11 +320,11 @@ def classify_regularity(sys: SystemDescriptor, probe_ts: Optional[Sequence[float
 
 
 def thermo_report(sys: SystemDescriptor, n: int, N: Optional[int] = None,
-                  tol: float = 1e-6, *, workers: int = 1) -> ThermoReport:
+                  tol: float = 1e-6) -> ThermoReport:
     """Threshold, dimension enclosure, and regularity in one record."""
     theta = estimate_theta(sys)
-    bowen = bowen_dimension(sys, n, N, tol, workers=workers)
-    label, notes = classify_regularity(sys, n=min(n, 10), N=N, workers=workers)
+    bowen = bowen_dimension(sys, n, N, tol)
+    label, notes = classify_regularity(sys, n=min(n, 10), N=N)
     if theta.enclosure is not None and bowen.enclosure.hi < theta.enclosure.lo:
         notes = notes + ("warning: dimension enclosure fell below the threshold",)
     return ThermoReport(theta=theta.enclosure, hausdorff_dim=bowen.enclosure,

@@ -44,8 +44,7 @@ def combine_partition_sums(parts: list[tuple[float, float]]) -> float:
     """Combine per-partition (max_exponent, sum_of_scaled) pairs.
 
     Each partition reports the log-sum-exp decomposition of its own terms;
-    the combination is done in list order so worker count cannot change
-    the result.
+    the combination is done in list order, so the result is reproducible.
     """
     finite = [(m, s) for m, s in parts if m > -math.inf and s > 0.0]
     if not finite:

@@ -232,3 +232,82 @@ class TestReproducibility:
         assert format_float(math.pi) == "3.1415926535897931"
         assert format_float(float("inf")) == "inf"
         assert "." in format_float(1.0) or "1" == format_float(1.0)
+
+
+class TestConfigValidation:
+    """Faults caught by validation: exit 1, the dotted field path named,
+    and nothing computed (the output directory is never created)."""
+
+    CF_SETS = {
+        "system": {"kind": "moebius-cf"},
+        "potential": {"kind": "mod-cycle",
+                      "tables": [[-1.0, 1.0], [0.0, 1.0, -1.0]]},
+        "numerics": {"word_length": 10, "truncation": 24, "tolerance": 1e-5},
+        "sets": {"t_grid": {"min": [-1.0, -1.0], "max": [1.0, 1.0],
+                            "points": 3}},
+    }
+
+    def _rejected(self, tmp_path, capsys, command, doc, field):
+        cfg = write_config(tmp_path, doc)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert f"'{field}'" in err
+        assert not (tmp_path / "o").exists()
+        return err
+
+    def _sets(self, **params):
+        doc = dict(self.CF_SETS)
+        doc["sets"] = dict(doc["sets"], **params)
+        return doc
+
+    def test_bernoulli_without_probs_or_rule(self, tmp_path, capsys):
+        self._rejected(tmp_path, capsys, "sets",
+                       self._sets(bernoulli=[{"foo": 1}]),
+                       "sets.bernoulli[0].probs")
+
+    def test_bernoulli_unknown_rule(self, tmp_path, capsys):
+        err = self._rejected(tmp_path, capsys, "sets",
+                             self._sets(bernoulli=[{"rule": "cauchy"}]),
+                             "sets.bernoulli[0].rule")
+        assert "cauchy" in err
+
+    def test_bernoulli_probs_not_summing_to_one(self, tmp_path, capsys):
+        doc = self._sets(bernoulli=[{"rule": "inverse-square"},
+                                    {"probs": {"1": 0.5, "2": 0.4}}])
+        err = self._rejected(tmp_path, capsys, "sets", doc,
+                             "sets.bernoulli[1].probs")
+        assert "not 1" in err
+
+    def test_inadmissible_cycle(self, tmp_path, capsys):
+        doc = {
+            "system": {"kind": "similarity", "ratios": [0.5, 0.5],
+                       "offsets": [0.0, 0.5], "incidence": [[1, 1], [1, 0]]},
+            "numerics": {"word_length": 8},
+            "sets": {"cycles": [[1], [1, 2, 2]]},
+        }
+        err = self._rejected(tmp_path, capsys, "sets", doc, "sets.cycles[1]")
+        assert "2 -> 2 inadmissible" in err
+
+    @pytest.mark.parametrize("section,key,field", [
+        ("numerics", "word_length", "numerics.word_length"),
+        ("numerics", "truncation", "numerics.truncation"),
+        ("numerics", "window", "numerics.window"),
+        ("numerics", "workers", "numerics.workers"),
+        ("numerics", "seed", "numerics.seed"),
+        ("t_grid", "points", "sets.t_grid.points"),
+        ("system", "alphabet", "system.alphabet"),
+        ("system", "edges", "system.edges"),
+    ])
+    def test_json_true_is_not_an_integer(self, tmp_path, capsys,
+                                         section, key, field):
+        doc = json.loads(json.dumps(self.CF_SETS))
+        if section == "t_grid":
+            doc["sets"]["t_grid"][key] = True
+        elif key == "edges":
+            doc["system"] = {"kind": "custom-1d", "map_expr": "1/(x+k)",
+                             "abs_deriv_expr": "1/(x+k)^2",
+                             "contraction_bound": 0.5,
+                             "contraction_prefactor": 2.0, "edges": True}
+        else:
+            doc[section][key] = True
+        self._rejected(tmp_path, capsys, "sets", doc, field)

@@ -1,0 +1,116 @@
+"""PressureKernel with a depth-2 potential: the trailing-window code.
+
+A depth-m potential leaves the last m-1 windows of every word without a
+full argument; both kernel modes bracket them by the inf/sup over
+admissible completions.  The brute-force sums here visit every word with
+``itertools``, take each word's derivative at the fixed point of its
+composed map, and resolve the last window by the same inf/sup over
+completions, so they must lie inside the enumerate bracket, which in turn
+lies inside the dp brackets.
+"""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+from cgdms import potentials
+from cgdms.kernel import PressureKernel
+from cgdms.system import similarity_system, truncated_cf_system
+
+N_WORDS = 8
+T = np.array([0.7, -0.4])
+BETAS = (0.0, 0.6, 1.3)
+EPS = 1e-12
+
+
+def _j2(w):
+    a, b = w
+    return [0.3 * (a - b) + 0.1 * a * b, 0.2 * (a == b) - 0.1 * b]
+
+
+J2 = potentials.depth_m(_j2, dim=2, depth=2, bound=5.0)
+
+
+def _cf_maps():
+    return (lambda k, x: 1.0 / (x + k),
+            lambda k, x: -2.0 * math.log(x + k))
+
+
+def _golden_maps():
+    offsets = (0.0, 0.5)
+    return (lambda k, x: offsets[k - 1] + 0.5 * x,
+            lambda k, x: math.log(0.5))
+
+
+CASES = {
+    "cf2": (truncated_cf_system(2), _cf_maps(), lambda a, b: True),
+    "golden-mean": (
+        similarity_system([0.5, 0.5], offsets=[0.0, 0.5],
+                          incidence=[[1, 1], [1, 0]]),
+        _golden_maps(), lambda a, b: not (a == 2 and b == 2)),
+}
+
+
+def _brute_force(maps, admissible, beta):
+    """(lower, upper) stage-n sums over every admissible word."""
+    phi, dlog = maps
+    lows, highs = [], []
+    for w in itertools.product((1, 2), repeat=N_WORDS):
+        if not all(admissible(w[i], w[i + 1]) for i in range(N_WORDS - 1)):
+            continue
+        x = 0.5
+        for _ in range(200):
+            for k in reversed(w):
+                x = phi(k, x)
+        geo = 0.0
+        y = x
+        for k in reversed(w):
+            geo += dlog(k, y)
+            y = phi(k, y)
+        full = sum(float(T @ J2.value(w[i:i + 2])) for i in range(N_WORDS - 1))
+        tail = [float(T @ J2.value((w[-1], c))) for c in (1, 2)
+                if admissible(w[-1], c)]
+        lows.append(full + min(tail) + beta * geo)
+        highs.append(full + max(tail) + beta * geo)
+
+    def logsum(v):
+        m = max(v)
+        return (m + math.log(math.fsum(math.exp(x - m) for x in v))) / N_WORDS
+
+    return logsum(lows), logsum(highs)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_enumerate_bracket_contains_brute_force(name):
+    sys, maps, admissible = CASES[name]
+    kern = PressureKernel(sys, J2, n=N_WORDS)
+    assert kern.mode == "enumerate"
+    for beta in BETAS:
+        lo, hi = kern.values(T, beta)
+        blo, bhi = _brute_force(maps, admissible, beta)
+        assert blo <= bhi
+        assert lo <= blo + EPS and bhi <= hi + EPS, (beta, lo, blo, bhi, hi)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("window", (2, 3))
+def test_dp_brackets_contain_enumerate(name, window):
+    sys = CASES[name][0]
+    enum = PressureKernel(sys, J2, n=N_WORDS)
+    dp = PressureKernel(sys, J2, n=N_WORDS, window=window)
+    assert dp.mode == "dp" and dp.window == window
+    for beta in BETAS:
+        lo, hi = enum.values(T, beta)
+        dlo, dhi = dp.values(T, beta)
+        assert dlo <= lo + EPS and hi <= dhi + EPS, (beta, dlo, lo, hi, dhi)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("window", (None, 2, 3))
+def test_values_are_the_two_bounds(name, window):
+    kern = PressureKernel(CASES[name][0], J2, n=N_WORDS, window=window)
+    for beta in BETAS:
+        assert kern.values(T, beta) == (kern.bound(T, beta, "lower"),
+                                        kern.bound(T, beta, "upper"))
