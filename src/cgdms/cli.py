@@ -183,7 +183,7 @@ def cmd_sets(rc: RunConfig, outdir: Path) -> list:
                 syms = tuple(w)
                 if sysd.incidence.entry(syms[-1], syms[0]):
                     cycles.append(list(syms))
-    specs = bernoulli_specs(rc.command_params)
+    specs = bernoulli_specs(rc.command_params, sysd)
     if not specs:
         specs = [measures.BernoulliSpec.finite(
             {k: 1.0 / N_small for k in range(1, N_small + 1)})]

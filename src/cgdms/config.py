@@ -237,7 +237,7 @@ def _validate_command(command: str, params: dict, system: SystemDescriptor,
             if not _typed(pts, int) or pts < 2:
                 raise ConfigError(f"{command}.t_grid.points", "must be an int >= 2")
         if command == "sets":
-            bernoulli_specs(params)
+            bernoulli_specs(params, system)
             _check_cycles(params, system)
     elif command == "counterexample":
         m = params.get("M_param", 100.0)
@@ -254,10 +254,11 @@ def _validate_command(command: str, params: dict, system: SystemDescriptor,
         raise ConfigError("", f"unknown command {command!r}")
 
 
-def bernoulli_specs(params: dict) -> list:
+def bernoulli_specs(params: dict, system: SystemDescriptor) -> list:
     """The measures of ``sets.bernoulli``: each entry names a closed-form
-    ``rule`` or gives ``probs``, a map from edge to mass summing to 1.
-    A malformed entry raises :class:`ConfigError` naming its field."""
+    ``rule`` (infinite alphabets only) or gives ``probs``, a map from edge
+    of ``system`` to mass summing to 1.  A malformed entry raises
+    :class:`ConfigError` naming its field."""
     entries = _optional(params, "bernoulli", list, "sets", [])
     specs = []
     for i, entry in enumerate(entries):
@@ -266,14 +267,21 @@ def bernoulli_specs(params: dict) -> list:
             raise ConfigError(path, "must be an object with 'probs' or 'rule'")
         try:
             if "rule" in entry:
-                specs.append(BernoulliSpec.named(_expect(entry, "rule", str, path)))
+                spec = BernoulliSpec.named(_expect(entry, "rule", str, path))
+                if system.is_finite:
+                    raise ValueError(
+                        "infinite-support Bernoulli rules need an infinite-"
+                        f"alphabet system; this one has {system.alphabet_size} edges")
+                specs.append(spec)
                 continue
             probs = _expect(entry, "probs", dict, path)
             if not all(_typed(p, (int, float)) for p in probs.values()):
                 raise ValueError("masses must be numbers")
-            specs.append(BernoulliSpec.finite(
-                {int(k): float(p) for k, p in probs.items()}))
-        except ValueError as exc:
+            spec = BernoulliSpec.finite({int(k): float(p) for k, p in probs.items()})
+            for k, _ in spec.probs:
+                system.graph.check_edge(k)
+            specs.append(spec)
+        except (ValueError, InvalidWordError) as exc:
             raise ConfigError(path + (".rule" if "rule" in entry else ".probs"),
                               str(exc)) from exc
     return specs

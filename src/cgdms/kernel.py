@@ -12,8 +12,9 @@ and upper using suprema):
 * ``dp``: cylinder brackets are refined only to a fixed window depth q and
   the sum is driven by a transfer recursion over (q-1)-gram states.  The
   resulting interval always contains the enumerate-mode interval for the
-  same length, and the length can be pushed far beyond enumeration limits,
-  which is what shrinks the bracket gap.
+  same length.  The same window transfer matrix brackets the limit
+  pressure: log rho(L_inf) <= P <= log rho(L_sup), with rho bounded by
+  Collatz-Wielandt ratios (:meth:`PressureKernel.limit_bound`).
 
 Each mode has one reduction, which takes its per-word or per-window
 weights at the infimum, supremum or midpoint of their brackets; bounds,
@@ -24,9 +25,12 @@ tables drive first-moment accumulators for Gibbs-type averages.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .potentials import PotentialVector
 from .system import SystemDescriptor
@@ -37,6 +41,8 @@ DP_WINDOW_CAP = 1 << 19  # max truncation**window for fused-mode tables
 # default weight of anchored point values: the exact per-word suprema when
 # enumerating, bracket midpoints in the transfer recursion
 _ANCHOR = {"enumerate": "sup", "dp": "mid"}
+PERRON_LAZY = 0.1        # weight of v in the Perron step v <- vL + c*hi*v
+PERRON_ITER_CAP = 1000   # Perron steps per irreducible class and bracket
 
 
 def _symbol_grid(N: int, length: int, codes: np.ndarray) -> np.ndarray:
@@ -58,6 +64,51 @@ def _pick(lo, hi, which: str):
     if which == "sup":
         return hi
     return 0.5 * (lo + hi)
+
+
+def _advance(T: np.ndarray, N: int) -> np.ndarray:
+    """One transfer step: values on (state, next symbol) pairs, shape
+    (S, N, ...), summed over the symbol leaving the window into values on
+    the next (q-1)-gram states, shape (S, ...)."""
+    S = T.shape[0]
+    return T.reshape(N, S // N, N, *T.shape[2:]).sum(axis=0).reshape(S, *T.shape[2:])
+
+
+def _perron_bracket(eW: np.ndarray, live: np.ndarray, v: np.ndarray,
+                    N: int) -> tuple:
+    """Collatz-Wielandt bracket (lo, hi) of the spectral radius of the
+    window transfer matrix on the irreducible class ``live`` (a mask or
+    every state): min (vL)_i/v_i <= rho <= max (vL)_i/v_i for v > 0.  The
+    step v <- vL + c*hi*v keeps the Perron vector, is aperiodic on periodic
+    classes and updates ``v`` in place as the next call's warm start; it
+    stops once the spread stops shrinking."""
+    lo, hi, spread = 0.0, math.inf, math.inf
+    for _ in range(PERRON_ITER_CAP):
+        u = _advance(v[:, None] * eW, N)[live]
+        r = u / v[live]
+        rlo, rhi = float(r.min()), float(r.max())
+        lo, hi = max(lo, rlo), min(hi, rhi)
+        if rhi - rlo >= spread or rhi == 0.0:
+            break
+        spread = rhi - rlo
+        u += PERRON_LAZY * rhi * v[live]
+        # floored so every iterate stays positive on the class
+        v[live] = np.maximum(u / u.max(), np.finfo(float).tiny)
+    return lo, hi
+
+
+def dp_window(sys: SystemDescriptor, J: PotentialVector, N: int,
+              level: int) -> int:
+    """Window depth of the transfer recursion at refinement ``level``.
+    Exact (distortion-free) brackets need only potential depth and Markov
+    memory; otherwise it is ``level`` while its words could be enumerated,
+    else the deepest window below ``level`` whose table fits."""
+    q = 1
+    if not sys.family.distortion_free:
+        q = level if N ** min(level, 40) <= EXACT_CAP else 1
+        while N ** (q + 1) <= DP_WINDOW_CAP and q + 1 < level:
+            q += 1
+    return max(q, J.depth, 1 if sys.incidence.full_shift else 2)
 
 
 def _pair_valid(syms: np.ndarray, dense: np.ndarray) -> np.ndarray:
@@ -108,6 +159,8 @@ class _Tables:
         self.win_valid = _pair_valid(syms, dense)
         self.win_ld_lo, self.win_ld_hi = fam.vec_suffix_then_head(syms, self.hull)
         self.win_jcode = codes // (N ** (q - m))  # first-m-symbol codes
+        # admissible (q-1)-gram states, read off the windows ending in 1
+        self.state_valid = _pair_valid(syms[:-1, ::N], dense)
 
         # log-derivative ranges over the trailing l-cylinders, l < q
         for l in range(1, q):
@@ -150,17 +203,7 @@ class PressureKernel:
             raise ValueError("word length must be >= 1")
         N = sys.effective_truncation(N)
         if window is None:
-            if N ** min(n, 40) <= EXACT_CAP:
-                window = n
-            elif sys.family.distortion_free:
-                # brackets are exact at any depth; only potential depth and
-                # Markov memory force a window
-                window = max(J.depth, 1 if sys.incidence.full_shift else 2)
-            else:
-                window = 1
-                while N ** (window + 1) <= DP_WINDOW_CAP and window + 1 < n:
-                    window += 1
-                window = max(window, J.depth, 2 if not sys.incidence.full_shift else 1)
+            window = n if N ** min(n, 40) <= EXACT_CAP else dp_window(sys, J, N, n)
         window = min(window, n)
         window = max(window, J.depth)
         if not sys.incidence.full_shift and window < 2 and n > 1:
@@ -183,6 +226,7 @@ class PressureKernel:
         if self.mode == "enumerate":
             self._build_exact()
 
+    # unused in the package; bench/tracing.py looks it up by name
     def with_length(self, n: int) -> "PressureKernel":
         """Same tables, longer words; only meaningful in dp mode."""
         clone = object.__new__(PressureKernel)
@@ -259,13 +303,18 @@ class PressureKernel:
     # ------------------------------------------------------------------
     # dp mode
     # ------------------------------------------------------------------
-    def _dp_weight(self, t, beta, which):
+    def _dp_weights(self, t, beta, which):
+        """(base, eW): window weights exp(w - base) on (state, next symbol)
+        pairs, base being the largest admissible log weight w."""
         tab = self.tables
-        u = tab.j_dot(t)
-        jw = u[tab.win_jcode]
-        w = jw + beta * _pick(tab.win_ld_lo, tab.win_ld_hi, which)
+        w = tab.j_dot(t)[tab.win_jcode] + beta * _pick(
+            tab.win_ld_lo, tab.win_ld_hi, which)
         w[~tab.win_valid] = -math.inf
-        return w
+        finite = w[np.isfinite(w)]
+        if finite.size == 0:
+            return -math.inf, np.zeros((w.size // self.N, self.N))
+        base = float(finite.max())
+        return base, np.exp(w - base).reshape(-1, self.N)
 
     def _dp_terminal(self, t, beta, which):
         """Per-state log weight of the trailing truncated windows."""
@@ -286,26 +335,15 @@ class PressureKernel:
     def _dp_run(self, t, beta, which):
         N, q, n = self.N, self.window, self.n
         Sm1 = N ** (q - 1)
-        w = self._dp_weight(t, beta, which)
-        finite = w[np.isfinite(w)]
-        if finite.size == 0:
+        base, eW = self._dp_weights(t, beta, which)
+        if base == -math.inf:
             return -math.inf
-        base = float(finite.max())
-        eW = np.exp(w - base).reshape(Sm1, N)
-        if q == 1:
-            total = float(eW.sum())
-            logz = n * (base + math.log(total))
-            # q == 1 has no state memory and no trailing windows
-            return logz / n
-        init_codes = np.arange(Sm1)
-        init_syms = _symbol_grid(N, q - 1, init_codes)
-        dense = self.sys.incidence.dense_block(N)
-        V = _pair_valid(init_syms, dense).astype(float)
+        if q == 1:  # no state memory and no trailing windows
+            return n * (base + math.log(float(eW.sum()))) / n
+        V = self.tables.state_valid.astype(float)
         logoff = 0.0
-        rest = N ** (q - 2)
         for _ in range(n - (q - 1)):
-            T = V[:, None] * eW
-            Vn = T.reshape(N, rest, N).sum(axis=0).reshape(-1)
+            Vn = _advance(V[:, None] * eW, N)
             mx = Vn.max()
             if mx <= 0.0 or not math.isfinite(mx):
                 return -math.inf
@@ -321,38 +359,29 @@ class PressureKernel:
         N, q, n = self.N, self.window, self.n
         tab = self.tables
         Sm1 = N ** (q - 1)
-        w = self._dp_weight(t, beta, "mid")
-        base = float(w[np.isfinite(w)].max())
-        eW = np.exp(w - base).reshape(Sm1, N)
+        base, eW = self._dp_weights(t, beta, "mid")
         ld_mid = _pick(tab.win_ld_lo, tab.win_ld_hi, "mid").reshape(Sm1, N)
         jfull = tab.jvals[tab.win_jcode].reshape(Sm1, N, self.J.dim)
         if q == 1:
             z = float(eW.sum())
-            jq = (tab.jvals[tab.win_jcode] * np.exp(w - base)[:, None]).sum(axis=0) / z
+            jq = (tab.jvals[tab.win_jcode] * eW.reshape(-1, 1)).sum(axis=0) / z
             ldm = _pick(tab.win_ld_lo, tab.win_ld_hi, "mid")
-            iq = float((-(ldm) * np.exp(w - base)).sum()) / z
+            iq = float((-(ldm) * eW.reshape(-1)).sum()) / z
             return base + math.log(z), jq, iq
-        init_codes = np.arange(Sm1)
-        init_syms = _symbol_grid(N, q - 1, init_codes)
-        dense = self.sys.incidence.dense_block(N)
-        V = _pair_valid(init_syms, dense).astype(float)
+        V = self.tables.state_valid.astype(float)
         AJ = np.zeros((Sm1, self.J.dim))
         AI = np.zeros(Sm1)
         logoff = 0.0
-        rest = N ** (q - 2)
         for _ in range(n - (q - 1)):
             T = V[:, None] * eW
             AJT = (AJ[:, None, :] + V[:, None, None] * jfull) * eW[:, :, None]
             AIT = (AI[:, None] + V[:, None] * (-ld_mid)) * eW
-            Vn = T.reshape(N, rest, N).sum(axis=0).reshape(-1)
-            AJn = AJT.reshape(N, rest, N, self.J.dim).sum(axis=0).reshape(-1, self.J.dim)
-            AIn = AIT.reshape(N, rest, N).sum(axis=0).reshape(-1)
+            Vn, AJn, AIn = _advance(T, N), _advance(AJT, N), _advance(AIT, N)
             mx = Vn.max()
             V, AJ, AI = Vn / mx, AJn / mx, AIn / mx
             logoff += math.log(mx) + base
         # trailing windows, anchored at midpoints
         term = self._dp_terminal(t, beta, "mid")
-        u = tab.j_dot(t)
         scodes = np.arange(Sm1)
         TJ = np.zeros((Sm1, self.J.dim))
         TI = np.zeros(Sm1)
@@ -376,6 +405,42 @@ class PressureKernel:
         iq = float(((AI + V * TI) * np.exp(term - term.max())).sum()) / z / n
         logz = (logoff + term.max() + math.log(z)) / n
         return logz, jq, iq
+
+    @cached_property
+    def _classes(self) -> list:
+        """(states, Perron iterate) of each irreducible class of (q-1)-gram
+        states with a cycle: rho of the transfer matrix is the largest of
+        their radii, whatever its transient states."""
+        S = self.N ** (self.window - 1)
+        c = np.flatnonzero(self.tables.win_valid)
+        src, dst = c // self.N, c % S  # window code -> (state, next state)
+        graph = csr_matrix((np.ones(c.size), (src, dst)), shape=(S, S))
+        lab = connected_components(graph, connection="strong")[1]
+        masks = [lab == k for k in np.unique(lab[src[lab[src] == lab[dst]]])]
+        # a class of every state is read whole, without gathers
+        return [(slice(None) if m.all() else m, m.astype(float)) for m in masks]
+
+    def limit_bound(self, t, beta, side: str) -> float:
+        """The limit pressure of <t,J> - beta*I over the truncated system
+        (beta >= 0) lies in [log rho(L_inf), log rho(L_sup)] for the window
+        transfer matrix L.  'lower' and 'upper' are those endpoints, each
+        radius bounded by Collatz-Wielandt ratios; 'mid' is the log of the
+        midpoint ratio of the midpoint-weight matrix, the point estimate."""
+        if self.mode != "dp":
+            raise ValueError("limit bounds need a dp-mode kernel")
+        which = {"lower": "inf", "upper": "sup", "mid": "mid"}[side]
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        base, eW = self._dp_weights(t, beta, which)
+        if self.window == 1:
+            # no state memory: L is the 1x1 sum of the weights
+            lo = hi = float(eW.sum())
+        else:
+            brackets = [_perron_bracket(eW, live, v, self.N)
+                        for live, v in self._classes]
+            lo = max((b[0] for b in brackets), default=0.0)
+            hi = max((b[1] for b in brackets), default=0.0)
+        with np.errstate(divide="ignore"):
+            return base + float(np.log(_pick(lo, hi, which)))
 
     # ------------------------------------------------------------------
     # public evaluations

@@ -2,9 +2,9 @@
 the attainable value sets of Birkhoff quotients.
 
 For each parameter vector t the scalar beta(t) is the unique zero in beta
-of the pressure of <t,J> - beta*I.  Everything here rides on two views of
-the same stage-n partition sum: certified brackets (for enclosures) and an
-anchored smooth value (for roots, gradients, Hessians, and descent).  The
+of the pressure of <t,J> - beta*I.  Enclosures bracket the limit pressure
+with the window transfer matrix; roots, gradients, Hessians and descent
+use the anchored smooth value of the stage-n partition sum.  The
 gradient is estimated primarily by the weighted word-sum quotient, which
 is by construction the exact derivative of the anchored stage value, so
 the independent finite-difference estimate of the same root function must
@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import BracketBudgetError
-from .kernel import PressureKernel
+from .kernel import PressureKernel, dp_window
 from .potentials import PotentialVector, cycle_birkhoff
 from .symbolic import closed_cycle, enumerate_words
 from .system import SystemDescriptor
@@ -188,30 +188,24 @@ class BetaSolver:
 
 def solve_beta(sys: SystemDescriptor, J: PotentialVector, t, tol: float = 1e-8,
                *, n: int = DEFAULT_STAGES, N: Optional[int] = None,
-               window: Optional[int] = None,
-               max_stages: int = 1 << 14) -> BetaPoint:
+               window: Optional[int] = None) -> BetaPoint:
     """Certified enclosure (width <= tol) plus point estimate of beta(t).
 
-    Bisection is replaced by predict-then-certify: the anchored root is
-    bracketed by one rigorous lower-bracket check on the left and one
-    upper-bracket check on the right, lengthening words on demand.
+    Both come from the limit pressure bracketed by the window transfer
+    matrix (``window``, or :func:`~cgdms.kernel.dp_window` at level n);
+    the Gibbs means are read from the stage-n kernel at its anchored root.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if t.size != J.dim:
         raise ValueError(f"t has dim {t.size}, potential dim {J.dim}")
     N_eff = sys.effective_truncation(N)
-    kern0 = PressureKernel(sys, J, n=n, N=N_eff, window=window)
-    win = kern0.window
-
-    def factory(stages: int) -> PressureKernel:
-        if stages == kern0.n:
-            return kern0
-        return PressureKernel(sys, J, n=stages, N=N_eff, window=win)
-
-    enc, est, kern_used = certified_pressure_zero(factory, t, tol,
-                                                  stages0=n, max_stages=max_stages)
-    beta_n = anchored_pressure_root(kern0, t)
-    _, jq, iq = kern0.moments(t, beta_n)
+    kern = PressureKernel(sys, J, n=n, N=N_eff, window=window)
+    q = window or dp_window(sys, J, N_eff, n)
+    limit = kern if kern.mode == "dp" and kern.window == q else PressureKernel(
+        sys, J, n=q + 1, N=N_eff, window=q)
+    enc, est = certified_pressure_zero(limit, t, tol)
+    beta_n = anchored_pressure_root(kern, t)
+    _, jq, iq = kern.moments(t, beta_n)
     flags = []
     theta = estimate_theta(sys)
     if theta.determined and theta.enclosure is not None and not sys.is_finite:
@@ -219,8 +213,8 @@ def solve_beta(sys: SystemDescriptor, J: PotentialVector, t, tol: float = 1e-8,
             flags.append("enclosure reaches the finiteness threshold")
     return BetaPoint(t=tuple(t.tolist()), beta=enc, estimate=est,
                      gibbs_means=(tuple(jq.tolist()), float(iq)),
-                     stages=kern_used.n, window=kern_used.window,
-                     truncation=kern_used.N, flags=tuple(flags))
+                     stages=n, window=limit.window,
+                     truncation=limit.N, flags=tuple(flags))
 
 
 def grad_beta(sys: SystemDescriptor, J: PotentialVector, t, tol: float = 1e-6,

@@ -1,5 +1,5 @@
 """Topological pressure brackets, the finiteness threshold, and the
-dimension of the limit set via the pressure zero."""
+dimension of the limit set via the zero of the limit pressure."""
 
 from __future__ import annotations
 
@@ -12,15 +12,14 @@ from scipy.optimize import brentq
 
 from . import potentials
 from .errors import BracketBudgetError
-from .kernel import DP_WINDOW_CAP, PressureKernel
+from .kernel import PressureKernel, dp_window
 from .potentials import PotentialVector
 from .system import SystemDescriptor
 from .util import Enclosure
 
 BETA_FLOOR = 0.0     # left edge of the bracketed exponent domain
 ROOT_HI_HINT = 1.0   # first right end tried when bracketing the root
-ROOT_XTOL = 1e-14    # brentq tolerance of the anchored root
-STAGE_GROWTH = 4     # word-length factor per certification escalation
+ROOT_XTOL = 1e-14    # brentq tolerance of the pressure roots
 
 
 @dataclass(frozen=True)
@@ -138,17 +137,15 @@ def estimate_theta(sys: SystemDescriptor) -> ThetaResult:
 # certified zero of the pressure in beta
 # ---------------------------------------------------------------------------
 
-def anchored_pressure_root(kern: PressureKernel, t) -> float:
-    """Root of the anchored stage value in beta; the point estimate that
-    certification is built around."""
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    f = lambda b: kern.value(t, b)
+def _root(f: Callable) -> float:
+    """Zero of a pressure function decreasing in beta: brentq after
+    doubling the right end from ROOT_HI_HINT until f turns negative."""
     flo = f(BETA_FLOOR)
     if flo == 0.0:
         return BETA_FLOOR
     if flo < 0.0:
         raise BracketBudgetError(
-            f"anchored pressure already negative at beta={BETA_FLOOR}; "
+            f"pressure already negative at beta={BETA_FLOOR}; "
             "the zero lies below the supported domain")
     hi = ROOT_HI_HINT
     fhi = f(hi)
@@ -158,116 +155,84 @@ def anchored_pressure_root(kern: PressureKernel, t) -> float:
         hi = BETA_FLOOR + 2.0 * (hi - BETA_FLOOR)
         fhi = f(hi)
     else:
-        raise BracketBudgetError("anchored pressure never becomes negative")
+        raise BracketBudgetError("pressure never becomes negative")
     return float(brentq(f, BETA_FLOOR, hi, xtol=ROOT_XTOL, maxiter=256))
+
+
+def anchored_pressure_root(kern: PressureKernel, t) -> float:
+    """Root of the anchored stage value in beta."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    return _root(lambda b: kern.value(t, b))
 
 
 def _certifies(kern: PressureKernel, t, est: float,
                half: float) -> Optional[Enclosure]:
     """The enclosure [est - half, est + half], clipped at the floor, if the
-    lower bracket is positive on its left end (nonnegative at the floor)
-    and the upper bracket negative on its right end; else None."""
+    lower limit bound is positive on its left end (nonnegative at the
+    floor) and the upper limit bound negative on its right end; else None."""
     left = max(est - half, BETA_FLOOR)
-    lower = kern.bound(t, left, "lower")
+    lower = kern.limit_bound(t, left, "lower")
     lo_ok = lower >= 0.0 if left == BETA_FLOOR else lower > 0.0
-    if lo_ok and kern.bound(t, est + half, "upper") < 0.0:
+    if lo_ok and kern.limit_bound(t, est + half, "upper") < 0.0:
         return Enclosure(left, est + half)
     return None
 
 
-def certified_pressure_zero(factory: Callable[[int], PressureKernel], t,
-                            tol: float, *, stages0: int,
-                            max_stages: int = 1 << 14) -> tuple:
-    """Predict-then-certify enclosure of the pressure zero in beta.
-
-    ``factory(stages)`` builds the kernel at a given word length with a
-    fixed refinement window.  The anchored root is located first; the
-    enclosure [root - tol/2, root + tol/2] is then certified by checking
-    that the rigorous lower bracket is positive on the left and the upper
-    bracket negative on the right.  Failing sides trigger a geometric
-    increase of the word length (the refinement window stays put), per the
-    escalation contract.  Returns (enclosure, estimate, kernel_used).
-
-    Raises :class:`BracketBudgetError` with the best widened enclosure
-    when the budget is exhausted.
+def certified_pressure_zero(kern: PressureKernel, t, tol: float) -> tuple:
+    """(enclosure, estimate) of the zero in beta of the limit pressure of
+    <t,J> - beta*I over the truncated system, from one dp-mode kernel: the
+    estimate is the zero of the 'mid' limit bound, certified as
+    est +/- tol/2 by :func:`_certifies`.  Failing that, the half-width is
+    doubled until it certifies, and :class:`BracketBudgetError` carries
+    that enclosure as ``best`` and the window needed for ``tol`` as
+    ``required_n``.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    stages = stages0
+    est = _root(lambda b: kern.limit_bound(t, b, "mid"))
     # shaved slightly below tol/2 so the reported width respects tol even
     # after float rounding of the endpoints
-    delta = 0.5 * tol * (1.0 - 1e-6)
-    last_gap = None
-    kern = None
-    while True:
-        if kern is not None and kern.mode == "dp":
-            kern = kern.with_length(stages)  # reuse window tables
-        else:
-            kern = factory(stages)
-        est = anchored_pressure_root(kern, t)
-        enc = _certifies(kern, t, est, delta)
-        if enc is not None:
-            return enc, est, kern
-        lo, hi = kern.values(t, est)
-        last_gap = hi - lo
-        if stages >= max_stages:
-            break
-        stages = min(stages * STAGE_GROWTH, max_stages)
-    # budget exhausted: widen until certified so the error carries something
-    widen = delta
-    for _ in range(60):
-        widen *= 2.0
-        best = _certifies(kern, t, est, widen)
+    half = 0.5 * tol * (1.0 - 1e-6)
+    for k in range(61):
+        best = _certifies(kern, t, est, half * 2.0 ** k)
+        if best is not None and k == 0:
+            return best, est
         if best is not None:
-            needed = int(stages * max(1.0, (last_gap or tol) / tol))
+            rate = kern.sys.family.contraction_bound
+            needed = kern.window + math.ceil(
+                math.log(best.width / tol) / math.log(1.0 / rate))
             raise BracketBudgetError(
-                f"could not certify width {tol} within {stages} stages; "
-                f"roughly {needed} stages would be needed",
+                f"could not certify width {tol} at window {kern.window}; "
+                f"roughly window {needed} would be needed",
                 best=best, required_n=needed)
     raise BracketBudgetError(
-        f"pressure zero could not be certified at all within {stages} stages",
+        f"pressure zero could not be certified at all at window {kern.window}",
         best=None, required_n=None)
 
 
 def bowen_dimension(sys: SystemDescriptor, n: int, N: Optional[int] = None,
-                    tol: float = 1e-9, *, workers: int = 1,
-                    max_stages: int = 1 << 14) -> BowenResult:
-    """Enclosure of the zero of the one-parameter pressure.
-
-    ``n`` fixes the cylinder refinement level; the kernel starts with
-    words of exactly that length (per-word enumeration when affordable)
-    and, when the distortion gap blocks certification at the requested
-    tolerance, keeps the refinement window at n while lengthening the
-    words through the fused recursion.  ``workers`` is accepted for
-    compatibility and ignored: the kernel runs single-threaded.
+                    tol: float = 1e-9, *, workers: int = 1) -> BowenResult:
+    """Enclosure of the zero of the one-parameter limit pressure, bracketed
+    by the window transfer matrix at :func:`~cgdms.kernel.dp_window` of the
+    refinement level ``n``.  ``workers`` is accepted for compatibility and
+    ignored: the kernel runs single-threaded.
     """
     J = potentials.zero(1)
     t = np.zeros(1)
     N_eff = sys.effective_truncation(N)
-    # the requested refinement is honored while its window table fits;
-    # wider alphabets fall back to the deepest affordable window and lean
-    # on word length instead
-    win = 1
-    while N_eff ** (win + 1) <= DP_WINDOW_CAP and win < n:
-        win += 1
-    if not sys.incidence.full_shift:
-        win = max(win, 2)
-
-    def factory(stages: int) -> PressureKernel:
-        return PressureKernel(sys, J, n=stages, N=N_eff, window=win)
-
-    kern0 = factory(n)
-    if kern0.value(t, 0.0) < 0.0:
+    q = dp_window(sys, J, N_eff, n)
+    # any word length past the window gives a dp-mode kernel; only its
+    # window tables are read
+    kern = PressureKernel(sys, J, n=q + 1, N=N_eff, window=q)
+    if kern.limit_bound(t, 0.0, "upper") < 0.0:
         # pressure already negative at the domain edge: the zero-crossing
         # formulation degenerates and the critical exponent is the edge
-        if kern0.bound(t, 0.0, "upper") < 0.0:
-            return BowenResult(enclosure=Enclosure(0.0, 0.0), estimate=0.0,
-                               stages=kern0.n, window=kern0.window,
-                               truncation=kern0.N, critical=True,
-                               notes=("pressure certified negative on the whole "
-                                      "parameter range; reporting its left edge",))
-    enc, est, kern = certified_pressure_zero(factory, t, tol,
-                                             stages0=n, max_stages=max_stages)
-    return BowenResult(enclosure=enc, estimate=est, stages=kern.n,
+        return BowenResult(enclosure=Enclosure(0.0, 0.0), estimate=0.0,
+                           stages=n, window=kern.window,
+                           truncation=kern.N, critical=True,
+                           notes=("pressure certified negative on the whole "
+                                  "parameter range; reporting its left edge",))
+    enc, est = certified_pressure_zero(kern, t, tol)
+    return BowenResult(enclosure=enc, estimate=est, stages=n,
                        window=kern.window, truncation=kern.N)
 
 

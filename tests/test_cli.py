@@ -278,6 +278,20 @@ class TestConfigValidation:
                              "sets.bernoulli[1].probs")
         assert "not 1" in err
 
+    def test_bernoulli_rule_on_finite_alphabet(self, tmp_path, capsys):
+        doc = self._sets(bernoulli=[{"rule": "inverse-square"}])
+        doc["system"] = {"kind": "moebius-cf", "alphabet": 2}
+        err = self._rejected(tmp_path, capsys, "sets", doc,
+                             "sets.bernoulli[0].rule")
+        assert "infinite-alphabet" in err
+
+    def test_bernoulli_edge_outside_alphabet(self, tmp_path, capsys):
+        doc = self._sets(bernoulli=[{"probs": {"5": 1.0}}])
+        doc["system"] = {"kind": "moebius-cf", "alphabet": 2}
+        err = self._rejected(tmp_path, capsys, "sets", doc,
+                             "sets.bernoulli[0].probs")
+        assert "edge 5 out of range" in err
+
     def test_inadmissible_cycle(self, tmp_path, capsys):
         doc = {
             "system": {"kind": "similarity", "ratios": [0.5, 0.5],

@@ -42,6 +42,15 @@ class TestSolveBeta:
         assert abs(bp.estimate - bw.estimate) < 1e-6
         assert bp.beta.lo <= bw.enclosure.hi and bw.enclosure.lo <= bp.beta.hi
 
+    def test_golden_mean_markov_at_zero(self):
+        golden = similarity_system([0.5, 0.5], offsets=[0.0, 0.5],
+                                   incidence=[[1, 1], [1, 0]])
+        exact = math.log((1 + math.sqrt(5)) / 2) / LOG2
+        bp = solve_beta(golden, J01, (0.0,), 1e-8, n=24)
+        assert abs(bp.estimate - exact) < 1e-10
+        assert exact in bp.beta
+        assert bp.beta.width <= 1e-8
+
     def test_gibbs_means_reported(self):
         bp = solve_beta(SIM, J01, (0.0,), 1e-8, n=24)
         jmean, imean = bp.gibbs_means

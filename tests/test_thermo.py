@@ -1,8 +1,11 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from cgdms import potentials
@@ -18,6 +21,30 @@ J0 = potentials.zero(1)
 SIM_HALF = similarity_system([0.5, 0.5], offsets=[0.0, 0.5])
 SIM_THIRD = similarity_system([1 / 3, 1 / 3], offsets=[0.0, 2 / 3])
 CF2 = truncated_cf_system(2)
+GOLDEN = similarity_system([0.5, 0.5], offsets=[0.0, 0.5],
+                           incidence=[[1, 1], [1, 0]])
+LOG_PHI_OVER_LOG_2 = math.log((1 + math.sqrt(5)) / 2) / math.log(2)
+# dim E(1,2) (Jenkinson-Pollicott)
+DIM_E2 = 0.53128050627720514
+
+
+def spectral_root(incidence, ratios):
+    """s solving rho(A_ij r_j**s) = 1, from numpy eigenvalues and brentq."""
+    A = np.asarray(incidence, float)
+    r = np.asarray(ratios, float)
+    rho = lambda s: max(abs(np.linalg.eigvals(A * r[None, :] ** s))) - 1.0
+    return brentq(rho, 0.0, 10.0, xtol=1e-15)
+
+
+@st.composite
+def markov_similarity(draw):
+    """0/1 incidence on 2-4 states, every row nonzero (columns may be zero,
+    so transient states occur), with ratios in [0.15, 0.45]."""
+    m = draw(st.integers(2, 4))
+    rows = [draw(st.lists(st.integers(0, 1), min_size=m, max_size=m).filter(any))
+            for _ in range(m)]
+    ratios = draw(st.lists(st.floats(0.15, 0.45), min_size=m, max_size=m))
+    return rows, ratios
 
 
 def oracle_cf_pressure(N, n, beta, hull):
@@ -197,9 +224,39 @@ class TestBowenDimension:
         assert d12.enclosure.contains(d16.enclosure)
         assert d16.enclosure.width <= 2e-3
 
+    def test_golden_mean_markov_closed_form(self):
+        res = bowen_dimension(GOLDEN, 16, tol=1e-9)
+        assert LOG_PHI_OVER_LOG_2 in res.enclosure
+        assert res.enclosure.width <= 1e-9
+
+    def test_reducible_incidence_dominant_block(self):
+        # edge 3 is transient: the dimension is that of {1, 2},
+        # the root of .3**s + .4**s = 1
+        sysd = similarity_system([0.3, 0.4, 0.5], offsets=[0.0, 0.35, 0.5],
+                                 incidence=[[1, 1, 0], [1, 1, 0], [1, 1, 1]])
+        res = bowen_dimension(sysd, 8, tol=1e-9)
+        assert 0.6580505190330872 in res.enclosure
+        assert res.enclosure.width <= 1e-9
+
+    def test_cf2_limit_bracket_contains_e2(self):
+        start = time.perf_counter()
+        res = bowen_dimension(CF2, 16, tol=1e-8)
+        assert time.perf_counter() - start < 2.0
+        assert DIM_E2 in res.enclosure
+        assert res.enclosure.width <= 1e-8
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(markov_similarity())
+    def test_random_markov_matches_spectral_root(self, case):
+        rows, ratios = case
+        assume(max(abs(np.linalg.eigvals(np.asarray(rows, float)))) > 1.0 + 1e-9)
+        res = bowen_dimension(similarity_system(ratios, incidence=rows), 6,
+                              tol=1e-9)
+        assert spectral_root(rows, ratios) in res.enclosure.padded(1e-12)
+
     def test_budget_error_carries_best(self):
         with pytest.raises(BracketBudgetError) as err:
-            bowen_dimension(CF2, 4, tol=1e-9, max_stages=8)
+            bowen_dimension(CF2, 4, tol=1e-9)
         assert err.value.best is not None
         assert 0.5313 in err.value.best.padded(5e-3)
         assert err.value.required_n is not None
