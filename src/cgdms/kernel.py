@@ -18,8 +18,10 @@ and upper using suprema):
 
 Each mode has one reduction, which takes its per-word or per-window
 weights at the infimum, supremum or midpoint of their brackets; bounds,
-anchored point values and bracket pairs are all that reduction.  The same
-tables drive first-moment accumulators for Gibbs-type averages.
+anchored point values and bracket pairs are all that reduction.  On
+request the same reduction also carries the t- and beta-derivatives of
+those weights, which gives the Gibbs moments as exact derivatives of the
+anchored value.
 """
 
 from __future__ import annotations
@@ -179,18 +181,24 @@ class _Tables:
         return u
 
     def part_j_bounds(self, l: int, u: np.ndarray):
-        """(inf, sup) of <t, J> over admissible completions of l-words."""
+        """(inf, sup, inf code, sup code) of <t, J> over admissible
+        completions of l-words: the two bounds and the codes of the depth-m
+        words attaining them, whose ``jvals`` rows are the t-derivatives of
+        the bounds."""
         entry = self.part[l]
         if "jcode" in entry:
-            v = u[entry["jcode"]]
-            return v, v
+            code = entry["jcode"]
+            v = u[code]
+            return v, v, code, code
         blk = entry["prefix_block"]
         grid = u.reshape(-1, blk)
-        sup = grid.max(axis=1)
-        with np.errstate(invalid="ignore"):
-            inf = np.where(np.isneginf(grid), math.inf, grid).min(axis=1)
-        inf = np.where(np.isinf(sup) & (sup < 0), -math.inf, inf)
-        return inf, sup
+        rows = np.arange(grid.shape[0])
+        top = grid.argmax(axis=1)
+        masked = np.where(np.isneginf(grid), math.inf, grid)
+        low = masked.argmin(axis=1)
+        sup = grid[rows, top]
+        inf = np.where(np.isinf(sup) & (sup < 0), -math.inf, masked[rows, low])
+        return inf, sup, rows * blk + low, rows * blk + top
 
 
 class PressureKernel:
@@ -260,12 +268,10 @@ class PressureKernel:
             M = syms.shape[1]
             jd = self.J.dim
             jsum = np.zeros((M, jd))
-            wcodes = np.zeros((n - m + 1, M), dtype=np.int64)
             for i in range(n - m + 1):
                 code = np.zeros(M, dtype=np.int64)
                 for j in range(m):
                     code = code * N + (syms[i + j] - 1)
-                wcodes[i] = code
                 jsum += tab.jvals[code]
             # trailing windows: suffix of length l = n - i + 1 < m
             tcodes = {}
@@ -279,26 +285,50 @@ class PressureKernel:
                 "tcodes": tcodes,
             })
 
-    def _exact_exponents(self, part, t, beta):
-        base = part["jsum"] @ t
-        lo = base + beta * part["ld_lo"]
-        hi = base + beta * part["ld_hi"]
-        if part["tcodes"]:
-            u = self.tables.j_dot(t)
+    def _enum_logsum(self, t, beta, which, grad):
+        """Per-word reduction: each part's exponents at the ``which`` point
+        of their brackets, summed with compensation and combined in symbol
+        order.  With ``grad`` it also sums the same weights times the t-
+        and -beta-derivatives of their exponents: the word's J sum plus the
+        J of the trailing completions attaining the picked bound (their
+        mean at 'mid'), and -ld."""
+        tab, d = self.tables, self.J.dim
+        u = tab.j_dot(t)
+        trail = {l: tab.part_j_bounds(l, u) for l in range(1, self.J.depth)}
+        sums, accs = [], []
+        for part in self._parts:
+            if part is None:
+                continue
+            base = part["jsum"] @ t
+            lo = base + beta * part["ld_lo"]
+            hi = base + beta * part["ld_hi"]
+            dj = part["jsum"]
             for l, code in part["tcodes"].items():
-                jlo, jhi = self.tables.part_j_bounds(l, u)
+                jlo, jhi, clo, chi = trail[l]
                 lo = lo + jlo[code]
                 hi = hi + jhi[code]
-        return lo, hi
-
-    @staticmethod
-    def _lse_decomp(v: np.ndarray):
-        if v.size == 0:
-            return (-math.inf, 0.0)
-        mx = float(v.max())
-        if mx == -math.inf:
-            return (-math.inf, 0.0)
-        return (mx, math.fsum(np.exp(v - mx).tolist()))
+                if grad:
+                    dj = dj + _pick(tab.jvals[clo], tab.jvals[chi], which)[code]
+            w = _pick(lo, hi, which)
+            mx = float(w.max())
+            if mx == -math.inf:
+                continue
+            wts = np.exp(w - mx)
+            sums.append((mx, math.fsum(wts.tolist())))
+            if grad:
+                di = -_pick(part["ld_lo"], part["ld_hi"], which)
+                accs.append([math.fsum((wts * dj[:, i]).tolist()) for i in range(d)]
+                            + [math.fsum((wts * di).tolist())])
+        value = combine_partition_sums(sums) / self.n
+        if not grad:
+            return value, None, None
+        m0 = max(m for m, _ in sums)
+        wtot = math.fsum(s * math.exp(m - m0) for m, s in sums)
+        acc = np.zeros(d + 1)
+        for (m, _), a in zip(sums, accs):
+            acc += np.array(a) * math.exp(m - m0)
+        acc /= wtot * self.n
+        return value, acc[:d], float(acc[d])
 
     # ------------------------------------------------------------------
     # dp mode
@@ -316,95 +346,65 @@ class PressureKernel:
         base = float(finite.max())
         return base, np.exp(w - base).reshape(-1, self.N)
 
-    def _dp_terminal(self, t, beta, which):
-        """Per-state log weight of the trailing truncated windows."""
-        tab = self.tables
-        N, q = self.N, self.window
-        Sm1 = N ** (q - 1)
-        term = np.zeros(Sm1)
-        u = tab.j_dot(t)
-        scodes = np.arange(Sm1)
-        for l in range(1, q):
-            sub = scodes % (N ** l)
-            entry = tab.part[l]
-            ld = _pick(entry["ld_lo"], entry["ld_hi"], which)
-            jpart = _pick(*tab.part_j_bounds(l, u), which)
-            term = term + jpart[sub] + beta * ld[sub]
-        return term
-
-    def _dp_run(self, t, beta, which):
-        N, q, n = self.N, self.window, self.n
-        Sm1 = N ** (q - 1)
+    def _dp_logsum(self, t, beta, which, grad):
+        """Transfer recursion over (q-1)-gram states with the window weights
+        at the ``which`` point of their brackets, closed by the trailing
+        windows.  With ``grad`` a stacked (S, d+1) accumulator, advanced by
+        the same steps, carries the t- and -beta-derivatives (J and -ld) of
+        the same weights."""
+        tab, N, q, n, d = self.tables, self.N, self.window, self.n, self.J.dim
         base, eW = self._dp_weights(t, beta, which)
         if base == -math.inf:
-            return -math.inf
+            return -math.inf, None, None
+        if grad:
+            jwin = tab.jvals[tab.win_jcode]
+            nld = -_pick(tab.win_ld_lo, tab.win_ld_hi, which)
         if q == 1:  # no state memory and no trailing windows
-            return n * (base + math.log(float(eW.sum()))) / n
-        V = self.tables.state_valid.astype(float)
+            z = float(eW.sum())
+            value = n * (base + math.log(z)) / n
+            if not grad:
+                return value, None, None
+            jq = (jwin * eW.reshape(-1, 1)).sum(axis=0) / z
+            return value, jq, float((nld * eW.reshape(-1)).sum()) / z
+        V = tab.state_valid.astype(float)
+        S = V.size
+        if grad:
+            dW = np.concatenate((jwin.reshape(S, N, d), nld.reshape(S, N, 1)), axis=2)
+            A = np.zeros((S, d + 1))
         logoff = 0.0
         for _ in range(n - (q - 1)):
             Vn = _advance(V[:, None] * eW, N)
             mx = Vn.max()
             if mx <= 0.0 or not math.isfinite(mx):
-                return -math.inf
+                return -math.inf, None, None
+            if grad:
+                A = _advance((A[:, None, :] + V[:, None, None] * dW) * eW[:, :, None], N) / mx
             V = Vn / mx
             logoff += math.log(mx) + base
-        term = self._dp_terminal(t, beta, which)
-        tmax = float(term.max())
-        total = float((V * np.exp(term - tmax)).sum())
-        return (logoff + tmax + math.log(total)) / self.n
-
-    def _dp_moments(self, t, beta):
-        """Anchored partition value plus first-moment quotients."""
-        N, q, n = self.N, self.window, self.n
-        tab = self.tables
-        Sm1 = N ** (q - 1)
-        base, eW = self._dp_weights(t, beta, "mid")
-        ld_mid = _pick(tab.win_ld_lo, tab.win_ld_hi, "mid").reshape(Sm1, N)
-        jfull = tab.jvals[tab.win_jcode].reshape(Sm1, N, self.J.dim)
-        if q == 1:
-            z = float(eW.sum())
-            jq = (tab.jvals[tab.win_jcode] * eW.reshape(-1, 1)).sum(axis=0) / z
-            ldm = _pick(tab.win_ld_lo, tab.win_ld_hi, "mid")
-            iq = float((-(ldm) * eW.reshape(-1)).sum()) / z
-            return base + math.log(z), jq, iq
-        V = self.tables.state_valid.astype(float)
-        AJ = np.zeros((Sm1, self.J.dim))
-        AI = np.zeros(Sm1)
-        logoff = 0.0
-        for _ in range(n - (q - 1)):
-            T = V[:, None] * eW
-            AJT = (AJ[:, None, :] + V[:, None, None] * jfull) * eW[:, :, None]
-            AIT = (AI[:, None] + V[:, None] * (-ld_mid)) * eW
-            Vn, AJn, AIn = _advance(T, N), _advance(AJT, N), _advance(AIT, N)
-            mx = Vn.max()
-            V, AJ, AI = Vn / mx, AJn / mx, AIn / mx
-            logoff += math.log(mx) + base
-        # trailing windows, anchored at midpoints
-        term = self._dp_terminal(t, beta, "mid")
-        scodes = np.arange(Sm1)
-        TJ = np.zeros((Sm1, self.J.dim))
-        TI = np.zeros(Sm1)
+        # trailing windows of lengths 1..q-1 on each state's last symbols
+        u = tab.j_dot(t)
+        scodes = np.arange(S)
+        term = np.zeros(S)
+        dT = np.zeros((S, d + 1)) if grad else None
         for l in range(1, q):
             sub = scodes % (N ** l)
             entry = tab.part[l]
-            ldm = _pick(entry["ld_lo"], entry["ld_hi"], "mid")
-            TI += -ldm[sub]
-            if "jcode" in entry:
-                TJ += tab.jvals[entry["jcode"][sub]]
-            else:
-                blk = entry["prefix_block"]
-                grid = tab.jvals.reshape(-1, blk, self.J.dim)
-                msk = tab.mvalid.reshape(-1, blk)
-                sums = np.where(msk[:, :, None], grid, 0.0).sum(axis=1)
-                cnts = np.maximum(msk.sum(axis=1), 1)[:, None]
-                TJ += (sums / cnts)[sub]
-        wt = V * np.exp(term - term.max())
-        z = float(wt.sum())
-        jq = ((AJ + V[:, None] * TJ) * np.exp(term - term.max())[:, None]).sum(axis=0) / z / n
-        iq = float(((AI + V * TI) * np.exp(term - term.max())).sum()) / z / n
-        logz = (logoff + term.max() + math.log(z)) / n
-        return logz, jq, iq
+            ld = _pick(entry["ld_lo"], entry["ld_hi"], which)
+            jlo, jhi, clo, chi = tab.part_j_bounds(l, u)
+            term = term + _pick(jlo, jhi, which)[sub] + beta * ld[sub]
+            if grad:
+                jl = tab.jvals[clo[sub]]  # one code where the window is exact
+                dT[:, :d] += jl if clo is chi else _pick(jl, tab.jvals[chi[sub]], which)
+                dT[:, d] -= ld[sub]
+        tmax = float(term.max())
+        E = np.exp(term - tmax)
+        z = float((V * E).sum())
+        value = (logoff + tmax + math.log(z)) / n
+        if not grad:
+            return value, None, None
+        A = A + V[:, None] * dT
+        jq = (A[:, :d] * E[:, None]).sum(axis=0) / z / n
+        return value, jq, float((A[:, d] * E).sum()) / z / n
 
     @cached_property
     def _classes(self) -> list:
@@ -445,67 +445,40 @@ class PressureKernel:
     # ------------------------------------------------------------------
     # public evaluations
     # ------------------------------------------------------------------
-    def _logsum(self, t, beta, which: str) -> float:
-        """The stage-n normalized log sum with every weight taken at the
-        'inf', 'sup' or 'mid' point of its bracket."""
+    def _logsum(self, t, beta, which: str, grad: bool = False) -> tuple:
+        """(value, J quotient, I quotient): the stage-n normalized log sum
+        with every weight taken at the 'inf', 'sup' or 'mid' point of its
+        bracket, and with ``grad`` its derivatives in t and -beta (None
+        without)."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        if self.mode == "dp":
-            return self._dp_run(t, beta, which)
-        sums = []
-        for part in self._parts:
-            if part is not None:
-                lo, hi = self._exact_exponents(part, t, beta)
-                sums.append(self._lse_decomp(_pick(lo, hi, which)))
-        return combine_partition_sums(sums) / self.n
+        reduce = self._dp_logsum if self.mode == "dp" else self._enum_logsum
+        return reduce(t, beta, which, grad)
 
     def values(self, t, beta) -> tuple:
         """Certified (lower, upper) of the stage-n normalized log sum."""
-        return (self._logsum(t, beta, "inf"), self._logsum(t, beta, "sup"))
+        return (self._logsum(t, beta, "inf")[0], self._logsum(t, beta, "sup")[0])
 
     def bound(self, t, beta, side: str) -> float:
         """One certified endpoint ('lower' or 'upper') without computing
         the other; half the cost of :meth:`values` during bisection."""
-        return self._logsum(t, beta, "inf" if side == "lower" else "sup")
+        return self._logsum(t, beta, "inf" if side == "lower" else "sup")[0]
 
     def value(self, t, beta, anchor: Optional[str] = None) -> float:
         """Anchored point value: sup weights in enumerate mode (the exact
         per-word suprema), bracket midpoints in dp mode."""
-        return self._logsum(t, beta, anchor or _ANCHOR[self.mode])
+        return self._logsum(t, beta, anchor or _ANCHOR[self.mode])[0]
 
     def moments(self, t, beta):
         """(value, J quotient, I quotient) under the anchored weights.
 
-        The quotients are the exact partial derivatives of the anchored
-        stage-n log sum with respect to t and -beta, normalized by n, so
-        finite differences of the anchored root and these quotients agree
-        up to differencing error by construction.
+        One reduction yields all three, so the value is :meth:`value`
+        exactly and the quotients are the exact partial derivatives of it
+        with respect to t and -beta, at every potential depth: a trailing
+        window contributes the J of the completion its anchored bound
+        picks.  Finite differences of the anchored root and these
+        quotients agree up to differencing error by construction.
         """
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        if self.mode == "enumerate":
-            def work(part):
-                lo, hi = self._exact_exponents(part, t, beta)
-                mx = float(hi.max()) if hi.size else -math.inf
-                if mx == -math.inf:
-                    return (-math.inf, 0.0, np.zeros(self.J.dim + 1))
-                wts = np.exp(hi - mx)
-                wsum = math.fsum(wts.tolist())
-                njd = np.empty(self.J.dim + 1)
-                for i in range(self.J.dim):
-                    njd[i] = math.fsum((wts * part["jsum"][:, i]).tolist())
-                njd[self.J.dim] = math.fsum((wts * (-part["ld_hi"])).tolist())
-                return (mx, wsum, njd)
-
-            parts = [work(p) for p in self._parts if p is not None]
-            logz = combine_partition_sums([(m, w) for m, w, _ in parts]) / self.n
-            m0 = max(m for m, _, _ in parts if m > -math.inf)
-            wtot = math.fsum(w * math.exp(m - m0) for m, w, _ in parts if m > -math.inf)
-            acc = np.zeros(self.J.dim + 1)
-            for m, _, a in parts:
-                if m > -math.inf:
-                    acc += a * math.exp(m - m0)
-            acc /= wtot * self.n
-            return logz, acc[:self.J.dim], float(acc[self.J.dim])
-        return self._dp_moments(t, beta)
+        return self._logsum(t, beta, _ANCHOR[self.mode], grad=True)
 
     def tail_weight(self, t, beta) -> float:
         """Per-step weight neglected beyond the truncation: 0 once the

@@ -223,10 +223,9 @@ def grad_beta(sys: SystemDescriptor, J: PotentialVector, t, tol: float = 1e-6,
     """Two estimators of the gradient of beta at t, cross-checked.
 
     (ii) the Gibbs-weighted quotient of word sums (primary) and (i) central
-    finite differences of the anchored root (audit).  For depth-1
-    potentials both differentiate exactly the same stage value; deeper
-    potentials leave an order-(depth/length) residual in the comparison.
-    Disagreement beyond 10*tol marks the result flagged.
+    finite differences of the anchored root (audit).  Both differentiate
+    exactly the same stage value, at every potential depth.  Disagreement
+    beyond 10*tol marks the result flagged.
     """
     solver = BetaSolver(sys, J, n=n, N=N, window=window)
     gq, beta_n, means = solver.grad_with_means(t)

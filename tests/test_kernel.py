@@ -6,7 +6,8 @@ admissible completions.  The brute-force sums here visit every word with
 ``itertools``, take each word's derivative at the fixed point of its
 composed map, and resolve the last window by the same inf/sup over
 completions, so they must lie inside the enumerate bracket, which in turn
-lies inside the dp brackets.
+lies inside the dp brackets.  The Gibbs quotients of ``moments`` must be
+the derivatives of the anchored ``value``, trailing windows included.
 """
 
 import itertools
@@ -114,3 +115,34 @@ def test_values_are_the_two_bounds(name, window):
     for beta in BETAS:
         assert kern.values(T, beta) == (kern.bound(T, beta, "lower"),
                                         kern.bound(T, beta, "upper"))
+
+
+MOD23_J = potentials.mod_cycle([[-1.0, 1.0], [0.0, 1.0, -1.0]])
+# (system, word length, window): enumerate mode, then two dp-mode kernels
+DERIV_CASES = {
+    "cf2-enumerate": (truncated_cf_system(2), N_WORDS, None),
+    "cf3-dp-window4": (truncated_cf_system(3), 12, 4),
+    "golden-mean-dp-window3": (CASES["golden-mean"][0], N_WORDS, 3),
+}
+FD_STEP = 1e-5
+
+
+@pytest.mark.parametrize("J", (MOD23_J, J2), ids=("depth1", "depth2"))
+@pytest.mark.parametrize("name", sorted(DERIV_CASES))
+def test_moments_are_the_derivatives_of_value(name, J):
+    """The J quotient is the t-gradient and the I quotient minus the
+    beta-derivative of the anchored value, trailing windows included."""
+    sys, n, window = DERIV_CASES[name]
+    kern = PressureKernel(sys, J, n=n, window=window)
+    assert kern.mode == ("enumerate" if window is None else "dp")
+    for beta in BETAS:
+        val, jq, iq = kern.moments(T, beta)
+        assert val == kern.value(T, beta)
+        for i in range(T.size):
+            e = np.zeros(T.size)
+            e[i] = FD_STEP
+            fd = (kern.value(T + e, beta) - kern.value(T - e, beta)) / (2 * FD_STEP)
+            assert abs(jq[i] - fd) < 1e-7, (beta, i, jq[i], fd)
+        fd = (kern.value(T, beta + FD_STEP)
+              - kern.value(T, beta - FD_STEP)) / (2 * FD_STEP)
+        assert abs(iq + fd) < 1e-7, (beta, iq, -fd)

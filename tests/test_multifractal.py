@@ -17,6 +17,10 @@ J01 = potentials.from_table({1: [0.0], 2: [1.0]})
 CF2 = truncated_cf_system(2)
 CF24 = truncated_cf_system(24)
 MOD23_J = potentials.mod_cycle([[-1.0, 1.0], [0.0, 1.0, -1.0]])
+J2 = potentials.depth_m(
+    lambda w: [0.3 * (w[0] - w[1]) + 0.1 * w[0] * w[1],
+               0.2 * (w[0] == w[1]) - 0.1 * w[1]],
+    dim=2, depth=2, bound=5.0)
 
 
 def beta_exact(t):
@@ -79,6 +83,15 @@ class TestGradBeta:
         J_anti = potentials.from_table({1: [-1.0], 2: [1.0]})
         gr = grad_beta(SIM, J_anti, (0.0,), 1e-8, n=24)
         assert abs(gr.primary[0]) < 1e-12
+
+    @pytest.mark.parametrize("sys, n, window", [
+        (truncated_cf_system(3), 12, 4),   # dp mode
+        (CF2, 8, None),                    # enumerate mode
+    ], ids=("cf3-dp", "cf2-enumerate"))
+    def test_depth_two_potential_not_flagged(self, sys, n, window):
+        # the Gibbs quotient differentiates the trailing windows too
+        gr = grad_beta(sys, J2, (0.7, -0.4), 1e-6, n=n, window=window)
+        assert not gr.flagged, (gr.gibbs, gr.finite_diff)
 
 
 class TestHessianBeta:
