@@ -5,8 +5,9 @@ Exit codes: 0 success, 1 configuration error, 2 computation failure (any
 artifacts written before the failure are left in place).
 
 Every output file carries a metadata header sufficient to reproduce it;
-data rows are decimal with 17 significant digits and do not depend on the
-worker count, which only splits the alpha-targets of ``spectrum``.
+data rows are decimal with 17 significant digits.  ``--workers`` (and
+``numerics.workers``) is accepted and recorded in the metadata, but every
+command runs single-threaded, so it does not change the run.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from . import measures, multifractal, thermo
 from .config import (TOOL_VERSION, RunConfig, bernoulli_specs, expand_t_grid,
                      load_config, validate_config)
 from .errors import CgdmsError, ConfigError
+from .kernel import PressureKernel
 from .symbolic import enumerate_words
-from .thermo import PressureQuery
 from .util import config_hash, format_float
 
 
@@ -78,17 +79,17 @@ def cmd_pressure(rc: RunConfig, outdir: Path) -> list:
     d = rc.potential.dim
     t_points = rc.command_params.get("t_points") or [[0.0] * d]
     beta_grid = rc.command_params.get("beta_grid", [0.0])
+    # the kernel does not depend on (t, beta): one serves the whole grid
+    kern = PressureKernel(rc.system, rc.potential, n=rc.word_length,
+                          N=rc.truncation, window=rc.window)
     rows = []
     for t in t_points:
         tv = tuple(float(x) for x in (t if isinstance(t, list) else [t]))
-        for beta in beta_grid:
-            q = PressureQuery(t_coeff=tv, beta_coeff=float(beta),
-                              word_length=rc.word_length,
-                              truncation=rc.system.effective_truncation(rc.truncation))
-            br = thermo.pressure_bracket(rc.system, rc.potential, q,
-                                         window=rc.window)
-            rows.append(list(tv) + [float(beta), br.lower, br.upper,
-                                    br.n, br.N, br.tail_bound])
+        tt = np.asarray(tv)
+        for beta in map(float, beta_grid):
+            lo, hi = kern.values(tt, beta)
+            rows.append(list(tv) + [beta, lo, hi, kern.n, kern.N,
+                                    kern.tail_weight(tt, beta)])
     path = outdir / "pressure.csv"
     _write_csv(path, _meta(rc, "pressure"),
                _tcols(d) + ["beta", "lower", "upper", "n", "N", "tail_bound"],
@@ -147,8 +148,7 @@ def cmd_spectrum(rc: RunConfig, outdir: Path) -> list:
     t_grid = expand_t_grid(rc.command_params.get("t_grid"), d)
     points, surface = multifractal.spectrum_scan(
         rc.system, rc.potential, alphas, rc.tolerance,
-        n=rc.word_length, N=rc.truncation, window=rc.window,
-        workers=rc.workers, t_grid=t_grid)
+        n=rc.word_length, N=rc.truncation, window=rc.window, t_grid=t_grid)
     rows = []
     for sp in points:
         tstar = sp.minimizer_t if sp.minimizer_t is not None else [math.nan] * d
@@ -250,8 +250,8 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="JSON config path")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--workers", type=int, default=None,
-                        help="override numerics.workers (threads over the "
-                             "alpha-targets of spectrum)")
+                        help="override numerics.workers (recorded in the "
+                             "metadata; it does not change the run)")
     parser.add_argument("--seed", type=int, default=None,
                         help="override numerics.seed")
     parser.add_argument("--verbose", action="store_true")

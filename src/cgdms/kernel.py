@@ -113,6 +113,14 @@ def dp_window(sys: SystemDescriptor, J: PotentialVector, N: int,
     return max(q, J.depth, 1 if sys.incidence.full_shift else 2)
 
 
+def limit_kernel(sys: SystemDescriptor, J: PotentialVector, N: int,
+                 q: int) -> "PressureKernel":
+    """A dp-mode kernel at window ``q`` for :meth:`PressureKernel.limit_bound`:
+    any word length past the window gives one, and only its window tables
+    are read."""
+    return PressureKernel(sys, J, n=q + 1, N=N, window=q)
+
+
 def _pair_valid(syms: np.ndarray, dense: np.ndarray) -> np.ndarray:
     """Admissibility of each column word under a dense 0/1 block."""
     ok = np.ones(syms.shape[1], dtype=bool)

@@ -77,7 +77,7 @@ class BernoulliSpec:
                 if kk == k:
                     return p
             return 0.0
-        return _rule_mass(self.rule, k)
+        return float(_rule_mass(self.rule, k))
 
 
 def _heavy_norm() -> float:
@@ -92,13 +92,16 @@ def _heavy_norm() -> float:
 _HEAVY_NORM = None
 
 
-def _rule_mass(rule: str, k: int) -> float:
+def _rule_mass(rule: str, k):
+    """Mass of edge k (an int or an integer array) under a named rule."""
     global _HEAVY_NORM
     if rule == "inverse-square":
-        return (k ** -2.0) / BASEL_SUM
+        # float_power matches the scalar k ** -2.0 bit for bit; ** on an
+        # integer array does not
+        return np.float_power(k, -2.0) / BASEL_SUM
     if _HEAVY_NORM is None:
         _HEAVY_NORM = _heavy_norm()
-    return 1.0 / (k * math.log(k + 1.0) ** 2) / _HEAVY_NORM
+    return 1.0 / (k * np.log(k + 1.0) ** 2) / _HEAVY_NORM
 
 
 # config validation and the sets command both build each named spec
@@ -107,7 +110,7 @@ def _rule_entropy(rule: str) -> float:
     if rule == "heavy-log":
         # -p log p ~ 1/(k log k), whose sum diverges
         return math.inf
-    ps = np.array([_rule_mass(rule, k) for k in range(1, 200001)])
+    ps = _rule_mass(rule, np.arange(1, 200001))
     return float(-(ps * np.log(ps)).sum())
 
 
@@ -207,7 +210,7 @@ def Q_of_bernoulli(sys: SystemDescriptor, J: PotentialVector,
         I_enc = Enclosure(i_lo, i_hi)
     else:
         ks = np.arange(1, rule_cutoff + 1)
-        ps = np.array([_rule_mass(spec.rule, int(k)) for k in ks])
+        ps = _rule_mass(spec.rule, ks)
         jvals = np.array([J.value((int(k),)) for k in ks])
         ilos = np.empty(ks.size)
         ihis = np.empty(ks.size)
@@ -256,7 +259,7 @@ def _mc_I_mean(sys: SystemDescriptor, spec: BernoulliSpec, n_mc: int, seed: int)
     else:
         # inverse-cdf on a truncated grid; the tail mass is re-thrown
         ks = np.arange(1, 100001)
-        ps = np.array([_rule_mass(spec.rule, int(k)) for k in ks])
+        ps = _rule_mass(spec.rule, ks)
         cdf = np.cumsum(ps / ps.sum())
         draw = lambda size: ks[np.searchsorted(cdf, rng.random(size=size))]
     vals = np.empty(n_mc)

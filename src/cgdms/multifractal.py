@@ -14,15 +14,13 @@ agree with it up to differencing error; a disagreement flags a defect.
 from __future__ import annotations
 
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import BracketBudgetError
-from .kernel import PressureKernel, dp_window
+from .kernel import PressureKernel, dp_window, limit_kernel
 from .potentials import PotentialVector, cycle_birkhoff
 from .symbolic import closed_cycle, enumerate_words
 from .system import SystemDescriptor
@@ -43,8 +41,6 @@ class BetaPoint:
     t: tuple
     beta: Enclosure
     estimate: float
-    grad: Optional[tuple] = None
-    hessian: Optional[tuple] = None
     gibbs_means: Optional[tuple] = None  # (J mean vector, I mean)
     stages: int = 0
     window: int = 0
@@ -112,9 +108,8 @@ class KLEstimate:
 class BetaSolver:
     """Shared root/gradient/Hessian engine over one anchored kernel.
 
-    Thread-safe; the alpha-point scan may call it concurrently.  All
-    numerical differentiation steps are pinned constants so results are
-    reproducible.
+    Roots are cached per t.  All numerical differentiation steps are
+    pinned constants so results are reproducible.
     """
 
     def __init__(self, sys: SystemDescriptor, J: PotentialVector, *,
@@ -124,22 +119,17 @@ class BetaSolver:
         self.J = J
         self.kern = PressureKernel(sys, J, n=n, N=N, window=window)
         self._cache: dict = {}
-        self._lock = threading.Lock()
 
     def root(self, t) -> float:
         """beta solving the anchored stage pressure at t.
 
         The starting bracket is fixed rather than warm-started so that
-        results cannot depend on call order under concurrent scans.
+        results cannot depend on call order.
         """
         key = tuple(np.atleast_1d(np.asarray(t, dtype=float)).tolist())
-        with self._lock:
-            if key in self._cache:
-                return self._cache[key]
-        val = anchored_pressure_root(self.kern, np.asarray(key))
-        with self._lock:
-            self._cache[key] = val
-        return val
+        if key not in self._cache:
+            self._cache[key] = anchored_pressure_root(self.kern, np.asarray(key))
+        return self._cache[key]
 
     def grad(self, t) -> np.ndarray:
         """Weighted word-sum quotient: the exact gradient of the anchored
@@ -201,8 +191,8 @@ def solve_beta(sys: SystemDescriptor, J: PotentialVector, t, tol: float = 1e-8,
     N_eff = sys.effective_truncation(N)
     kern = PressureKernel(sys, J, n=n, N=N_eff, window=window)
     q = window or dp_window(sys, J, N_eff, n)
-    limit = kern if kern.mode == "dp" and kern.window == q else PressureKernel(
-        sys, J, n=q + 1, N=N_eff, window=q)
+    limit = kern if kern.mode == "dp" and kern.window == q else limit_kernel(
+        sys, J, N_eff, q)
     enc, est = certified_pressure_zero(limit, t, tol)
     beta_n = anchored_pressure_root(kern, t)
     _, jq, iq = kern.moments(t, beta_n)
@@ -417,26 +407,18 @@ def legendre(sys: SystemDescriptor, J: PotentialVector, alpha, tol: float = 1e-6
 def spectrum_scan(sys: SystemDescriptor, J: PotentialVector,
                   alphas: Sequence, tol: float = 1e-6, *,
                   n: int = DEFAULT_STAGES, N: Optional[int] = None,
-                  window: Optional[int] = None, workers: int = 1,
+                  window: Optional[int] = None,
                   t_grid: Optional[Sequence] = None):
     """Map the Legendre transform over a grid of target quotients and emit
     companion surface samples (t, beta(t)) when a t-grid is supplied.
 
-    ``workers`` threads share the alpha-targets; the points do not depend
-    on their number.  Returns (spectrum_points, surface_rows); per-point
-    failures land in the point status, never as a global error.
+    Returns (spectrum_points, surface_rows); per-point failures land in the
+    point status, never as a global error.
     """
     solver = BetaSolver(sys, J, n=n, N=N, window=window)
-    alphas = [np.atleast_1d(np.asarray(a, dtype=float)) for a in alphas]
-
-    def one(a):
-        return legendre(sys, J, a, tol, solver=solver)
-
-    if workers > 1 and len(alphas) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(one, alphas))
-    else:
-        points = [one(a) for a in alphas]
+    points = [legendre(sys, J, np.atleast_1d(np.asarray(a, dtype=float)), tol,
+                       solver=solver)
+              for a in alphas]
     surface = []
     if t_grid is not None:
         for t in t_grid:

@@ -37,11 +37,6 @@ class TailRule:
         """Series convergence threshold of sum_k (sup|phi_k'|)**beta."""
         return 1.0 / self.exponent
 
-    def diverges_at(self, beta: float) -> bool:
-        """Whether the weight series diverges at this exponent (integral
-        test boundary included)."""
-        return self.exponent * beta <= 1.0
-
     def tail_weight(self, beta: float, N: int) -> float:
         """Upper bound on sum_{k>N} (sup|phi_k'|)**beta via the integral
         test; +inf when the series diverges."""

@@ -5,14 +5,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.optimize import brentq
 
 from . import potentials
 from .errors import BracketBudgetError
-from .kernel import PressureKernel, dp_window
+from .kernel import PressureKernel, dp_window, limit_kernel
 from .potentials import PotentialVector
 from .system import SystemDescriptor
 from .util import Enclosure
@@ -219,10 +219,7 @@ def bowen_dimension(sys: SystemDescriptor, n: int, N: Optional[int] = None,
     J = potentials.zero(1)
     t = np.zeros(1)
     N_eff = sys.effective_truncation(N)
-    q = dp_window(sys, J, N_eff, n)
-    # any word length past the window gives a dp-mode kernel; only its
-    # window tables are read
-    kern = PressureKernel(sys, J, n=q + 1, N=N_eff, window=q)
+    kern = limit_kernel(sys, J, N_eff, dp_window(sys, J, N_eff, n))
     if kern.limit_bound(t, 0.0, "upper") < 0.0:
         # pressure already negative at the domain edge: the zero-crossing
         # formulation degenerates and the critical exponent is the edge
@@ -236,52 +233,40 @@ def bowen_dimension(sys: SystemDescriptor, n: int, N: Optional[int] = None,
                        window=kern.window, truncation=kern.N)
 
 
-def classify_regularity(sys: SystemDescriptor, probe_ts: Optional[Sequence[float]] = None,
-                        *, n: int = 8, N: Optional[int] = None) -> tuple:
+def classify_regularity(sys: SystemDescriptor, *,
+                        N: Optional[int] = None) -> tuple:
     """Classify the system per its pressure behaviour; never guesses.
 
     Finite alphabets: pressure is finite everywhere, so a certified
-    positive value at beta=0 gives strong regularity (the co-finite notion
-    is vacuous there and noted as such); a single degenerate orbit is
-    merely regular.  Infinite alphabets: divergence of the declared weight
-    series at the threshold certifies co-finite regularity; otherwise
-    probes look for a certified finite positive pressure.
+    positive limit pressure p(0) gives strong regularity (the co-finite
+    notion is vacuous there and noted as such); p(0) = 0 is merely
+    regular.  p(0) is bracketed by the window transfer matrix at the
+    smallest window: at beta=0 every window weight is exactly 1, so any
+    window brackets the spectral radius of the incidence.  Infinite
+    alphabets: the declared power rule's weight series diverges at its
+    threshold 1/exponent (integral test), which certifies co-finite
+    regularity.
     """
-    notes = []
     theta = estimate_theta(sys)
     if not theta.determined:
         return "undetermined", ("threshold unknown: " + theta.note,)
-    if sys.is_finite:
-        N_eff = sys.effective_truncation(N)
-        q = PressureQuery(t_coeff=(0.0,), beta_coeff=0.0,
-                          word_length=n, truncation=N_eff)
-        br = pressure_bracket(sys, potentials.zero(1), q)
-        if br.lower > 1e-12:
-            notes.append("finite alphabet: co-finite condition not applicable")
-            notes.append(f"certified 0 < p(0) (lower={br.lower:.6g}) < inf")
-            return "strongly-regular", tuple(notes)
-        notes.append("finite alphabet with at most one word per length")
-        notes.append("pressure zero sits at the left edge of the domain")
-        return "regular", tuple(notes)
-    rule = sys.tail_rule
-    if rule is not None and rule.diverges_at(rule.theta):
-        notes.append("declared weight series diverges at the threshold, so every "
-                     "co-finite subsystem still blows up there and must cross zero")
-        return "co-finitely-regular", tuple(notes)
-    # probe for strong regularity: certified positive and finite
-    th = theta.enclosure.hi
-    probes = probe_ts if probe_ts is not None else [th + d for d in (0.05, 0.1, 0.25, 0.5)]
-    N_eff = sys.effective_truncation(N if N is not None else 32)
-    for beta in probes:
-        if beta <= th:
-            continue
-        q = PressureQuery(t_coeff=(0.0,), beta_coeff=float(beta),
-                          word_length=n, truncation=N_eff)
-        br = pressure_bracket(sys, potentials.zero(1), q)
-        if br.lower > 0.0 and math.isfinite(br.tail_bound):
-            notes.append(f"certified 0 < p({beta}) and finite tail")
-            return "strongly-regular", tuple(notes)
-    return "undetermined", tuple(notes) or ("no probe certified",)
+    if not sys.is_finite:
+        return "co-finitely-regular", (
+            "declared weight series diverges at the threshold, so every "
+            "co-finite subsystem still blows up there and must cross zero",)
+    J = potentials.zero(1)
+    t = np.zeros(1)
+    N_eff = sys.effective_truncation(N)
+    kern = limit_kernel(sys, J, N_eff, dp_window(sys, J, N_eff, 1))
+    lower = kern.limit_bound(t, 0.0, "lower")
+    if lower > 1e-12:
+        return "strongly-regular", (
+            "finite alphabet: co-finite condition not applicable",
+            f"certified 0 < p(0) (lower={lower:.6g}) < inf")
+    upper = kern.limit_bound(t, 0.0, "upper")
+    return "regular", (
+        f"p(0) = 0 (limit bracket [{lower:.6g}, {upper:.6g}])",
+        "pressure zero sits at the left edge of the domain")
 
 
 def thermo_report(sys: SystemDescriptor, n: int, N: Optional[int] = None,
@@ -289,7 +274,7 @@ def thermo_report(sys: SystemDescriptor, n: int, N: Optional[int] = None,
     """Threshold, dimension enclosure, and regularity in one record."""
     theta = estimate_theta(sys)
     bowen = bowen_dimension(sys, n, N, tol)
-    label, notes = classify_regularity(sys, n=min(n, 10), N=N)
+    label, notes = classify_regularity(sys, N=N)
     if theta.enclosure is not None and bowen.enclosure.hi < theta.enclosure.lo:
         notes = notes + ("warning: dimension enclosure fell below the threshold",)
     return ThermoReport(theta=theta.enclosure, hausdorff_dim=bowen.enclosure,

@@ -58,6 +58,25 @@ class TestPressureCommand:
         assert vals[0][1] > 0        # lower bracket at beta=0.4
         assert vals[-1][2] < 0       # upper bracket at beta=0.7
 
+    def test_one_kernel_for_the_whole_grid(self, tmp_path, monkeypatch):
+        from cgdms.kernel import PressureKernel
+        builds = []
+        init = PressureKernel.__init__
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(PressureKernel, "__init__", counting_init)
+        doc = dict(SIM_CONFIG)
+        doc["pressure"] = {"t_points": [[0.5], [1.0]],
+                           "beta_grid": [0.4, 0.5, 0.6]}
+        cfg = write_config(tmp_path, doc)
+        assert main(["pressure", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        rows = read_body(tmp_path / "o" / "pressure.csv").splitlines()[1:]
+        assert len(rows) == 6
+        assert len(builds) == 1
+
     def test_malformed_negative_beta_exit_one(self, tmp_path, capsys):
         doc = dict(CF2_CONFIG)
         doc["pressure"] = {"beta_grid": [-0.5]}

@@ -309,6 +309,24 @@ class TestRegularity:
         label, _ = classify_regularity(similarity_system([0.5], offsets=[0.0]))
         assert label == "regular"
 
+    def test_reducible_with_polynomial_word_count_regular(self):
+        # n+1 words of length n: p(0) = 0, so the system is not strongly
+        # regular although it has more than one word per length
+        sys = similarity_system([0.5, 0.3], offsets=[0.0, 0.6],
+                                incidence=[[1, 1], [0, 1]])
+        label, notes = classify_regularity(sys)
+        assert label == "regular"
+        assert any("p(0) = 0" in n for n in notes)
+
+    def test_golden_mean_p0_lower_bounds_limit_pressure(self):
+        label, notes = classify_regularity(GOLDEN)
+        assert label == "strongly-regular"
+        note = next(n for n in notes if "lower=" in n)
+        lower = float(note.split("lower=")[1].split(")")[0])
+        # printed to 6 significant digits; p(0) = log(phi) = 0.4812118...
+        log_phi = math.log((1 + math.sqrt(5)) / 2)
+        assert log_phi - 1e-6 < lower <= log_phi + 5e-7
+
     def test_report_dimension_above_theta(self):
         rep = thermo_report(CF2, 10, tol=1e-4)
         assert rep.hausdorff_dim.hi >= (rep.theta.lo if rep.theta else 0.0)
