@@ -124,12 +124,11 @@ def cmd_beta(rc: RunConfig, outdir: Path) -> list:
     rows = []
     for t in t_points:
         tv = tuple(float(x) for x in (t if isinstance(t, list) else [t]))
-        bp = multifractal.solve_beta(rc.system, rc.potential, tv, rc.tolerance,
-                                     n=rc.word_length, N=rc.truncation,
-                                     window=rc.window)
-        gr = multifractal.grad_beta(rc.system, rc.potential, tv, rc.tolerance,
-                                    n=rc.word_length, N=rc.truncation,
-                                    window=rc.window)
+        kw = dict(n=rc.word_length, N=rc.truncation, window=rc.window)
+        # one stage kernel serves the Gibbs means and both gradients
+        kw["solver"] = multifractal.BetaSolver(rc.system, rc.potential, **kw)
+        bp = multifractal.solve_beta(rc.system, rc.potential, tv, rc.tolerance, **kw)
+        gr = multifractal.grad_beta(rc.system, rc.potential, tv, rc.tolerance, **kw)
         rows.append(list(tv) + [bp.beta.lo, bp.beta.hi, bp.estimate]
                     + list(gr.primary) + [int(gr.flagged)])
     path = outdir / "beta.csv"

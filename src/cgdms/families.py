@@ -13,6 +13,7 @@ operation returns certified lower/upper pairs; tightness varies by family:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -66,11 +67,13 @@ class MapFamily:
     def domain(self, vertex=0) -> tuple:
         return (0.0, 1.0)
 
-    def check_edge(self, e: int) -> None:
-        if e < 1:
-            raise InvalidWordError(f"edge index must be positive, got {e}")
-        if self.n_edges is not None and e > self.n_edges:
-            raise InvalidWordError(f"edge {e} out of range (n_edges={self.n_edges})")
+    def check_edge(self, e) -> None:
+        """Reject an edge index, or an index array, outside 1..n_edges."""
+        lo, hi = (e.min(initial=1), e.max(initial=1)) if isinstance(e, np.ndarray) else (e, e)
+        if lo < 1:
+            raise InvalidWordError(f"edge index must be positive, got {lo}")
+        if self.n_edges is not None and hi > self.n_edges:
+            raise InvalidWordError(f"edge {hi} out of range (n_edges={self.n_edges})")
 
     # -- single-edge interval primitives -------------------------------
     def image(self, e: int, iv: tuple) -> tuple:
@@ -103,31 +106,26 @@ class MapFamily:
         return iv
 
     # -- vectorized forms used by the pressure kernel --------------------
+    # Columns of ``syms`` are words; each row is one word position, so the
+    # generic forms call the elementwise primitives once per row.
     def vec_word_log_deriv(self, syms: np.ndarray, tail: tuple):
-        """Per-column enclosures for a (L, M) matrix of words.
-
-        Falls back to the scalar path; overridden by the built-ins with
-        closed forms.
-        """
-        L, M = syms.shape
-        lo = np.empty(M)
-        hi = np.empty(M)
-        for j in range(M):
-            lo[j], hi[j] = self.word_log_deriv_range(syms[:, j], tail)
-        return lo, hi
+        """Per-column enclosures for a (L, M) matrix of words; overridden
+        by the built-ins with closed forms."""
+        lo, hi = self.word_log_deriv_range(syms, tail)
+        return _columns(lo, syms), _columns(hi, syms)
 
     def vec_suffix_then_head(self, syms: np.ndarray, tail: tuple):
         """Per-column range of log|phi'_{w_1}| over phi_{w_2..w_L}(tail).
 
         This is the single-window contribution used by the fused kernel.
         """
-        L, M = syms.shape
-        lo = np.empty(M)
-        hi = np.empty(M)
-        for j in range(M):
-            iv = self.word_image(syms[1:, j], tail)
-            lo[j], hi[j] = self.deriv_log_range(syms[0, j], iv)
-        return lo, hi
+        lo, hi = self.deriv_log_range(syms[0], self.word_image(syms[1:], tail))
+        return _columns(lo, syms), _columns(hi, syms)
+
+
+def _columns(v, syms: np.ndarray) -> np.ndarray:
+    """One float per column (word) of ``syms``, repeating a constant."""
+    return np.broadcast_to(v, syms.shape[1:]).astype(float)
 
 
 class SimilarityFamily(MapFamily):
@@ -298,7 +296,9 @@ class MoebiusCFFamily(MapFamily):
 #            | '(' expr ')'
 #
 # evaluated over intervals with outward-safe monotone rules; 'k' is the
-# edge index, a constant per evaluation.
+# edge index.  Evaluation is elementwise over numpy arrays of k and of the
+# interval endpoints, so a window table takes one evaluation per word
+# position rather than one per word.
 
 class _Tok:
     def __init__(self, kind, value=None):
@@ -415,64 +415,65 @@ def parse_expression(src: str):
 
 def _iv_mul(a, b):
     vals = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return (min(vals), max(vals))
+    return (functools.reduce(np.minimum, vals), functools.reduce(np.maximum, vals))
 
 
-def eval_interval(node, x: tuple, k: int) -> tuple:
-    """Evaluate an expression AST over the interval x with edge index k."""
+def _iv_pow(a, b):
+    """a ** b: monotone integer powers where b is a fixed integer,
+    exp(b * log a) elsewhere."""
+    zero_in = (a[0] <= 0.0) & (0.0 <= a[1])
+    integer = (b[0] == b[1]) & np.isfinite(b[0]) & (np.floor(b[0]) == b[0])
+    if np.any(integer & (b[0] < 0) & zero_in):
+        raise ValueError("negative power of an interval containing zero")
+    if np.any(~integer & (a[0] <= 0.0)):
+        raise ValueError("non-integer power of a non-positive interval")
+    # each branch is discarded wherever it does not apply
+    with np.errstate(all="ignore"):
+        cand = (np.power(a[0], b[0]), np.power(a[1], b[0]))
+        lo = np.where((b[0] > 0) & (b[0] % 2 == 0) & zero_in, 0.0, np.minimum(*cand))
+        hi = np.maximum(*cand)
+        if np.all(integer):
+            return lo[()], hi[()]
+        e = _iv_mul((np.log(a[0]), np.log(a[1])), b)
+        return (np.where(integer, lo, np.exp(e[0]))[()],
+                np.where(integer, hi, np.exp(e[1]))[()])
+
+
+def eval_interval(node, x: tuple, k) -> tuple:
+    """Evaluate an expression AST over the interval x with edge index k.
+
+    Elementwise: ``k`` and the endpoints of ``x`` may be numpy arrays
+    (broadcast together), and a call raises if any element would."""
     op = node[0]
     if op == "num":
         return (node[1], node[1])
     if op == "x":
         return x
     if op == "k":
-        return (float(k), float(k))
+        kf = np.asarray(k, dtype=float)[()]
+        return (kf, kf)
+    a = eval_interval(node[1], x, k)
     if op == "neg":
-        a = eval_interval(node[1], x, k)
         return (-a[1], -a[0])
+    if op == "log":
+        if np.any(a[0] <= 0):
+            raise ValueError("log of a non-positive interval")
+        return (np.log(a[0]), np.log(a[1]))
+    if op == "exp":
+        return (np.exp(a[0]), np.exp(a[1]))
+    b = eval_interval(node[2], x, k)
     if op == "+":
-        a = eval_interval(node[1], x, k)
-        b = eval_interval(node[2], x, k)
         return (a[0] + b[0], a[1] + b[1])
     if op == "-":
-        a = eval_interval(node[1], x, k)
-        b = eval_interval(node[2], x, k)
         return (a[0] - b[1], a[1] - b[0])
     if op == "*":
-        return _iv_mul(eval_interval(node[1], x, k), eval_interval(node[2], x, k))
+        return _iv_mul(a, b)
     if op == "/":
-        a = eval_interval(node[1], x, k)
-        b = eval_interval(node[2], x, k)
-        if b[0] <= 0.0 <= b[1]:
+        if np.any((b[0] <= 0.0) & (0.0 <= b[1])):
             raise ValueError("division by an interval containing zero")
         return _iv_mul(a, (1.0 / b[1], 1.0 / b[0]))
     if op == "^":
-        a = eval_interval(node[1], x, k)
-        b = eval_interval(node[2], x, k)
-        if b[0] == b[1] and float(b[0]).is_integer():
-            p = int(b[0])
-            if p == 0:
-                return (1.0, 1.0)
-            if p < 0 and a[0] <= 0.0 <= a[1]:
-                raise ValueError("negative power of an interval containing zero")
-            cand = (a[0] ** p, a[1] ** p)
-            lo, hi = min(cand), max(cand)
-            if p % 2 == 0 and p > 0 and a[0] <= 0.0 <= a[1]:
-                lo = 0.0
-            return (lo, hi)
-        if a[0] <= 0:
-            raise ValueError("non-integer power of a non-positive interval")
-        la = (math.log(a[0]), math.log(a[1]))
-        prod = _iv_mul(la, b)
-        return (math.exp(prod[0]), math.exp(prod[1]))
-    if op == "log":
-        a = eval_interval(node[1], x, k)
-        if a[0] <= 0:
-            raise ValueError("log of a non-positive interval")
-        return (math.log(a[0]), math.log(a[1]))
-    if op == "exp":
-        a = eval_interval(node[1], x, k)
-        return (math.exp(a[0]), math.exp(a[1]))
+        return _iv_pow(a, b)
     raise ValueError(f"bad AST node {node!r}")
 
 
@@ -510,15 +511,14 @@ class Custom1DFamily(MapFamily):
 
     def image(self, e, iv):
         self.check_edge(e)
-        lo, hi = eval_interval(self.map_ast, iv, e)
-        return (lo, hi)
+        return eval_interval(self.map_ast, iv, e)
 
     def deriv_log_range(self, e, iv):
         self.check_edge(e)
         lo, hi = eval_interval(self.deriv_ast, iv, e)
-        if lo <= 0:
+        if np.any(lo <= 0):
             raise ValueError("declared |phi'| evaluator returned a non-positive value")
-        return (math.log(lo), math.log(hi))
+        return (np.log(lo), np.log(hi))
 
 
 # ---------------------------------------------------------------------------

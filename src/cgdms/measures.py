@@ -167,18 +167,6 @@ def Q_of_periodic(sys: SystemDescriptor, J: PotentialVector, cycle,
     return MeasureSummary(Q_value=Q, I_mean=I_mean, J_mean=J_mean, entropy=0.0)
 
 
-def _symbol_I_bracket(sys: SystemDescriptor, k: int,
-                      hull: Optional[tuple] = None) -> tuple:
-    """Range of the geometric potential over the depth-1 cylinder of k.
-
-    The continuation interval defaults to the ambient domain; callers that
-    know the measure's support pass the support-subsystem hull, which is
-    what makes single-symbol measures exact."""
-    iv = sys.family.domain() if hull is None else hull
-    lo, hi = sys.family.deriv_log_range(k, iv)
-    return (-hi, -lo)
-
-
 def Q_of_bernoulli(sys: SystemDescriptor, J: PotentialVector,
                    spec: BernoulliSpec, n_mc: int = 0, seed: int = 0,
                    rule_cutoff: int = 50000) -> MeasureSummary:
@@ -198,24 +186,24 @@ def Q_of_bernoulli(sys: SystemDescriptor, J: PotentialVector,
             f"system; this one has {sys.alphabet_size} edges")
     if spec.probs is not None:
         items = [(k, p) for k, p in spec.probs if p > 0.0]
+        # continuing into the support hull, not the ambient domain, is what
+        # makes single-symbol measures exact
         hull = sys.support_hull(k for k, _ in items)
         J_lo = np.zeros(J.dim)
         i_lo = i_hi = 0.0
         for k, p in items:
-            lo, hi = _symbol_I_bracket(sys, k, hull)
-            i_lo += p * lo
-            i_hi += p * hi
+            ld_lo, ld_hi = sys.family.deriv_log_range(k, hull)
+            i_lo -= p * ld_hi
+            i_hi -= p * ld_lo
             J_lo = J_lo + p * J.value((k,))
         J_enc = tuple(Enclosure(v, v) for v in J_lo)
         I_enc = Enclosure(i_lo, i_hi)
     else:
         ks = np.arange(1, rule_cutoff + 1)
         ps = _rule_mass(spec.rule, ks)
-        jvals = np.array([J.value((int(k),)) for k in ks])
-        ilos = np.empty(ks.size)
-        ihis = np.empty(ks.size)
-        for idx, k in enumerate(ks):
-            ilos[idx], ihis[idx] = _symbol_I_bracket(sys, int(k))
+        jvals = J.table(rule_cutoff)[1:]
+        ld_lo, ld_hi = sys.family.vec_suffix_then_head(ks[None, :], sys.family.domain())
+        ilos, ihis = -ld_hi, -ld_lo
         tail_mass = 1.0 - math.fsum(ps.tolist())
         tail_mass = max(tail_mass, 0.0)
         jcenter = (ps[:, None] * jvals).sum(axis=0)
@@ -262,12 +250,10 @@ def _mc_I_mean(sys: SystemDescriptor, spec: BernoulliSpec, n_mc: int, seed: int)
         ps = _rule_mass(spec.rule, ks)
         cdf = np.cumsum(ps / ps.sum())
         draw = lambda size: ks[np.searchsorted(cdf, rng.random(size=size))]
-    vals = np.empty(n_mc)
-    for i in range(n_mc):
-        word = tuple(int(x) for x in draw(depth))
-        iv = fam.word_image(word[1:], fam.domain())
-        lo, hi = fam.deriv_log_range(word[0], iv)
-        vals[i] = -0.5 * (lo + hi)
+    # one block is the same stream as n_mc draws of depth symbols
+    words = draw(n_mc * depth).reshape(n_mc, depth).T
+    lo, hi = fam.vec_suffix_then_head(words, fam.domain())
+    vals = -0.5 * (lo + hi)
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_mc)) if n_mc > 1 else None
 
 

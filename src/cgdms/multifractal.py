@@ -178,24 +178,27 @@ class BetaSolver:
 
 def solve_beta(sys: SystemDescriptor, J: PotentialVector, t, tol: float = 1e-8,
                *, n: int = DEFAULT_STAGES, N: Optional[int] = None,
-               window: Optional[int] = None) -> BetaPoint:
+               window: Optional[int] = None,
+               solver: Optional[BetaSolver] = None) -> BetaPoint:
     """Certified enclosure (width <= tol) plus point estimate of beta(t).
 
     Both come from the limit pressure bracketed by the window transfer
     matrix (``window``, or :func:`~cgdms.kernel.dp_window` at level n);
-    the Gibbs means are read from the stage-n kernel at its anchored root.
+    the Gibbs means are read from the stage-n kernel at its anchored root,
+    of ``solver`` when given (built with the same n, N and window).
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if t.size != J.dim:
         raise ValueError(f"t has dim {t.size}, potential dim {J.dim}")
     N_eff = sys.effective_truncation(N)
-    kern = PressureKernel(sys, J, n=n, N=N_eff, window=window)
+    if solver is None:
+        solver = BetaSolver(sys, J, n=n, N=N_eff, window=window)
+    kern = solver.kern
     q = window or dp_window(sys, J, N_eff, n)
     limit = kern if kern.mode == "dp" and kern.window == q else limit_kernel(
         sys, J, N_eff, q)
     enc, est = certified_pressure_zero(limit, t, tol)
-    beta_n = anchored_pressure_root(kern, t)
-    _, jq, iq = kern.moments(t, beta_n)
+    _, _, (jq, iq) = solver.grad_with_means(t)
     flags = []
     theta = estimate_theta(sys)
     if theta.determined and theta.enclosure is not None and not sys.is_finite:
@@ -209,7 +212,8 @@ def solve_beta(sys: SystemDescriptor, J: PotentialVector, t, tol: float = 1e-8,
 
 def grad_beta(sys: SystemDescriptor, J: PotentialVector, t, tol: float = 1e-6,
               *, n: int = DEFAULT_STAGES, N: Optional[int] = None,
-              window: Optional[int] = None) -> GradResult:
+              window: Optional[int] = None,
+              solver: Optional[BetaSolver] = None) -> GradResult:
     """Two estimators of the gradient of beta at t, cross-checked.
 
     (ii) the Gibbs-weighted quotient of word sums (primary) and (i) central
@@ -217,7 +221,8 @@ def grad_beta(sys: SystemDescriptor, J: PotentialVector, t, tol: float = 1e-6,
     exactly the same stage value, at every potential depth.  Disagreement
     beyond 10*tol marks the result flagged.
     """
-    solver = BetaSolver(sys, J, n=n, N=N, window=window)
+    if solver is None:
+        solver = BetaSolver(sys, J, n=n, N=N, window=window)
     gq, beta_n, means = solver.grad_with_means(t)
     fd = solver.fd_grad(t)
     flagged = bool(np.abs(gq - fd).max() > 10.0 * tol)

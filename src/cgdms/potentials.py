@@ -46,8 +46,11 @@ class PotentialVector:
         if self.depth != 1:
             raise ValueError("symbol table only defined for depth-1 potentials")
         out = np.zeros((N + 1, self.dim))
-        for k in range(1, N + 1):
-            out[k] = self.value((k,))
+        out[1:] = np.reshape([self.eval((k,)) for k in range(1, N + 1)], (N, self.dim))
+        over = np.abs(out).max(axis=1) > self.bound + 1e-12
+        if over.any():
+            k = int(over.argmax())
+            raise ValueError(f"potential value {out[k]} on edge {k} exceeds declared bound {self.bound}")
         return out
 
 

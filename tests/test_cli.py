@@ -164,6 +164,26 @@ class TestBetaCommand:
         assert est0 == pytest.approx(1.0, abs=1e-9)
         assert est1 == pytest.approx(math.log(1 + math.e) / math.log(2), abs=1e-9)
 
+    def test_one_stage_kernel_per_t_point(self, tmp_path, monkeypatch):
+        """solve_beta and grad_beta share the stage kernel; the only other
+        build is the dp kernel that certifies the limit enclosure."""
+        from cgdms.kernel import PressureKernel
+        builds = []
+        init = PressureKernel.__init__
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(PressureKernel, "__init__", counting_init)
+        doc = dict(SIM_CONFIG)
+        doc["numerics"] = dict(doc["numerics"], word_length=16)
+        doc["beta"] = {"t_points": [[0.5]]}
+        cfg = write_config(tmp_path, doc)
+        assert main(["beta", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert len(read_body(tmp_path / "o" / "beta.csv").splitlines()) == 2
+        assert len(builds) == 2
+
 
 class TestSpectrumCommand:
     def test_surface_and_points(self, tmp_path):
@@ -320,6 +340,15 @@ class TestConfigValidation:
         }
         err = self._rejected(tmp_path, capsys, "sets", doc, "sets.cycles[1]")
         assert "2 -> 2 inadmissible" in err
+
+    def test_nilpotent_incidence(self, tmp_path, capsys):
+        doc = {
+            "system": {"kind": "similarity", "ratios": [0.5, 0.3],
+                       "offsets": [0.0, 0.6], "incidence": [[0, 1], [0, 0]]},
+            "numerics": {"word_length": 8},
+        }
+        err = self._rejected(tmp_path, capsys, "dimension", doc, "system")
+        assert "nilpotent" in err
 
     @pytest.mark.parametrize("section,key,field", [
         ("numerics", "word_length", "numerics.word_length"),

@@ -196,3 +196,80 @@ class TestExpressionGrammar:
         # generic composition encloses the exact range
         assert br.inf_log_deriv <= exact.inf_log_deriv + 1e-12
         assert br.sup_log_deriv >= exact.sup_log_deriv - 1e-12
+
+
+class TestElementwiseIntervals:
+    """Interval primitives over numpy arrays equal elementwise scalar calls,
+    so a whole window table is one evaluation per word position."""
+
+    # every grammar node: num, x, k, neg, + - * /, integer and non-integer
+    # ^ (mixed within one call through k/2), log, exp
+    EVERY_NODE = "-(x*k - 2)/(k+1) + log(x+k)^2 - exp(-x)*(x+1)^0.5 + x^(k/2)"
+
+    @pytest.mark.parametrize("src", ["1/(x+k)", EVERY_NODE])
+    def test_arrays_equal_scalar_calls(self, src):
+        ast = parse_expression(src)
+        rng = np.random.default_rng(3)
+        lo = rng.uniform(0.1, 1.0, size=40)
+        hi = lo + rng.uniform(0.0, 1.0, size=40)
+        ks = rng.integers(1, 6, size=40)
+        alo, ahi = eval_interval(ast, (lo, hi), ks)
+        for j in range(40):
+            assert (alo[j], ahi[j]) == eval_interval(ast, (lo[j], hi[j]), int(ks[j]))
+
+    @staticmethod
+    def _windows(N=3, q=5):
+        from cgdms.kernel import _symbol_grid
+        return _symbol_grid(N, q, np.arange(N ** q))
+
+    def test_custom_tables_equal_per_column_word_operations(self):
+        fam = Custom1DFamily("1/(x+k)", "(x+k)^-2", contraction_bound=0.5,
+                             contraction_prefactor=2.0, n_edges=3)
+        syms, tail = self._windows(), (0.0, 1.0)
+        wlo, whi = fam.vec_word_log_deriv(syms, tail)
+        hlo, hhi = fam.vec_suffix_then_head(syms, tail)
+        for j in range(syms.shape[1]):
+            col = tuple(int(s) for s in syms[:, j])
+            assert (wlo[j], whi[j]) == fam.word_log_deriv_range(col, tail)
+            head = fam.deriv_log_range(col[0], fam.word_image(col[1:], tail))
+            assert (hlo[j], hhi[j]) == head
+
+    def test_custom_cf_tables_contain_closed_forms(self):
+        fam = Custom1DFamily("1/(x+k)", "(x+k)^-2", contraction_bound=0.5,
+                             contraction_prefactor=2.0, n_edges=3)
+        syms, tail = self._windows(), (0.0, 1.0)
+        for name in ("vec_word_log_deriv", "vec_suffix_then_head"):
+            clo, chi = getattr(fam, name)(syms, tail)
+            elo, ehi = getattr(CF, name)(syms, tail)
+            assert np.all(clo <= elo + 1e-15 * np.abs(elo))
+            assert np.all(chi >= ehi - 1e-15 * np.abs(ehi))
+
+    def test_word_independent_value_fills_every_column(self):
+        fam = Custom1DFamily("0.5*x", "0.5", contraction_bound=0.5, n_edges=2)
+        lo, hi = fam.vec_suffix_then_head(self._windows(2, 3), (0.0, 1.0))
+        assert lo.shape == hi.shape == (8,)
+        assert np.all(lo == math.log(0.5)) and np.all(hi == math.log(0.5))
+
+    @pytest.mark.parametrize("src,bad_lo", [
+        ("1/x", -0.5),      # division by an interval containing zero
+        ("log(x)", 0.0),    # log of a non-positive interval
+        ("x^-2", -0.5),     # negative power of an interval containing zero
+        ("x^0.5", -0.5),    # non-integer power of a non-positive interval
+    ])
+    def test_one_bad_element_fails_the_call(self, src, bad_lo):
+        ast = parse_expression(src)
+        lo = np.array([0.5, 0.5, bad_lo, 0.5])
+        eval_interval(ast, (np.full(4, 0.5), np.ones(4)), 1)
+        with pytest.raises(ValueError):
+            eval_interval(ast, (lo, np.ones(4)), 1)
+
+    def test_edge_arrays_checked(self):
+        fam = Custom1DFamily("1/(x+k)", "(x+k)^-2", contraction_bound=0.5,
+                             contraction_prefactor=2.0, n_edges=3)
+        with pytest.raises(InvalidWordError):
+            fam.image(np.array([1, 0, 2]), (0.0, 1.0))
+        with pytest.raises(InvalidWordError, match="edge 4 out of range"):
+            fam.deriv_log_range(np.array([1, 4, 2]), (0.0, 1.0))
+        neg = Custom1DFamily("0.5*x", "x - 0.5", contraction_bound=0.5)
+        with pytest.raises(ValueError, match="non-positive"):
+            neg.deriv_log_range(np.array([1, 2]), (np.array([0.9, 0.2]), np.ones(2)))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cgdms import potentials
+from cgdms.config import build_system
 from cgdms.errors import InvalidWordError
 from cgdms.measures import (BernoulliSpec, Q_of_bernoulli, Q_of_periodic,
                             construct_generic_word, cylinder_mass,
@@ -17,6 +18,10 @@ J01 = potentials.from_table({1: [0.0], 2: [1.0]})
 CF = moebius_cf_system()
 CF24 = truncated_cf_system(24)
 MOD23_J = potentials.mod_cycle([[-1.0, 1.0], [0.0, 1.0, -1.0]])
+CF_CUSTOM = build_system({"kind": "custom-1d", "map_expr": "1/(x+k)",
+                          "abs_deriv_expr": "(x+k)^-2",
+                          "contraction_bound": 0.5,
+                          "contraction_prefactor": 2.0})
 
 # closed-form cycle data: x* of the (1)-cycle solves x^2 + x - 1 = 0, and
 # the per-period geometric sum is 2*log(x* + 1) = 2*log((sqrt5 + 1)/2);
@@ -126,6 +131,45 @@ class TestQOfBernoulli:
         assert a.I_mean == b.I_mean == c.I_mean
         assert a.I_mean.lo <= a.mc_estimate <= a.I_mean.hi
 
+    @pytest.mark.parametrize("spec", [
+        BernoulliSpec.finite({1: 0.3, 2: 0.5, 5: 0.2}),
+        BernoulliSpec.named("inverse-square"),
+    ])
+    def test_mc_block_draw_is_the_per_sample_stream(self, spec):
+        """One block of n_mc * depth symbols, evaluated in one table call,
+        gives what drawing and evaluating one sample at a time gave."""
+        from cgdms.measures import _mc_I_mean, _rule_mass
+        fam = CF_CUSTOM.family
+        rng = np.random.default_rng(7)
+        if spec.probs is not None:
+            wts = np.array([p for _, p in spec.probs])
+            draws = [rng.choice([k for k, _ in spec.probs], size=30,
+                                p=wts / wts.sum()) for _ in range(20)]
+        else:
+            ks = np.arange(1, 100001)
+            ps = _rule_mass(spec.rule, ks)
+            cdf = np.cumsum(ps / ps.sum())
+            draws = [ks[np.searchsorted(cdf, rng.random(size=30))]
+                     for _ in range(20)]
+        vals = []
+        for word in draws:
+            word = tuple(int(x) for x in word)
+            lo, hi = fam.deriv_log_range(word[0],
+                                         fam.word_image(word[1:], fam.domain()))
+            vals.append(-0.5 * (lo + hi))
+        vals = np.array(vals)
+        est, err = _mc_I_mean(CF_CUSTOM, spec, 20, 7)
+        assert est == float(vals.mean())
+        assert err == float(vals.std(ddof=1) / math.sqrt(20))
+
+    def test_rule_branch_on_custom_family_matches_closed_form(self):
+        spec = BernoulliSpec.named("inverse-square")
+        custom = Q_of_bernoulli(CF_CUSTOM, MOD23_J, spec, rule_cutoff=2000)
+        closed = Q_of_bernoulli(CF, MOD23_J, spec, rule_cutoff=2000)
+        assert custom.J_mean == closed.J_mean
+        assert custom.I_mean.lo == pytest.approx(closed.I_mean.lo, rel=1e-12)
+        assert custom.I_mean.hi == pytest.approx(closed.I_mean.hi, rel=1e-12)
+
     def test_probability_validation(self):
         with pytest.raises(ValueError):
             BernoulliSpec.finite({1: 0.5, 2: 0.6})
@@ -211,3 +255,17 @@ class TestCounterexample:
             semicontinuity_counterexample(-1.0, [100])
         with pytest.raises(ValueError):
             semicontinuity_counterexample(1.0, [1])
+
+
+class TestPotentialTable:
+    def test_rows_are_the_symbol_values(self):
+        tab = MOD23_J.table(7)
+        assert tab.shape == (8, 2) and not tab[0].any()
+        for k in range(1, 8):
+            assert np.array_equal(tab[k], MOD23_J.value((k,)))
+
+    def test_bound_violation_names_the_edge(self):
+        J = potentials.depth1(lambda k: [0.5 * k], dim=1, bound=1.2)
+        J.table(2)
+        with pytest.raises(ValueError, match="edge 3 exceeds declared bound"):
+            J.table(5)

@@ -318,6 +318,12 @@ class TestRegularity:
         assert label == "regular"
         assert any("p(0) = 0" in n for n in notes)
 
+    def test_nilpotent_incidence_rejected(self):
+        # no infinite admissible word: the limit set is empty
+        with pytest.raises(ValueError, match="nilpotent"):
+            similarity_system([0.5, 0.3], offsets=[0.0, 0.6],
+                              incidence=[[0, 1], [0, 0]])
+
     def test_golden_mean_p0_lower_bounds_limit_pressure(self):
         label, notes = classify_regularity(GOLDEN)
         assert label == "strongly-regular"

@@ -27,6 +27,12 @@ def test_traced_names_exist():
             missing.append(f"{short}.{cname}")
             continue
         missing += [f"{short}.{cname}.{m}" for m in methods if m not in cls.__dict__]
+    # family primitives are wrapped on every class that defines them; the
+    # base class must, or a rename would silently zero families.table_s
+    families = importlib.import_module("cgdms.families")
+    missing += [f"families.MapFamily.{m}"
+                for m in tracing.FAMILY_TABLE_METHODS + tracing.FAMILY_INTERVAL_METHODS
+                if m not in families.MapFamily.__dict__]
     # the Newton loop is counted through its private name
     if not callable(getattr(importlib.import_module("cgdms.multifractal"),
                             "_legendre_newton", None)):
