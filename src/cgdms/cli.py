@@ -25,7 +25,7 @@ from .config import (TOOL_VERSION, RunConfig, bernoulli_specs, expand_t_grid,
                      load_config, validate_config)
 from .errors import CgdmsError, ConfigError
 from .kernel import PressureKernel
-from .symbolic import enumerate_words
+from .symbolic import enumerate_cycles
 from .util import config_hash, format_float
 
 
@@ -176,12 +176,7 @@ def cmd_sets(rc: RunConfig, outdir: Path) -> list:
     N_small = sysd.effective_truncation(min(rc.truncation or 6, 6))
     cycles = rc.command_params.get("cycles")
     if cycles is None:
-        cycles = []
-        for p in (1, 2):
-            for w in enumerate_words(sysd.incidence, p, N_small):
-                syms = tuple(w)
-                if sysd.incidence.entry(syms[-1], syms[0]):
-                    cycles.append(list(syms))
+        cycles = [list(c) for c in enumerate_cycles(sysd.incidence, 2, N_small)]
     specs = bernoulli_specs(rc.command_params, sysd)
     if not specs:
         specs = [measures.BernoulliSpec.finite(

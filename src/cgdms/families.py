@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainMismatchError, InvalidWordError
-from .symbolic import Word
+from .symbolic import Word, is_admissible
 
 
 @dataclass(frozen=True)
@@ -538,12 +538,8 @@ def log_deriv_bracket(family: MapFamily, word, tail: Optional[tuple] = None,
         raise InvalidWordError("word must be nonempty")
     for e in w:
         family.check_edge(e)
-    if incidence is not None:
-        syms = tuple(w)
-        for i in range(len(syms) - 1):
-            if not incidence.entry(syms[i], syms[i + 1]):
-                raise DomainMismatchError(
-                    f"edges {syms[i]} -> {syms[i+1]} do not chain")
+    if incidence is not None and not is_admissible(w, incidence):
+        raise DomainMismatchError(f"word {tuple(w)} does not chain")
     tail = family.domain() if tail is None else tail
     lo, hi = family.word_log_deriv_range(tuple(w), tail)
     return DerivativeBracket(word=w, sup_log_deriv=hi, inf_log_deriv=lo)
@@ -554,16 +550,12 @@ def approximate_pi(family: MapFamily, word_prefix, incidence=None) -> CodingPoin
     w = word_prefix if isinstance(word_prefix, Word) else Word(tuple(word_prefix))
     if len(w) == 0:
         raise InvalidWordError("prefix must be nonempty")
-    if incidence is not None and not _chain_ok(incidence, tuple(w)):
+    if incidence is not None and not is_admissible(w, incidence):
         raise InvalidWordError(f"prefix {tuple(w)} is not admissible")
     iv = family.word_image(tuple(w), family.domain())
     return CodingPoint(word_prefix=w,
                        point_estimate=0.5 * (iv[0] + iv[1]),
                        radius=0.5 * (iv[1] - iv[0]))
-
-
-def _chain_ok(incidence, syms):
-    return all(incidence.entry(syms[i], syms[i + 1]) for i in range(len(syms) - 1))
 
 
 def geometric_potential_bracket(family: MapFamily, word,

@@ -121,14 +121,6 @@ def limit_kernel(sys: SystemDescriptor, J: PotentialVector, N: int,
     return PressureKernel(sys, J, n=q + 1, N=N, window=q)
 
 
-def _pair_valid(syms: np.ndarray, dense: np.ndarray) -> np.ndarray:
-    """Admissibility of each column word under a dense 0/1 block."""
-    ok = np.ones(syms.shape[1], dtype=bool)
-    for i in range(syms.shape[0] - 1):
-        ok &= dense[syms[i] - 1, syms[i + 1] - 1].astype(bool)
-    return ok
-
-
 class _Tables:
     """Potential tables for one (system, N, window) choice, plus the
     window geometry of the transfer recursion when ``windows`` is set."""
@@ -142,12 +134,12 @@ class _Tables:
             raise ValueError(f"window table too large: {N}**{q}")
         self.hull = sys.hull(N)
         fam = sys.family
-        dense = sys.incidence.dense_block(N)
+        inc = sys.incidence
 
         # potential values on admissible depth-m words
         m = J.depth
         msyms = _symbol_grid(N, m, np.arange(N ** m))
-        mvalid = _pair_valid(msyms, dense)
+        mvalid = inc.admits(msyms)
         jvals = np.zeros((N ** m, J.dim))
         for code in range(N ** m):
             if mvalid[code]:
@@ -166,11 +158,11 @@ class _Tables:
         # full windows of depth q
         codes = np.arange(N ** q)
         syms = _symbol_grid(N, q, codes)
-        self.win_valid = _pair_valid(syms, dense)
+        self.win_valid = inc.admits(syms)
         self.win_ld_lo, self.win_ld_hi = fam.vec_suffix_then_head(syms, self.hull)
         self.win_jcode = codes // (N ** (q - m))  # first-m-symbol codes
         # admissible (q-1)-gram states, read off the windows ending in 1
-        self.state_valid = _pair_valid(syms[:-1, ::N], dense)
+        self.state_valid = inc.admits(syms[:-1, ::N])
 
         # log-derivative ranges over the trailing l-cylinders, l < q
         for l in range(1, q):
@@ -258,36 +250,28 @@ class PressureKernel:
     def _build_exact(self):
         N, n, tab = self.N, self.n, self.tables
         fam = self.sys.family
-        dense = self.sys.incidence.dense_block(N)
         m = self.J.depth
         self._parts = []
         block = N ** (n - 1)
         for first in range(1, N + 1):
             codes = np.arange((first - 1) * block, first * block)
             syms = _symbol_grid(N, n, codes)
-            valid = _pair_valid(syms, dense)
+            valid = self.sys.incidence.admits(syms)
             if not valid.any():
                 self._parts.append(None)
                 continue
+            # copied even on a full shift: the copy is Fortran-ordered,
+            # which fixes the summation order of vec_word_log_deriv
             syms = syms[:, valid]
+            codes = codes[valid]
             ld_lo, ld_hi = fam.vec_word_log_deriv(syms, tab.hull)
-            # exact potential windows: starts 1..n-m+1; window i covers
-            # symbols i..i+m-1; encode each as an m-gram code
-            M = syms.shape[1]
-            jd = self.J.dim
-            jsum = np.zeros((M, jd))
+            # exact potential windows: window i covers symbols i..i+m-1,
+            # whose m-gram code is a digit block of the word code
+            jsum = np.zeros((codes.size, self.J.dim))
             for i in range(n - m + 1):
-                code = np.zeros(M, dtype=np.int64)
-                for j in range(m):
-                    code = code * N + (syms[i + j] - 1)
-                jsum += tab.jvals[code]
-            # trailing windows: suffix of length l = n - i + 1 < m
-            tcodes = {}
-            for l in range(1, m):
-                code = np.zeros(M, dtype=np.int64)
-                for j in range(n - l, n):
-                    code = code * N + (syms[j] - 1)
-                tcodes[l] = code
+                jsum += tab.jvals[codes // N ** (n - m - i) % N ** m]
+            # trailing windows: the codes of the suffixes of length l < m
+            tcodes = {l: codes % N ** l for l in range(1, m)}
             self._parts.append({
                 "ld_lo": ld_lo, "ld_hi": ld_hi, "jsum": jsum,
                 "tcodes": tcodes,
@@ -471,10 +455,10 @@ class PressureKernel:
         the other; half the cost of :meth:`values` during bisection."""
         return self._logsum(t, beta, "inf" if side == "lower" else "sup")[0]
 
-    def value(self, t, beta, anchor: Optional[str] = None) -> float:
+    def value(self, t, beta) -> float:
         """Anchored point value: sup weights in enumerate mode (the exact
         per-word suprema), bracket midpoints in dp mode."""
-        return self._logsum(t, beta, anchor or _ANCHOR[self.mode])[0]
+        return self._logsum(t, beta, _ANCHOR[self.mode])[0]
 
     def moments(self, t, beta):
         """(value, J quotient, I quotient) under the anchored weights.

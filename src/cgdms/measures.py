@@ -10,6 +10,7 @@ statistical estimate with a standard error.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -17,8 +18,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .potentials import PotentialVector, cycle_birkhoff
-from .symbolic import (Word, closed_cycle, enumerate_words,
-                       find_irreducibility_witness)
+from .symbolic import (Word, closed_cycle, enumerate_cycles,
+                       find_irreducibility_witness, is_admissible)
 from .system import SystemDescriptor
 from .util import Enclosure
 
@@ -287,7 +288,8 @@ def construct_generic_word(sys: SystemDescriptor, J: PotentialVector,
     """Assemble a word whose running Birkhoff quotient converges to the
     target by gluing growing blocks of approximating cycles.
 
-    Cycles are searched among short periodic words below the truncation;
+    Cycles are searched among short periodic words below the truncation,
+    at most ``budget`` of them, by period and then lexicographically;
     block lengths are chosen so that the next block's one-period sums,
     divided by the accumulated length, fall below the next accuracy
     target.  Connectors come from an irreducibility witness, smallest
@@ -304,18 +306,13 @@ def construct_generic_word(sys: SystemDescriptor, J: PotentialVector,
 
     # candidate cycles with quotient midpoints
     pool = []
-    for p in range(1, max_period + 1):
-        for w in enumerate_words(sys.incidence, p, N):
-            syms = tuple(w)
-            if not sys.incidence.entry(syms[-1], syms[0]):
-                continue
-            summ = Q_of_periodic(sys, J, syms)
-            qmid = np.array([e.mid for e in summ.Q_value])
-            ivec = summ.I_mean.mid * p
-            jvec = np.array([e.mid for e in summ.J_mean]) * p
-            pool.append((syms, qmid, ivec, jvec))
-            if len(pool) >= budget:
-                break
+    for syms in itertools.islice(enumerate_cycles(sys.incidence, max_period, N),
+                                 budget):
+        summ = Q_of_periodic(sys, J, syms)
+        qmid = np.array([e.mid for e in summ.Q_value])
+        ivec = summ.I_mean.mid * len(syms)
+        jvec = np.array([e.mid for e in summ.J_mean]) * len(syms)
+        pool.append((syms, qmid, ivec, jvec))
 
     def pick(eps_k):
         best = None
@@ -328,9 +325,7 @@ def construct_generic_word(sys: SystemDescriptor, J: PotentialVector,
 
     def connector(prev_last, nxt_first):
         for w in sorted(witness.connectors, key=lambda w: (len(w), tuple(w))):
-            ring = (prev_last,) + tuple(w) + (nxt_first,)
-            if all(sys.incidence.entry(ring[i], ring[i + 1])
-                   for i in range(len(ring) - 1)):
+            if is_admissible((prev_last,) + tuple(w) + (nxt_first,), sys.incidence):
                 return tuple(w)
         return None
 

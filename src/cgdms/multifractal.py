@@ -22,7 +22,7 @@ import numpy as np
 from .errors import BracketBudgetError
 from .kernel import PressureKernel, dp_window, limit_kernel
 from .potentials import PotentialVector, cycle_birkhoff
-from .symbolic import closed_cycle, enumerate_words
+from .symbolic import closed_cycle, enumerate_cycles
 from .system import SystemDescriptor
 from .thermo import anchored_pressure_root, certified_pressure_zero, estimate_theta
 from .util import Enclosure
@@ -134,10 +134,7 @@ class BetaSolver:
     def grad(self, t) -> np.ndarray:
         """Weighted word-sum quotient: the exact gradient of the anchored
         stage root at t."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        beta = self.root(t)
-        _, jq, iq = self.kern.moments(t, beta)
-        return jq / iq
+        return self.grad_with_means(t)[0]
 
     def grad_with_means(self, t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -290,15 +287,11 @@ def independence_certificate(sys: SystemDescriptor, J: PotentialVector,
         alpha = -alpha
     N = sys.effective_truncation(probe_truncation)
     base = rows[0]
-    for p in range(1, probe_period + 1):
-        for w in enumerate_words(sys.incidence, p, N):
-            syms = tuple(w)
-            if not sys.incidence.entry(syms[-1], syms[0]):
-                continue
-            v = cycle_birkhoff(J, syms) / p
-            if abs(float(np.dot(alpha, v - base))) > verify_tol:
-                return CertificateResult("inconclusive", tuple(alpha.tolist()),
-                                         rank, tuple(map(tuple, rows.tolist())))
+    for syms in enumerate_cycles(sys.incidence, probe_period, N):
+        v = cycle_birkhoff(J, syms) / len(syms)
+        if abs(float(np.dot(alpha, v - base))) > verify_tol:
+            return CertificateResult("inconclusive", tuple(alpha.tolist()),
+                                     rank, tuple(map(tuple, rows.tolist())))
     return CertificateResult("dependent-witness", tuple(alpha.tolist()), rank,
                              tuple(map(tuple, rows.tolist())))
 

@@ -49,72 +49,67 @@ class Multigraph:
 class IncidenceMatrix:
     """0/1 matrix over edge pairs deciding which edge may follow which.
 
-    Backed either by a dense array (finite alphabets) or by a predicate
-    (infinite alphabets).  ``entry(u, v) == 1`` requires that the terminal
-    vertex of u equals the initial vertex of v; dense constructors check
-    this eagerly, rule-based ones on every query.
+    One of two representations, checked when built: the full shift
+    (:meth:`full`; every pair allowed, over any alphabet, infinite ones
+    included) or a dense square 0/1 array over the whole finite alphabet
+    (:meth:`from_dense`; an all-ones array is the full shift).  A word is
+    admissible when every consecutive pair has entry 1, and the class
+    answers that for single pairs (:meth:`entry`), whole word tables
+    (:meth:`admits`) and closed cycles (:func:`enumerate_cycles`).
+    ``entry(u, v) == 1`` requires the terminal vertex of u to equal the
+    initial vertex of v.
     """
 
-    def __init__(self, graph: Multigraph, rule: Callable[[int, int], int],
-                 dense: Optional[np.ndarray] = None, full_shift: bool = False):
+    def __init__(self, graph: Multigraph, dense: Optional[np.ndarray] = None):
         self.graph = graph
-        self._rule = rule
-        self._dense = dense
-        self.full_shift = full_shift
+        self.full_shift = dense is None or bool(dense.all())
+        self._dense = None if self.full_shift else dense.astype(bool)
 
     @classmethod
     def full(cls, graph: Optional[Multigraph] = None) -> "IncidenceMatrix":
-        g = graph if graph is not None else Multigraph.single_vertex()
-        return cls(g, lambda u, v: 1, full_shift=True)
+        return cls(graph if graph is not None else Multigraph.single_vertex())
 
     @classmethod
     def from_dense(cls, matrix, graph: Optional[Multigraph] = None) -> "IncidenceMatrix":
-        m = np.asarray(matrix, dtype=np.int8)
+        m = np.asarray(matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("incidence matrix must be square")
+        if not np.isin(m, (0, 1)).all():
+            raise ValueError("incidence entries must be 0 or 1")
         g = graph if graph is not None else Multigraph.single_vertex(n_edges=m.shape[0])
-        for u in range(1, m.shape[0] + 1):
-            for v in range(1, m.shape[1] + 1):
-                if m[u - 1, v - 1] and g.terminal(u) != g.initial(v):
-                    raise ValueError(
-                        f"entry({u},{v})=1 but terminal({u}) != initial({v})")
-        return cls(g, lambda u, v: int(m[u - 1, v - 1]), dense=m,
-                   full_shift=bool(m.all()))
-
-    @classmethod
-    def from_rule(cls, rule: Callable[[int, int], int],
-                  graph: Optional[Multigraph] = None) -> "IncidenceMatrix":
-        g = graph if graph is not None else Multigraph.single_vertex()
-
-        def checked(u, v):
-            a = int(bool(rule(u, v)))
-            if a and g.terminal(u) != g.initial(v):
-                raise ValueError(f"entry({u},{v})=1 but terminal({u}) != initial({v})")
-            return a
-
-        return cls(g, checked)
+        if m.shape[0] != g.n_edges:
+            raise ValueError(f"incidence matrix is {m.shape[0]}x{m.shape[0]} "
+                             f"but there are {g.n_edges} edges")
+        for u, v in np.argwhere(m) + 1:
+            if g.terminal(u) != g.initial(v):
+                raise ValueError(
+                    f"entry({u},{v})=1 but terminal({u}) != initial({v})")
+        return cls(g, m)
 
     def entry(self, u: int, v: int) -> int:
         self.graph.check_edge(u)
         self.graph.check_edge(v)
-        if self.full_shift:
-            return 1
-        return int(self._rule(u, v))
+        return 1 if self.full_shift else int(self._dense[u - 1, v - 1])
+
+    def admits(self, syms: np.ndarray) -> np.ndarray:
+        """Admissibility of each column word of a (length, M) array of
+        symbols in 1..n_edges; all true on a full shift, without reading
+        the symbols."""
+        ok = np.ones(syms.shape[1], dtype=bool)
+        if not self.full_shift:
+            for i in range(syms.shape[0] - 1):
+                ok &= self._dense[syms[i] - 1, syms[i + 1] - 1]
+        return ok
 
     def successors(self, u: int, N: int) -> tuple:
         return tuple(v for v in range(1, N + 1) if self.entry(u, v))
 
     def dense_block(self, N: int) -> np.ndarray:
-        """The upper-left N x N block as a dense array (1-based edges)."""
+        """The upper-left N x N block as a dense 0/1 array (1-based edges)."""
+        self.graph.check_edge(N)
         if self.full_shift:
             return np.ones((N, N), dtype=np.int8)
-        if self._dense is not None and self._dense.shape[0] >= N:
-            return self._dense[:N, :N]
-        out = np.zeros((N, N), dtype=np.int8)
-        for u in range(1, N + 1):
-            for v in range(1, N + 1):
-                out[u - 1, v - 1] = self.entry(u, v)
-        return out
+        return self._dense[:N, :N].astype(np.int8)
 
 
 @dataclass(frozen=True)
@@ -191,6 +186,17 @@ def enumerate_words(A: IncidenceMatrix, n: int, N: int) -> Iterator[Word]:
     yield from rec(())
 
 
+def enumerate_cycles(A: IncidenceMatrix, max_period: int,
+                     N: int) -> Iterator[tuple]:
+    """Yield the admissible words over 1..N of length 1..max_period whose
+    last symbol may be followed by their first (the periodic orbits), as
+    tuples ordered by period and then lexicographically."""
+    for p in range(1, max_period + 1):
+        for w in enumerate_words(A, p, N):
+            if A.entry(w[-1], w[0]):
+                yield tuple(w)
+
+
 def count_words(A: IncidenceMatrix, n: int, N: int) -> int:
     """Number of admissible length-n words over 1..N via matrix powers."""
     m = A.dense_block(N).astype(object)
@@ -213,14 +219,9 @@ class IrreducibilityWitness:
         N = self.truncation if N is None else N
         for u in range(1, N + 1):
             for v in range(1, N + 1):
-                if not any(_connects(A, u, w, v) for w in self.connectors):
+                if not any(is_admissible((u, *w, v), A) for w in self.connectors):
                     return False
         return True
-
-
-def _connects(A: IncidenceMatrix, u: int, w: Word, v: int) -> bool:
-    syms = (u,) + tuple(w) + (v,)
-    return all(A.entry(syms[i], syms[i + 1]) for i in range(len(syms) - 1))
 
 
 def find_irreducibility_witness(A: IncidenceMatrix, N: int, max_len: int,
@@ -263,7 +264,7 @@ def find_irreducibility_witness(A: IncidenceMatrix, N: int, max_len: int,
 
     for u in range(1, N + 1):
         for v in range(1, N + 1):
-            if any(_connects(A, u, w, v) for w in chosen):
+            if any(is_admissible((u, *w, v), A) for w in chosen):
                 continue
             w = shortest_connector(u, v)
             if w is None:

@@ -109,6 +109,8 @@ class SystemDescriptor:
                 ia, ib = self.family.image(e, (a, b))
                 lo = min(lo, ia)
                 hi = max(hi, ib)
+            if (lo, hi) == (a, b):  # a fixed point: later iterates repeat it
+                break
             a, b = lo, hi
         # pad outward so float drift cannot make the hull too small
         pad = 1e-12 * max(1.0, abs(a), abs(b))

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from cgdms.cli import main
+from cgdms.system import similarity_system
 from cgdms.util import format_float
 
 SIM_CONFIG = {
@@ -349,6 +350,20 @@ class TestConfigValidation:
         }
         err = self._rejected(tmp_path, capsys, "dimension", doc, "system")
         assert "nilpotent" in err
+
+    @pytest.mark.parametrize("ratios,incidence,why", [
+        ([0.3, 0.3, 0.3], [[1, 1], [1, 0]], "3 edges"),
+        ([0.5, 0.3], [[1, 1, 1], [1, 1, 1], [1, 1, 1]], "2 edges"),
+        ([0.5, 0.3], [[1, 2], [1, 0]], "0 or 1"),
+    ])
+    def test_malformed_incidence(self, tmp_path, capsys, ratios, incidence, why):
+        with pytest.raises(ValueError, match=why):
+            similarity_system(ratios, incidence=incidence)
+        doc = {"system": {"kind": "similarity", "ratios": ratios,
+                          "incidence": incidence},
+               "numerics": {"word_length": 8}}
+        err = self._rejected(tmp_path, capsys, "dimension", doc, "system")
+        assert why in err
 
     @pytest.mark.parametrize("section,key,field", [
         ("numerics", "word_length", "numerics.word_length"),

@@ -1,10 +1,11 @@
-"""PressureKernel with a depth-2 potential: the trailing-window code.
+"""PressureKernel with depth-2 and depth-3 potentials: the trailing-window
+code.
 
 A depth-m potential leaves the last m-1 windows of every word without a
 full argument; both kernel modes bracket them by the inf/sup over
 admissible completions.  The brute-force sums here visit every word with
 ``itertools``, take each word's derivative at the fixed point of its
-composed map, and resolve the last window by the same inf/sup over
+composed map, and resolve the trailing windows by the same inf/sup over
 completions, so they must lie inside the enumerate bracket, which in turn
 lies inside the dp brackets.  The Gibbs quotients of ``moments`` must be
 the derivatives of the anchored ``value``, trailing windows included.
@@ -34,6 +35,14 @@ def _j2(w):
 J2 = potentials.depth_m(_j2, dim=2, depth=2, bound=5.0)
 
 
+def _j3(w):
+    a, b, c = w
+    return [0.2 * (a - c) + 0.1 * a * b * c, 0.15 * (a == c) - 0.05 * b]
+
+
+J3 = potentials.depth_m(_j3, dim=2, depth=3, bound=5.0)
+
+
 def _cf_maps():
     return (lambda k, x: 1.0 / (x + k),
             lambda k, x: -2.0 * math.log(x + k))
@@ -54,12 +63,17 @@ CASES = {
 }
 
 
-def _brute_force(maps, admissible, beta):
+def _brute_force(maps, admissible, J, beta):
     """(lower, upper) stage-n sums over every admissible word."""
     phi, dlog = maps
+    m = J.depth
+
+    def ok(w):
+        return all(admissible(w[i], w[i + 1]) for i in range(len(w) - 1))
+
     lows, highs = [], []
     for w in itertools.product((1, 2), repeat=N_WORDS):
-        if not all(admissible(w[i], w[i + 1]) for i in range(N_WORDS - 1)):
+        if not ok(w):
             continue
         x = 0.5
         for _ in range(200):
@@ -70,11 +84,18 @@ def _brute_force(maps, admissible, beta):
         for k in reversed(w):
             geo += dlog(k, y)
             y = phi(k, y)
-        full = sum(float(T @ J2.value(w[i:i + 2])) for i in range(N_WORDS - 1))
-        tail = [float(T @ J2.value((w[-1], c))) for c in (1, 2)
-                if admissible(w[-1], c)]
-        lows.append(full + min(tail) + beta * geo)
-        highs.append(full + max(tail) + beta * geo)
+        full = sum(float(T @ J.value(w[i:i + m])) for i in range(N_WORDS - m + 1))
+        # each trailing window of length l < m, over its admissible
+        # completions to an m-word
+        low = high = full + beta * geo
+        for l in range(1, m):
+            tail = [float(T @ J.value(w[-l:] + c))
+                    for c in itertools.product((1, 2), repeat=m - l)
+                    if ok(w[-l:] + c)]
+            low += min(tail)
+            high += max(tail)
+        lows.append(low)
+        highs.append(high)
 
     def logsum(v):
         m = max(v)
@@ -83,14 +104,21 @@ def _brute_force(maps, admissible, beta):
     return logsum(lows), logsum(highs)
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+# (case, potential): the depth-3 potential reads two-symbol suffixes and
+# three-symbol digit blocks of the word codes
+BRUTE_CASES = {name: (name, J2) for name in CASES}
+BRUTE_CASES.update({f"{name}-depth3": (name, J3) for name in CASES})
+
+
+@pytest.mark.parametrize("name", sorted(BRUTE_CASES))
 def test_enumerate_bracket_contains_brute_force(name):
-    sys, maps, admissible = CASES[name]
-    kern = PressureKernel(sys, J2, n=N_WORDS)
+    case, J = BRUTE_CASES[name]
+    sys, maps, admissible = CASES[case]
+    kern = PressureKernel(sys, J, n=N_WORDS)
     assert kern.mode == "enumerate"
     for beta in BETAS:
         lo, hi = kern.values(T, beta)
-        blo, bhi = _brute_force(maps, admissible, beta)
+        blo, bhi = _brute_force(maps, admissible, J, beta)
         assert blo <= bhi
         assert lo <= blo + EPS and bhi <= hi + EPS, (beta, lo, blo, bhi, hi)
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cgdms import potentials
+from cgdms import measures, potentials
 from cgdms.config import build_system
 from cgdms.errors import InvalidWordError
 from cgdms.measures import (BernoulliSpec, Q_of_bernoulli, Q_of_periodic,
@@ -197,6 +197,14 @@ class TestGenericWord:
         errors = [cp.error for cp in rep.checkpoints]
         assert all(cp.error <= cp.epsilon for cp in rep.checkpoints)
         assert errors[-1] <= max(errors[0], 1e-12)
+
+    def test_budget_caps_the_cycle_pool(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(measures, "Q_of_periodic",
+                            lambda *a: calls.append(a) or Q_of_periodic(*a))
+        construct_generic_word(SIM, J01, [0.5 / LOG2], [0.5], budget=1,
+                               max_period=3, truncation=2)
+        assert len(calls) == 1
 
     def test_unreachable_target_partial(self):
         rep = construct_generic_word(SIM, J01, [10.0], [0.5, 0.25],

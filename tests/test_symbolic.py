@@ -2,11 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cgdms.errors import InvalidWordError, NotIrreducibleError
 from cgdms.symbolic import (IncidenceMatrix, Multigraph, Word, count_words,
-                            enumerate_words, find_irreducibility_witness,
-                            is_admissible)
+                            enumerate_cycles, enumerate_words,
+                            find_irreducibility_witness, is_admissible)
 
 FULL = IncidenceMatrix.full()
 FLIP = IncidenceMatrix.from_dense([[0, 1], [1, 0]])
@@ -89,6 +91,65 @@ class TestEnumerateWords:
                 nxt = dense.T.astype(object) @ counts
                 assert count_words(A, n + 1, N) == int(nxt.sum())
                 counts = nxt
+
+
+@st.composite
+def incidence_and_words(draw):
+    """A random 0/1 matrix of side 2-4 and a (length, M) word table over
+    its alphabet."""
+    N = draw(st.integers(2, 4))
+    rows = draw(st.lists(st.lists(st.integers(0, 1), min_size=N, max_size=N),
+                         min_size=N, max_size=N))
+    length = draw(st.integers(1, 5))
+    M = draw(st.integers(1, 12))
+    syms = draw(st.lists(st.integers(1, N), min_size=length * M,
+                         max_size=length * M))
+    return rows, np.array(syms, dtype=np.int64).reshape(length, M)
+
+
+class TestIncidenceQuestions:
+    """Word tables and cycles agree with the pairwise ``entry`` oracle."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(incidence_and_words())
+    def test_admits_matches_entry(self, case):
+        rows, syms = case
+        A = IncidenceMatrix.from_dense(rows)
+        expect = [all(A.entry(int(w[i]), int(w[i + 1])) for i in range(len(w) - 1))
+                  for w in syms.T]
+        assert A.admits(syms).tolist() == expect
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(incidence_and_words(), st.integers(0, 4))
+    def test_cycles_match_brute_force(self, case, max_period):
+        rows, _ = case
+        N = len(rows)
+        A = IncidenceMatrix.from_dense(rows)
+        expect = [w for p in range(1, max_period + 1)
+                  for w in itertools.product(range(1, N + 1), repeat=p)
+                  if all(rows[w[i] - 1][w[(i + 1) % p] - 1] for i in range(p))]
+        assert list(enumerate_cycles(A, max_period, N)) == expect
+
+    def test_full_shift_admits_without_reading(self):
+        # symbols outside any alphabet are not looked at
+        assert FULL.admits(np.full((3, 4), -7)).all()
+
+    @pytest.mark.parametrize("matrix", ([[1, 2], [1, 0]], [[1, 0.5], [1, 1]],
+                                        [[1, 1, 1], [1, 1, 1]]))
+    def test_malformed_dense_rejected(self, matrix):
+        with pytest.raises(ValueError):
+            IncidenceMatrix.from_dense(matrix)
+
+    def test_side_must_match_alphabet(self):
+        with pytest.raises(ValueError, match="3 edges"):
+            IncidenceMatrix.from_dense([[1, 1], [1, 0]],
+                                       Multigraph.single_vertex(n_edges=3))
+        with pytest.raises(ValueError):
+            IncidenceMatrix.from_dense([[1, 1], [1, 0]], Multigraph.single_vertex())
+
+    def test_count_past_alphabet(self):
+        with pytest.raises(InvalidWordError):
+            count_words(FLIP, 2, 3)
 
 
 class TestIrreducibilityWitness:

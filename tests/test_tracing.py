@@ -38,3 +38,24 @@ def test_traced_names_exist():
                             "_legendre_newton", None)):
         missing.append("multifractal._legendre_newton")
     assert missing == []
+
+
+def test_kernel_attrs_read_the_kernel():
+    """``_kernel_attrs`` reads the enumerate tables of ``PressureKernel``;
+    its word count must be the number of admissible words."""
+    from cgdms import potentials
+    from cgdms.kernel import PressureKernel
+    from cgdms.symbolic import count_words
+    from cgdms.system import similarity_system
+
+    tracing = _tracing()
+    golden = similarity_system([0.5, 0.5], offsets=[0.0, 0.5],
+                               incidence=[[1, 1], [1, 0]])
+    J = potentials.zero(1)
+    enum = PressureKernel(golden, J, n=8)
+    dp = PressureKernel(golden, J, n=8, window=3)
+    assert tracing._kernel_attrs((enum,), None) == {
+        "mode": "enumerate", "n": 8, "window": 8, "N": 2,
+        "words": count_words(golden.incidence, 8, 2)}
+    assert tracing._kernel_attrs((dp,), None) == {
+        "mode": "dp", "n": 8, "window": 3, "N": 2, "words": 0}
