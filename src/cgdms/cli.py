@@ -177,7 +177,7 @@ def cmd_sets(rc: RunConfig, outdir: Path) -> list:
     cycles = rc.command_params.get("cycles")
     if cycles is None:
         cycles = [list(c) for c in enumerate_cycles(sysd.incidence, 2, N_small)]
-    specs = bernoulli_specs(rc.command_params, sysd)
+    specs = bernoulli_specs(rc.command_params, sysd, rc.potential)
     if not specs:
         specs = [measures.BernoulliSpec.finite(
             {k: 1.0 / N_small for k in range(1, N_small + 1)})]

@@ -13,8 +13,8 @@ from typing import Optional
 from . import potentials
 from .errors import ConfigError, InvalidWordError
 from .families import Custom1DFamily
-from .measures import BernoulliSpec
-from .potentials import PotentialVector
+from .measures import RULE_CUTOFF, BernoulliSpec
+from .potentials import PotentialVector, cycle_birkhoff
 from .symbolic import IncidenceMatrix, Multigraph, closed_cycle
 from .system import (SystemDescriptor, TailRule, moebius_cf_system,
                      similarity_system, truncated_cf_system)
@@ -181,6 +181,9 @@ def validate_config(doc: dict, command: str) -> RunConfig:
     seed = merged["seed"]
     if not _typed(seed, int) or seed < 0:
         raise ConfigError("numerics.seed", "must be a nonnegative integer")
+    if command in ("pressure", "beta", "spectrum", "sets"):  # read the potential
+        _check_declared(potential, system.effective_truncation(trunc),
+                        "potential.values")
     params = doc.get(command, {})
     if not isinstance(params, dict):
         raise ConfigError(command, "command parameters must be an object")
@@ -237,8 +240,8 @@ def _validate_command(command: str, params: dict, system: SystemDescriptor,
             if not _typed(pts, int) or pts < 2:
                 raise ConfigError(f"{command}.t_grid.points", "must be an int >= 2")
         if command == "sets":
-            bernoulli_specs(params, system)
-            _check_cycles(params, system)
+            bernoulli_specs(params, system, potential)
+            _check_cycles(params, system, potential)
     elif command == "counterexample":
         m = params.get("M_param", 100.0)
         if not _typed(m, (int, float)) or m <= 0:
@@ -254,11 +257,21 @@ def _validate_command(command: str, params: dict, system: SystemDescriptor,
         raise ConfigError("", f"unknown command {command!r}")
 
 
-def bernoulli_specs(params: dict, system: SystemDescriptor) -> list:
+def _check_declared(potential: PotentialVector, N: int, path: str) -> None:
+    """Every edge 1..N that a run reads must have a potential value."""
+    try:
+        potential.table(N)
+    except InvalidWordError as exc:
+        raise ConfigError(path, f"{exc}; the run reads edges 1..{N}") from exc
+
+
+def bernoulli_specs(params: dict, system: SystemDescriptor,
+                    potential: PotentialVector) -> list:
     """The measures of ``sets.bernoulli``: each entry names a closed-form
     ``rule`` (infinite alphabets only) or gives ``probs``, a map from edge
-    of ``system`` to mass summing to 1.  A malformed entry raises
-    :class:`ConfigError` naming its field."""
+    of ``system`` to mass summing to 1.  The potential must be declared on
+    every edge a measure reads (1..``RULE_CUTOFF`` for a rule).  A
+    malformed entry raises :class:`ConfigError` naming its field."""
     entries = _optional(params, "bernoulli", list, "sets", [])
     specs = []
     for i, entry in enumerate(entries):
@@ -272,14 +285,17 @@ def bernoulli_specs(params: dict, system: SystemDescriptor) -> list:
                     raise ValueError(
                         "infinite-support Bernoulli rules need an infinite-"
                         f"alphabet system; this one has {system.alphabet_size} edges")
+                _check_declared(potential, RULE_CUTOFF, path + ".rule")
                 specs.append(spec)
                 continue
             probs = _expect(entry, "probs", dict, path)
             if not all(_typed(p, (int, float)) for p in probs.values()):
                 raise ValueError("masses must be numbers")
             spec = BernoulliSpec.finite({int(k): float(p) for k, p in probs.items()})
-            for k, _ in spec.probs:
+            for k, p in spec.probs:
                 system.graph.check_edge(k)
+                if p > 0:
+                    potential.value((k,))
             specs.append(spec)
         except (ValueError, InvalidWordError) as exc:
             raise ConfigError(path + (".rule" if "rule" in entry else ".probs"),
@@ -287,15 +303,17 @@ def bernoulli_specs(params: dict, system: SystemDescriptor) -> list:
     return specs
 
 
-def _check_cycles(params: dict, system: SystemDescriptor) -> None:
-    """Each ``sets.cycles`` entry must close into an admissible cycle."""
+def _check_cycles(params: dict, system: SystemDescriptor,
+                  potential: PotentialVector) -> None:
+    """Each ``sets.cycles`` entry must close into an admissible cycle on
+    whose edges the potential is declared."""
     cycles = _optional(params, "cycles", list, "sets", [])
     for i, cyc in enumerate(cycles):
         path = f"sets.cycles[{i}]"
         if not isinstance(cyc, list) or not all(_typed(s, int) for s in cyc):
             raise ConfigError(path, "must be a list of edge indices")
         try:
-            closed_cycle(cyc, system.incidence)
+            cycle_birkhoff(potential, closed_cycle(cyc, system.incidence))
         except InvalidWordError as exc:
             raise ConfigError(path, str(exc)) from exc
 

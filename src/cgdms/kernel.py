@@ -5,9 +5,9 @@ log sums over admissible length-n words, lower using per-cylinder infima
 and upper using suprema):
 
 * ``enumerate``: every word is visited once with an exact per-word bracket;
-  feasible while truncation**length stays below a cap.  Words are grouped
-  by first symbol; each group is reduced in lexicographic order with
-  compensated summation and the groups are combined in symbol order.
+  feasible while truncation**length stays below a cap.  One flat table
+  holds every admissible word; a call scales the words' weights by their
+  largest and reduces them with one vectorized compensated sum.
 
 * ``dp``: cylinder brackets are refined only to a fixed window depth q and
   the sum is driven by a transfer recursion over (q-1)-gram states.  The
@@ -36,7 +36,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .potentials import PotentialVector
 from .system import SystemDescriptor
-from .util import combine_partition_sums
+from .util import compensated_sum
 
 EXACT_CAP = 1 << 17      # max truncation**length for per-word enumeration
 DP_WINDOW_CAP = 1 << 19  # max truncation**window for fused-mode tables
@@ -47,14 +47,13 @@ PERRON_LAZY = 0.1        # weight of v in the Perron step v <- vL + c*hi*v
 PERRON_ITER_CAP = 1000   # Perron steps per irreducible class and bracket
 
 
-def _symbol_grid(N: int, length: int, codes: np.ndarray) -> np.ndarray:
-    """Decode base-N codes into (length, M) symbol rows, first symbol most
-    significant, symbols 1-based."""
-    syms = np.empty((length, codes.size), dtype=np.int64)
-    c = codes.copy()
-    for i in range(length - 1, -1, -1):
-        syms[i] = c % N + 1
-        c //= N
+def _words(N: int, length: int) -> np.ndarray:
+    """Every word of ``length`` symbols as the columns of a (length,
+    N**length) array: column c holds the base-N digits of c, first symbol
+    most significant, symbols 1-based."""
+    syms = np.empty((length, N ** length), dtype=np.int64)
+    for i in range(length):
+        syms[i].reshape(N ** i, N, -1)[...] = np.arange(1, N + 1)[:, None]
     return syms
 
 
@@ -138,7 +137,7 @@ class _Tables:
 
         # potential values on admissible depth-m words
         m = J.depth
-        msyms = _symbol_grid(N, m, np.arange(N ** m))
+        msyms = _words(N, m)
         mvalid = inc.admits(msyms)
         jvals = np.zeros((N ** m, J.dim))
         for code in range(N ** m):
@@ -157,7 +156,7 @@ class _Tables:
 
         # full windows of depth q
         codes = np.arange(N ** q)
-        syms = _symbol_grid(N, q, codes)
+        syms = _words(N, q)
         self.win_valid = inc.admits(syms)
         self.win_ld_lo, self.win_ld_hi = fam.vec_suffix_then_head(syms, self.hull)
         self.win_jcode = codes // (N ** (q - m))  # first-m-symbol codes
@@ -171,7 +170,7 @@ class _Tables:
             if l >= m:
                 entry["jcode"] = pc // (N ** (l - m))
             entry["ld_lo"], entry["ld_hi"] = fam.vec_suffix_then_head(
-                _symbol_grid(N, l, pc), self.hull)
+                _words(N, l), self.hull)
 
     # -- potential projections -------------------------------------------
     def j_dot(self, t: np.ndarray) -> np.ndarray:
@@ -248,79 +247,95 @@ class PressureKernel:
     # enumerate mode
     # ------------------------------------------------------------------
     def _build_exact(self):
+        """The flat word table: per admissible word, in lexicographic
+        order, its log-derivative bracket, exact potential sum and the
+        codes of its trailing windows.  Words are decoded one first-symbol
+        block at a time, which bounds the transient symbol grid."""
         N, n, tab = self.N, self.n, self.tables
         fam = self.sys.family
-        m = self.J.depth
-        self._parts = []
-        block = N ** (n - 1)
-        for first in range(1, N + 1):
-            codes = np.arange((first - 1) * block, first * block)
-            syms = _symbol_grid(N, n, codes)
+        tails = _words(N, n - 1).T
+        block = tails.shape[0]
+        blocks = []
+        for first in range(N):
+            # Fortran order fixes the summation order of vec_word_log_deriv;
+            # boolean column selection keeps it
+            rows = np.empty((block, n), dtype=np.int64)
+            rows[:, 0] = first + 1
+            rows[:, 1:] = tails
+            syms = rows.T
             valid = self.sys.incidence.admits(syms)
-            if not valid.any():
-                self._parts.append(None)
-                continue
-            # copied even on a full shift: the copy is Fortran-ordered,
-            # which fixes the summation order of vec_word_log_deriv
-            syms = syms[:, valid]
-            codes = codes[valid]
-            ld_lo, ld_hi = fam.vec_word_log_deriv(syms, tab.hull)
-            # exact potential windows: window i covers symbols i..i+m-1,
-            # whose m-gram code is a digit block of the word code
-            jsum = np.zeros((codes.size, self.J.dim))
-            for i in range(n - m + 1):
-                jsum += tab.jvals[codes // N ** (n - m - i) % N ** m]
+            if not valid.all():
+                syms = syms[:, valid]
+            if syms.shape[1]:
+                blocks.append((first * block + np.flatnonzero(valid),
+                               *fam.vec_word_log_deriv(syms, tab.hull)))
+        if not blocks:  # no admissible word of this length
+            blocks.append((np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0)))
+        codes, ld_lo, ld_hi = (np.concatenate(c) for c in zip(*blocks))
+        self._table = {
+            "ld_lo": ld_lo, "ld_hi": ld_hi,
+            "jsum": self._word_jsums()[codes],
             # trailing windows: the codes of the suffixes of length l < m
-            tcodes = {l: codes % N ** l for l in range(1, m)}
-            self._parts.append({
-                "ld_lo": ld_lo, "ld_hi": ld_hi, "jsum": jsum,
-                "tcodes": tcodes,
-            })
+            "tcodes": {l: codes % N ** l for l in range(1, self.J.depth)},
+        }
+        # a one-element list read only by bench/tracing.py, which counts
+        # the enumerated words over its entries
+        self._parts = [self._table]
+
+    def _word_jsums(self) -> np.ndarray:
+        """Exact potential sums of every length-n word, indexed by word
+        code: its windows i = 0..n-m, window i covering symbols i..i+m-1,
+        added left to right.  A word of length L is its (L-1)-symbol head
+        plus one symbol, and its last window is its last m symbols, so each
+        length takes one broadcast addition; inadmissible m-grams read 0."""
+        N, n, m, d = self.N, self.n, self.J.depth, self.J.dim
+        jvals = self.tables.jvals
+        s = jvals
+        for L in range(m + 1, n + 1):
+            s = (s.reshape(N ** (L - m), N ** (m - 1), 1, d)
+                 + jvals.reshape(1, N ** (m - 1), N, d)).reshape(N ** L, d)
+        return s
 
     def _enum_logsum(self, t, beta, which, grad):
-        """Per-word reduction: each part's exponents at the ``which`` point
-        of their brackets, summed with compensation and combined in symbol
-        order.  With ``grad`` it also sums the same weights times the t-
-        and -beta-derivatives of their exponents: the word's J sum plus the
-        J of the trailing completions attaining the picked bound (their
-        mean at 'mid'), and -ld."""
-        tab, d = self.tables, self.J.dim
+        """Per-word reduction over the flat table: every word's exponent at
+        the ``which`` point of its bracket, scaled by the largest and summed
+        in one compensated sum.  With ``grad`` the same sum carries the same
+        weights times the t- and -beta-derivatives of their exponents, as
+        the columns of one (M, d+2) array: the word's J sum plus the J of
+        the trailing completions attaining the picked bound (their mean at
+        'mid'), and -ld.  Column 0 is the weight itself, summed exactly as
+        without ``grad``."""
+        tab, tbl, d = self.tables, self._table, self.J.dim
         u = tab.j_dot(t)
-        trail = {l: tab.part_j_bounds(l, u) for l in range(1, self.J.depth)}
-        sums, accs = [], []
-        for part in self._parts:
-            if part is None:
-                continue
-            base = part["jsum"] @ t
-            lo = base + beta * part["ld_lo"]
-            hi = base + beta * part["ld_hi"]
-            dj = part["jsum"]
-            for l, code in part["tcodes"].items():
-                jlo, jhi, clo, chi = trail[l]
-                lo = lo + jlo[code]
-                hi = hi + jhi[code]
-                if grad:
-                    dj = dj + _pick(tab.jvals[clo], tab.jvals[chi], which)[code]
-            w = _pick(lo, hi, which)
-            mx = float(w.max())
-            if mx == -math.inf:
-                continue
-            wts = np.exp(w - mx)
-            sums.append((mx, math.fsum(wts.tolist())))
-            if grad:
-                di = -_pick(part["ld_lo"], part["ld_hi"], which)
-                accs.append([math.fsum((wts * dj[:, i]).tolist()) for i in range(d)]
-                            + [math.fsum((wts * di).tolist())])
-        value = combine_partition_sums(sums) / self.n
+        trail = {l: tab.part_j_bounds(l, u) for l in tbl["tcodes"]}
+        base = tbl["jsum"] @ t
+
+        def exponents(side):
+            e = base + beta * _pick(tbl["ld_lo"], tbl["ld_hi"], side)
+            for l, code in tbl["tcodes"].items():
+                e = e + _pick(trail[l][0], trail[l][1], side)[code]
+            return e
+
+        w = (_pick(exponents("inf"), exponents("sup"), which) if which == "mid"
+             else exponents(which))
+        mx = float(w.max(initial=-math.inf))
+        if mx == -math.inf:
+            return -math.inf, None, None
+        wts = np.exp(w - mx)
         if not grad:
-            return value, None, None
-        m0 = max(m for m, _ in sums)
-        wtot = math.fsum(s * math.exp(m - m0) for m, s in sums)
-        acc = np.zeros(d + 1)
-        for (m, _), a in zip(sums, accs):
-            acc += np.array(a) * math.exp(m - m0)
-        acc /= wtot * self.n
-        return value, acc[:d], float(acc[d])
+            return (mx + math.log(compensated_sum(wts))) / self.n, None, None
+        dj = tbl["jsum"]
+        for l, code in tbl["tcodes"].items():
+            _, _, clo, chi = trail[l]
+            dj = dj + _pick(tab.jvals[clo], tab.jvals[chi], which)[code]
+        cols = np.empty((wts.size, d + 2), order="F")
+        cols[:, 0] = wts
+        np.multiply(wts[:, None], dj, out=cols[:, 1:d + 1])
+        np.multiply(wts, -_pick(tbl["ld_lo"], tbl["ld_hi"], which), out=cols[:, d + 1])
+        sums = compensated_sum(cols)
+        scale = sums[0] * self.n
+        return ((mx + math.log(sums[0])) / self.n, sums[1:d + 1] / scale,
+                float(sums[d + 1] / scale))
 
     # ------------------------------------------------------------------
     # dp mode
@@ -464,11 +479,13 @@ class PressureKernel:
         """(value, J quotient, I quotient) under the anchored weights.
 
         One reduction yields all three, so the value is :meth:`value`
-        exactly and the quotients are the exact partial derivatives of it
-        with respect to t and -beta, at every potential depth: a trailing
-        window contributes the J of the completion its anchored bound
-        picks.  Finite differences of the anchored root and these
-        quotients agree up to differencing error by construction.
+        bit for bit (in enumerate mode the weights are column 0 of the one
+        compensated sum, which reduces every column independently) and the
+        quotients are the exact partial derivatives of it with respect to
+        t and -beta, at every potential depth: a trailing window
+        contributes the J of the completion its anchored bound picks.
+        Finite differences of the anchored root and these quotients agree
+        up to differencing error by construction.
         """
         return self._logsum(t, beta, _ANCHOR[self.mode], grad=True)
 

@@ -82,15 +82,19 @@ class BernoulliSpec:
 
 
 def _heavy_norm() -> float:
-    # sum of 1/(k log(k+1)^2): partial sum plus integral-test remainder
+    """An upper bound, within 1e-7, on the sum of 1/(k log(k+1)^2): the
+    partial sum to K plus the upper end of the integral test's remainder
+    range [1/log(K+2), 1/log K].  The rule's masses then sum to at most 1,
+    and ``Q_of_bernoulli``'s ``tail_mass`` covers the rest."""
     K = 200000
     ks = np.arange(1, K + 1, dtype=float)
     partial = math.fsum((1.0 / (ks * np.log(ks + 1.0) ** 2)).tolist())
-    rem = 1.0 / math.log(K + 1.0)  # int_K^inf dx/(x log^2 x) = 1/log K, padded
-    return partial + rem * 0.5
+    return partial + 1.0 / math.log(K)
 
 
 _HEAVY_NORM = None
+# edges a named rule reads exactly; the rest is its closed-form tail
+RULE_CUTOFF = 50000
 
 
 def _rule_mass(rule: str, k):
@@ -170,7 +174,7 @@ def Q_of_periodic(sys: SystemDescriptor, J: PotentialVector, cycle,
 
 def Q_of_bernoulli(sys: SystemDescriptor, J: PotentialVector,
                    spec: BernoulliSpec, n_mc: int = 0, seed: int = 0,
-                   rule_cutoff: int = 50000) -> MeasureSummary:
+                   rule_cutoff: int = RULE_CUTOFF) -> MeasureSummary:
     """Quotient value of a Bernoulli measure.
 
     Potential means are exact for depth-1 potentials (weighted symbol

@@ -23,6 +23,9 @@ class PotentialVector:
     depth: int
     eval: Callable[[tuple], np.ndarray]
     bound: float
+    # depth-1 only: the values of an integer array of K edges as a (K, dim)
+    # array, equal to ``eval`` edge by edge; :meth:`table` reads it
+    eval_edges: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.dim < 1 or self.depth < 1:
@@ -46,10 +49,14 @@ class PotentialVector:
         if self.depth != 1:
             raise ValueError("symbol table only defined for depth-1 potentials")
         out = np.zeros((N + 1, self.dim))
-        out[1:] = np.reshape([self.eval((k,)) for k in range(1, N + 1)], (N, self.dim))
-        over = np.abs(out).max(axis=1) > self.bound + 1e-12
+        if self.eval_edges is not None:
+            out[1:] = self.eval_edges(np.arange(1, N + 1))
+        else:
+            out[1:] = np.reshape([self.eval((k,)) for k in range(1, N + 1)],
+                                 (N, self.dim))
+        over = np.abs(out) > self.bound + 1e-12
         if over.any():
-            k = int(over.argmax())
+            k = int(over.any(axis=1).argmax())
             raise ValueError(f"potential value {out[k]} on edge {k} exceeds declared bound {self.bound}")
         return out
 
@@ -67,15 +74,33 @@ def from_table(values: dict, dim: Optional[int] = None) -> PotentialVector:
     if not tab:
         raise ValueError("empty table")
     d = dim if dim is not None else len(next(iter(tab.values())))
+    for k, v in tab.items():
+        if k < 1:
+            raise ValueError(f"edge {k} is not a positive edge index")
+        if v.size != d:
+            raise ValueError(f"value of edge {k} has length {v.size}, not {d}")
     bound = max(float(np.abs(v).max()) for v in tab.values())
+    keys = np.array(sorted(tab))
+    rows = np.array([tab[k] for k in keys.tolist()])
+
+    def missing(k):
+        return InvalidWordError(f"no potential value declared for edge {k}")
 
     def ev(w):
         k = w[0]
         if k not in tab:
-            raise InvalidWordError(f"no potential value declared for edge {k}")
+            raise missing(k)
         return tab[k]
 
-    return PotentialVector(dim=d, depth=1, eval=ev, bound=bound)
+    def ev_edges(ks):
+        at = np.minimum(np.searchsorted(keys, ks), keys.size - 1)
+        absent = keys[at] != ks
+        if absent.any():
+            raise missing(int(ks[absent.argmax()]))
+        return rows[at]
+
+    return PotentialVector(dim=d, depth=1, eval=ev, bound=bound,
+                           eval_edges=ev_edges)
 
 
 def mod_cycle(tables: Sequence[Sequence[float]]) -> PotentialVector:
@@ -86,23 +111,30 @@ def mod_cycle(tables: Sequence[Sequence[float]]) -> PotentialVector:
         raise ValueError("each component table must be nonempty")
     d = len(tabs)
     bound = max(max(abs(x) for x in t) for t in tabs)
+    arrays = [np.array(t) for t in tabs]
 
     def ev(w):
         k = w[0]
         return np.array([t[k % len(t)] for t in tabs])
 
-    return PotentialVector(dim=d, depth=1, eval=ev, bound=bound)
+    def ev_edges(ks):
+        return np.stack([a[ks % a.size] for a in arrays], axis=1)
+
+    return PotentialVector(dim=d, depth=1, eval=ev, bound=bound,
+                           eval_edges=ev_edges)
 
 
 def zero(dim: int = 1) -> PotentialVector:
     return PotentialVector(dim=dim, depth=1,
-                           eval=lambda w: np.zeros(dim), bound=0.0)
+                           eval=lambda w: np.zeros(dim), bound=0.0,
+                           eval_edges=lambda ks: np.zeros((ks.size, dim)))
 
 
 def constant(values: Sequence[float]) -> PotentialVector:
     v = np.atleast_1d(np.asarray(values, dtype=float))
     return PotentialVector(dim=len(v), depth=1,
-                           eval=lambda w: v, bound=float(np.abs(v).max()))
+                           eval=lambda w: v, bound=float(np.abs(v).max()),
+                           eval_edges=lambda ks: np.tile(v, (ks.size, 1)))
 
 
 def depth_m(fn: Callable[[tuple], Sequence[float]], dim: int, depth: int,

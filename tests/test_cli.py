@@ -342,6 +342,40 @@ class TestConfigValidation:
         err = self._rejected(tmp_path, capsys, "sets", doc, "sets.cycles[1]")
         assert "2 -> 2 inadmissible" in err
 
+    # a table potential declared on edges 1..3 only
+    TABLE3 = {"kind": "table", "values": {"1": [0.0], "2": [1.0], "3": [0.5]}}
+
+    def test_table_missing_an_edge_of_the_truncation(self, tmp_path, capsys):
+        doc = {"system": {"kind": "moebius-cf", "alphabet": 4},
+               "potential": {"kind": "table",
+                             "values": {"1": [0.0], "2": [1.0]}},
+               "numerics": {"word_length": 6},
+               "pressure": {"beta_grid": [1.0]}}
+        err = self._rejected(tmp_path, capsys, "pressure", doc,
+                             "potential.values")
+        assert "edge 3" in err
+
+    @pytest.mark.parametrize("measure,field,edge", [
+        ({"rule": "inverse-square"}, "sets.bernoulli[0].rule", "edge 4"),
+        ({"probs": {"1": 0.5, "7": 0.5}}, "sets.bernoulli[0].probs", "edge 7"),
+    ])
+    def test_table_missing_an_edge_of_a_measure(self, tmp_path, capsys,
+                                                measure, field, edge):
+        doc = self._sets(bernoulli=[measure], t_grid={
+            "min": [-1.0], "max": [1.0], "points": 3})
+        doc["potential"] = self.TABLE3
+        doc["numerics"] = dict(doc["numerics"], truncation=3)
+        err = self._rejected(tmp_path, capsys, "sets", doc, field)
+        assert edge in err
+
+    def test_table_missing_an_edge_of_a_cycle(self, tmp_path, capsys):
+        doc = self._sets(cycles=[[1, 9]], t_grid={
+            "min": [-1.0], "max": [1.0], "points": 3})
+        doc["potential"] = self.TABLE3
+        doc["numerics"] = dict(doc["numerics"], truncation=3)
+        err = self._rejected(tmp_path, capsys, "sets", doc, "sets.cycles[0]")
+        assert "edge 9" in err
+
     def test_nilpotent_incidence(self, tmp_path, capsys):
         doc = {
             "system": {"kind": "similarity", "ratios": [0.5, 0.3],

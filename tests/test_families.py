@@ -219,8 +219,8 @@ class TestElementwiseIntervals:
 
     @staticmethod
     def _windows(N=3, q=5):
-        from cgdms.kernel import _symbol_grid
-        return _symbol_grid(N, q, np.arange(N ** q))
+        from cgdms.kernel import _words
+        return _words(N, q)
 
     def test_custom_tables_equal_per_column_word_operations(self):
         fam = Custom1DFamily("1/(x+k)", "(x+k)^-2", contraction_bound=0.5,

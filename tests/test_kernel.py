@@ -174,3 +174,37 @@ def test_moments_are_the_derivatives_of_value(name, J):
         fd = (kern.value(T, beta + FD_STEP)
               - kern.value(T, beta - FD_STEP)) / (2 * FD_STEP)
         assert abs(iq + fd) < 1e-7, (beta, iq, -fd)
+
+
+@pytest.mark.parametrize("J", (MOD23_J, J3), ids=("depth1", "depth3"))
+def test_enumerate_value_matches_fsum_oracle(J):
+    """On the golden-mean incidence the anchored value is the log of the
+    fsum of every admissible word's weight: its exact J sum plus, for each
+    trailing window, the largest completion, plus beta times the upper end
+    of its log-derivative bracket in the flat table."""
+    sys, _, admissible = CASES["golden-mean"]
+    kern = PressureKernel(sys, J, n=N_WORDS)
+    assert kern.mode == "enumerate"
+    m = J.depth
+
+    def ok(w):
+        return all(admissible(a, b) for a, b in zip(w, w[1:]))
+
+    words = [w for w in itertools.product((1, 2), repeat=N_WORDS) if ok(w)]
+    table = kern._table
+    assert table["ld_hi"].size == len(words)
+    for beta in BETAS:
+        exps = []
+        for w, ld in zip(words, table["ld_hi"]):
+            e = sum(float(T @ J.value(w[i:i + m])) for i in range(N_WORDS - m + 1))
+            for l in range(1, m):
+                e += max(float(T @ J.value(w[-l:] + c))
+                         for c in itertools.product((1, 2), repeat=m - l)
+                         if ok(w[-l:] + c))
+            exps.append(e + beta * ld)
+        top = max(exps)
+        oracle = (top + math.log(math.fsum(math.exp(e - top) for e in exps))) / N_WORDS
+        value = kern.value(T, beta)
+        # the oracle adds each word's exponent in another order
+        assert abs(value - oracle) <= 4 * math.ulp(oracle), (beta, value, oracle)
+        assert kern.moments(T, beta)[0] == value

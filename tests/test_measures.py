@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -75,6 +76,28 @@ class TestQOfPeriodic:
                                   incidence=[[1, 1], [0, 1]])
         with pytest.raises(InvalidWordError):
             Q_of_periodic(gated, J01, (1, 2))
+
+
+def _heavy_log_sum(r, p):
+    """mpmath value of the sum of 1/(k log(k+1)^2) over k = p*j + r, j >= 0.
+    The terms with j < 2000 are summed exactly and the rest by
+    Euler-Maclaurin, the integral after the substitution x = e^u; the
+    extrapolations of ``mpmath.nsum`` miss this slowly converging series
+    (by 0.11 and 0.014 at p = 1)."""
+    with mpmath.workdps(30):
+        def term(j):
+            k = p * j + r
+            return 1 / (k * mpmath.log(k + 1) ** 2)
+
+        jc = 2000
+        head = mpmath.fsum(term(j) for j in range(jc))
+        x0 = mpmath.log(p * jc + r)
+        # int_jc^inf term(j) dj = (1/p) int_{p*jc+r}^inf dx / (x log(x+1)^2)
+        integral = mpmath.quad(lambda u: 1 / mpmath.log(mpmath.exp(u) + 1) ** 2,
+                               [x0, 2 * x0, 100, mpmath.inf]) / p
+        em = (term(jc) / 2 - mpmath.diff(term, jc, 1) / 12
+              + mpmath.diff(term, jc, 3) / 720)
+        return head + integral + em
 
 
 class TestQOfBernoulli:
@@ -169,6 +192,24 @@ class TestQOfBernoulli:
         assert custom.J_mean == closed.J_mean
         assert custom.I_mean.lo == pytest.approx(closed.I_mean.lo, rel=1e-12)
         assert custom.I_mean.hi == pytest.approx(closed.I_mean.hi, rel=1e-12)
+
+    def test_heavy_log_normalizer_bounds_the_series(self):
+        """The masses 1/(k log(k+1)^2)/norm sum to at most 1, and by less
+        than 1e-7 of slack."""
+        exact = _heavy_log_sum(1, 1)
+        norm = measures._heavy_norm()
+        assert exact <= norm <= exact + 1e-7
+        assert norm == pytest.approx(3.3877355, abs=1e-7)
+
+    def test_heavy_log_J_enclosure_contains_the_mean(self):
+        """J is -1 on the edges 1 mod 100 and 1 elsewhere, so the mass
+        beyond the cutoff moves the mean by about the tail mass; the
+        enclosure's tail_mass must cover it."""
+        J = potentials.mod_cycle([[1.0, -1.0] + [1.0] * 98])
+        exact = _heavy_log_sum(1, 1)
+        mean = float(1 - 2 * _heavy_log_sum(1, 100) / exact)
+        summ = Q_of_bernoulli(CF, J, BernoulliSpec.named("heavy-log"))
+        assert summ.J_mean[0].lo <= mean <= summ.J_mean[0].hi, (summ.J_mean, mean)
 
     def test_probability_validation(self):
         with pytest.raises(ValueError):
@@ -277,3 +318,29 @@ class TestPotentialTable:
         J.table(2)
         with pytest.raises(ValueError, match="edge 3 exceeds declared bound"):
             J.table(5)
+
+    @pytest.mark.parametrize("J,N", (
+        (MOD23_J, 50000), (potentials.zero(3), 7),
+        (potentials.constant([0.5, -2.0]), 7),
+        (potentials.from_table({1: [0.25, -0.0], 2: [-1.5, 3.0], 3: [0.1, 0.2]}), 3)),
+        ids=("mod-cycle", "zero", "constant", "from-table"))
+    def test_array_path_equals_the_edge_loop(self, J, N):
+        loop = np.reshape([J.eval((k,)) for k in range(1, N + 1)], (N, J.dim))
+        tab = J.table(N)[1:]
+        assert J.eval_edges is not None
+        assert np.array_equal(tab, loop)
+        assert np.array_equal(np.signbit(tab), np.signbit(loop))
+
+    def test_undeclared_table_edge_is_named(self):
+        J = potentials.from_table({1: [0.0], 3: [1.0]})
+        J.table(1)
+        with pytest.raises(InvalidWordError, match="edge 2"):
+            J.table(3)
+        with pytest.raises(InvalidWordError, match="edge 3"):
+            J01.table(4)
+
+    def test_malformed_table_rejected(self):
+        with pytest.raises(ValueError, match="length 1, not 2"):
+            potentials.from_table({1: [0.0, 1.0], 2: [1.0]})
+        with pytest.raises(ValueError, match="edge 0"):
+            potentials.from_table({0: [0.0], 1: [1.0]})
