@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import measures, multifractal, thermo
-from .config import (TOOL_VERSION, RunConfig, bernoulli_specs, expand_t_grid,
-                     load_config, validate_config)
+from .config import (TOOL_VERSION, RunConfig, expand_t_grid, load_config,
+                     validate_config)
 from .errors import CgdmsError, ConfigError
 from .kernel import PressureKernel
 from .symbolic import enumerate_cycles
@@ -124,11 +124,12 @@ def cmd_beta(rc: RunConfig, outdir: Path) -> list:
     rows = []
     for t in t_points:
         tv = tuple(float(x) for x in (t if isinstance(t, list) else [t]))
-        kw = dict(n=rc.word_length, N=rc.truncation, window=rc.window)
-        # one stage kernel serves the Gibbs means and both gradients
-        kw["solver"] = multifractal.BetaSolver(rc.system, rc.potential, **kw)
-        bp = multifractal.solve_beta(rc.system, rc.potential, tv, rc.tolerance, **kw)
-        gr = multifractal.grad_beta(rc.system, rc.potential, tv, rc.tolerance, **kw)
+        # one solver per t-point serves the Gibbs means and both gradients;
+        # a shared one would warm-start each limit bracket from the last
+        s = multifractal.BetaSolver(rc.system, rc.potential, n=rc.word_length,
+                                    N=rc.truncation, window=rc.window)
+        bp = multifractal.solve_beta(rc.system, rc.potential, tv, rc.tolerance, solver=s)
+        gr = multifractal.grad_beta(rc.system, rc.potential, tv, rc.tolerance, solver=s)
         rows.append(list(tv) + [bp.beta.lo, bp.beta.hi, bp.estimate]
                     + list(gr.primary) + [int(gr.flagged)])
     path = outdir / "beta.csv"
@@ -177,14 +178,13 @@ def cmd_sets(rc: RunConfig, outdir: Path) -> list:
     cycles = rc.command_params.get("cycles")
     if cycles is None:
         cycles = [list(c) for c in enumerate_cycles(sysd.incidence, 2, N_small)]
-    specs = bernoulli_specs(rc.command_params, sysd, rc.potential)
+    specs = rc.bernoulli
     if not specs:
         specs = [measures.BernoulliSpec.finite(
             {k: 1.0 / N_small for k in range(1, N_small + 1)})]
     kl = multifractal.estimate_KL(sysd, rc.potential,
                                   bernoulli_specs=specs, cycles=cycles,
-                                  m_points=[g for _, g in mres.points],
-                                  seed=rc.seed)
+                                  m_points=[g for _, g in mres.points])
     paths = []
     for name, pts in (("m_points", [g for _, g in mres.points]),
                       ("k_points", kl.K_points), ("l_points", kl.L_points)):

@@ -43,6 +43,7 @@ class RunConfig:
     workers: int
     seed: int
     command_params: dict = field(default_factory=dict)
+    bernoulli: list = field(default_factory=list)  # validated sets.bernoulli
 
 
 def _typed(val, types) -> bool:
@@ -187,15 +188,16 @@ def validate_config(doc: dict, command: str) -> RunConfig:
     params = doc.get(command, {})
     if not isinstance(params, dict):
         raise ConfigError(command, "command parameters must be an object")
-    _validate_command(command, params, system, potential)
+    specs = _validate_command(command, params, system, potential)
     return RunConfig(raw=doc, system=system, potential=potential,
                      word_length=wl, truncation=trunc, window=window,
                      tolerance=float(tol), workers=workers, seed=seed,
-                     command_params=params)
+                     command_params=params, bernoulli=specs)
 
 
 def _validate_command(command: str, params: dict, system: SystemDescriptor,
-                      potential: PotentialVector):
+                      potential: PotentialVector) -> list:
+    """Check the command's parameters; return the ``sets.bernoulli`` specs."""
     d = potential.dim
 
     def check_vectors(key, allow_empty=True):
@@ -240,8 +242,9 @@ def _validate_command(command: str, params: dict, system: SystemDescriptor,
             if not _typed(pts, int) or pts < 2:
                 raise ConfigError(f"{command}.t_grid.points", "must be an int >= 2")
         if command == "sets":
-            bernoulli_specs(params, system, potential)
+            specs = bernoulli_specs(params, system, potential)
             _check_cycles(params, system, potential)
+            return specs
     elif command == "counterexample":
         m = params.get("M_param", 100.0)
         if not _typed(m, (int, float)) or m <= 0:
@@ -255,6 +258,7 @@ def _validate_command(command: str, params: dict, system: SystemDescriptor,
         pass
     else:
         raise ConfigError("", f"unknown command {command!r}")
+    return []
 
 
 def _check_declared(potential: PotentialVector, N: int, path: str) -> None:

@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .families import MoebiusCFFamily
 from .potentials import PotentialVector, cycle_birkhoff
 from .symbolic import (Word, closed_cycle, enumerate_cycles,
                        find_irreducibility_witness, is_admissible)
@@ -72,14 +73,6 @@ class BernoulliSpec:
             raise ValueError(f"unknown Bernoulli rule {rule!r}")
         return cls(rule=rule, entropy=_rule_entropy(rule))
 
-    def mass(self, k: int) -> float:
-        if self.probs is not None:
-            for kk, p in self.probs:
-                if kk == k:
-                    return p
-            return 0.0
-        return float(_rule_mass(self.rule, k))
-
 
 def _heavy_norm() -> float:
     """An upper bound, within 1e-7, on the sum of 1/(k log(k+1)^2): the
@@ -109,7 +102,7 @@ def _rule_mass(rule: str, k):
     return 1.0 / (k * np.log(k + 1.0) ** 2) / _HEAVY_NORM
 
 
-# config validation and the sets command both build each named spec
+# config validation builds each named spec; runs in one process share it
 @functools.lru_cache(maxsize=None)
 def _rule_entropy(rule: str) -> float:
     if rule == "heavy-log":
@@ -228,15 +221,23 @@ def Q_of_bernoulli(sys: SystemDescriptor, J: PotentialVector,
 
 
 def _rule_I_tail_upper(sys: SystemDescriptor, rule: str, K: int) -> float:
-    """Upper bound on the weighted geometric tail beyond the cutoff.
+    """Upper bound on sum_{k>K} p_k sup I_k (I_k = -log|phi_k'|); +inf for
+    the divergent heavy-log rule and for a system without a tail rule.
 
-    For the inverse-square rule the summand p_k * sup I decays like
-    log(k+1)/k**2 whose integral tail is closed form; the heavy-log rule
-    diverges and honestly reports +inf."""
-    if rule == "inverse-square":
+    Continued fractions have sup I_k <= 2 log(k+1).  A tail rule with
+    exponent p gives inf|phi_k'| >= c_lower k**-p / D for the distortion
+    constant D, so sup I_k <= p log k + max(0, log(D/c_lower))."""
+    if rule != "inverse-square":
+        return math.inf
+    if isinstance(sys.family, MoebiusCFFamily):
         # sum_{k>K} 2 log(k+1) k^-2 / S <= 2/S * (log(K+1)/K + log(1+1/K))
         return 2.0 / BASEL_SUM * (math.log(K + 1.0) / K + math.log(1.0 + 1.0 / K))
-    return math.inf
+    tail = sys.tail_rule
+    if tail is None:
+        return math.inf
+    # sum_{k>K} log(k) k^-2 <= (log K + 1)/K and sum_{k>K} k^-2 <= 1/K
+    c = max(0.0, math.log(sys.family.distortion_constant / tail.c_lower))
+    return (tail.exponent * (math.log(K) + 1.0) + c) / (K * BASEL_SUM)
 
 
 def _mc_I_mean(sys: SystemDescriptor, spec: BernoulliSpec, n_mc: int, seed: int):

@@ -1,14 +1,11 @@
 """The implicit pressure-zero surface beta(t), its Legendre transform, and
 the attainable value sets of Birkhoff quotients.
 
-For each parameter vector t the scalar beta(t) is the unique zero in beta
-of the pressure of <t,J> - beta*I.  Enclosures bracket the limit pressure
-with the window transfer matrix; roots, gradients, Hessians and descent
-use the anchored smooth value of the stage-n partition sum.  The
-gradient is estimated primarily by the weighted word-sum quotient, which
-is by construction the exact derivative of the anchored stage value, so
-the independent finite-difference estimate of the same root function must
-agree with it up to differencing error; a disagreement flags a defect.
+beta(t) is the zero in beta of the pressure of <t,J> - beta*I.  Enclosures
+bracket the limit pressure with the window transfer matrix; roots,
+gradients, Hessians and Newton steps come from one :class:`BetaSolver`
+over the anchored stage-n value, whose exact gradient is the weighted
+word-sum quotient.
 """
 
 from __future__ import annotations
@@ -32,6 +29,14 @@ BACKTRACK = 0.5
 FD_GRAD_STEP = 1e-4
 FD_HESS_STEP = 5e-3
 DEFAULT_STAGES = 128
+PD_TOL = 1e-8          # smallest Hessian eigenvalue counted as positive
+ESCAPE_NORM = 256.0    # |t| past which a stalled objective is a boundary limit
+# independence certificate: relative rank cutoff, and the short cycles a
+# dependence witness must annihilate to within VERIFY_TOL
+RANK_TOL = 1e-9
+PROBE_PERIOD = 3
+PROBE_TRUNCATION = 8
+VERIFY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -76,7 +81,6 @@ class HessianResult:
     matrix: tuple
     eigenvalues: tuple
     positive_definite: bool
-    tolerance: float
 
 
 @dataclass(frozen=True)
@@ -106,10 +110,12 @@ class KLEstimate:
 
 
 class BetaSolver:
-    """Shared root/gradient/Hessian engine over one anchored kernel.
+    """The one root/gradient/Hessian engine of the multifractal layer.
 
-    Roots are cached per t.  All numerical differentiation steps are
-    pinned constants so results are reproducible.
+    Roots and exact gradients are memoized per t; the Hessian is the
+    symmetrized central difference of the exact gradient.  The solver
+    also owns the kernel that certifies beta.  All differentiation steps
+    are pinned constants so results are reproducible.
     """
 
     def __init__(self, sys: SystemDescriptor, J: PotentialVector, *,
@@ -118,7 +124,21 @@ class BetaSolver:
         self.sys = sys
         self.J = J
         self.kern = PressureKernel(sys, J, n=n, N=N, window=window)
+        self._window = window or dp_window(sys, J, self.kern.N, n)
+        self._limit: Optional[PressureKernel] = None
         self._cache: dict = {}
+        self._grads: dict = {}
+
+    def certifier(self) -> PressureKernel:
+        """The dp-mode kernel whose window bracket certifies beta: the
+        stage kernel when it runs dp at the certification window
+        (``window``, or :func:`~cgdms.kernel.dp_window` at level n), else
+        a limit kernel at that window, built on first use."""
+        if self._limit is None:
+            kern, q = self.kern, self._window
+            reuse = kern.mode == "dp" and kern.window == q
+            self._limit = kern if reuse else limit_kernel(self.sys, self.J, kern.N, q)
+        return self._limit
 
     def root(self, t) -> float:
         """beta solving the anchored stage pressure at t.
@@ -137,39 +157,32 @@ class BetaSolver:
         return self.grad_with_means(t)[0]
 
     def grad_with_means(self, t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        beta = self.root(t)
-        _, jq, iq = self.kern.moments(t, beta)
-        return jq / iq, beta, (jq, iq)
+        """(gradient, root, (J mean, I mean)) at t, from one moment pass
+        per t; the arrays are shared with the memo and read-only."""
+        key = tuple(np.atleast_1d(np.asarray(t, dtype=float)).tolist())
+        if key not in self._grads:
+            beta = self.root(key)
+            _, jq, iq = self.kern.moments(np.asarray(key), beta)
+            g = jq / iq
+            g.flags.writeable = jq.flags.writeable = False
+            self._grads[key] = (g, beta, (jq, iq))
+        return self._grads[key]
 
-    def fd_grad(self, t, h: float = FD_GRAD_STEP) -> np.ndarray:
+    def fd_grad(self, t) -> np.ndarray:
+        """Central differences of the root with step FD_GRAD_STEP: the
+        audit estimate of :meth:`grad`."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        scale = max(1.0, float(np.abs(t).max()))
-        out = np.empty(t.size)
-        for i in range(t.size):
-            e = np.zeros(t.size)
-            e[i] = h * scale
-            out[i] = (self.root(t + e) - self.root(t - e)) / (2 * h * scale)
-        return out
+        h = FD_GRAD_STEP * max(1.0, float(np.abs(t).max()))
+        return np.array([self.root(t + e) - self.root(t - e)
+                         for e in h * np.eye(t.size)]) / (2 * h)
 
-    def hessian(self, t, h: float = FD_HESS_STEP) -> np.ndarray:
+    def hessian(self, t) -> np.ndarray:
+        """Symmetrized central differences of the exact gradient with step
+        FD_HESS_STEP: 2d roots and moment passes at a fresh t."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        d = t.size
-        scale = max(1.0, float(np.abs(t).max()))
-        hh = h * scale
-        H = np.empty((d, d))
-        b0 = self.root(t)
-        for i in range(d):
-            ei = np.zeros(d)
-            ei[i] = hh
-            H[i, i] = (self.root(t + ei) + self.root(t - ei) - 2 * b0) / hh ** 2
-            for j in range(i + 1, d):
-                ej = np.zeros(d)
-                ej[j] = hh
-                H[i, j] = H[j, i] = (
-                    self.root(t + ei + ej) - self.root(t + ei - ej)
-                    - self.root(t - ei + ej) + self.root(t - ei - ej)
-                ) / (4 * hh ** 2)
+        h = FD_HESS_STEP * max(1.0, float(np.abs(t).max()))
+        H = np.array([self.grad(t + e) - self.grad(t - e)
+                      for e in h * np.eye(t.size)]) / (2 * h)
         return 0.5 * (H + H.T)
 
 
@@ -180,20 +193,16 @@ def solve_beta(sys: SystemDescriptor, J: PotentialVector, t, tol: float = 1e-8,
     """Certified enclosure (width <= tol) plus point estimate of beta(t).
 
     Both come from the limit pressure bracketed by the window transfer
-    matrix (``window``, or :func:`~cgdms.kernel.dp_window` at level n);
-    the Gibbs means are read from the stage-n kernel at its anchored root,
-    of ``solver`` when given (built with the same n, N and window).
+    matrix of :meth:`BetaSolver.certifier`; the Gibbs means are read from
+    the stage-n kernel at its anchored root.  ``solver``, when given,
+    alone decides n, N and window; otherwise one is built from them.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if t.size != J.dim:
         raise ValueError(f"t has dim {t.size}, potential dim {J.dim}")
-    N_eff = sys.effective_truncation(N)
     if solver is None:
-        solver = BetaSolver(sys, J, n=n, N=N_eff, window=window)
-    kern = solver.kern
-    q = window or dp_window(sys, J, N_eff, n)
-    limit = kern if kern.mode == "dp" and kern.window == q else limit_kernel(
-        sys, J, N_eff, q)
+        solver = BetaSolver(sys, J, n=n, N=N, window=window)
+    limit = solver.certifier()
     enc, est = certified_pressure_zero(limit, t, tol)
     _, _, (jq, iq) = solver.grad_with_means(t)
     flags = []
@@ -203,7 +212,7 @@ def solve_beta(sys: SystemDescriptor, J: PotentialVector, t, tol: float = 1e-8,
             flags.append("enclosure reaches the finiteness threshold")
     return BetaPoint(t=tuple(t.tolist()), beta=enc, estimate=est,
                      gibbs_means=(tuple(jq.tolist()), float(iq)),
-                     stages=n, window=limit.window,
+                     stages=solver.kern.n, window=limit.window,
                      truncation=limit.N, flags=tuple(flags))
 
 
@@ -216,7 +225,8 @@ def grad_beta(sys: SystemDescriptor, J: PotentialVector, t, tol: float = 1e-6,
     (ii) the Gibbs-weighted quotient of word sums (primary) and (i) central
     finite differences of the anchored root (audit).  Both differentiate
     exactly the same stage value, at every potential depth.  Disagreement
-    beyond 10*tol marks the result flagged.
+    beyond 10*tol marks the result flagged.  ``solver``, when given, alone
+    decides n, N and window.
     """
     if solver is None:
         solver = BetaSolver(sys, J, n=n, N=N, window=window)
@@ -229,18 +239,16 @@ def grad_beta(sys: SystemDescriptor, J: PotentialVector, t, tol: float = 1e-6,
                       gibbs_means=(tuple(means[0].tolist()), float(means[1])))
 
 
-def hessian_beta(sys: SystemDescriptor, J: PotentialVector, t, tol: float = 1e-6,
-                 *, n: int = DEFAULT_STAGES, N: Optional[int] = None,
-                 window: Optional[int] = None,
-                 pd_tol: float = 1e-8) -> HessianResult:
-    """Symmetrized second differences of beta with an eigenvalue report."""
-    solver = BetaSolver(sys, J, n=n, N=N, window=window)
-    H = solver.hessian(t)
+def hessian_beta(sys: SystemDescriptor, J: PotentialVector, t, *,
+                 n: int = DEFAULT_STAGES, N: Optional[int] = None,
+                 window: Optional[int] = None) -> HessianResult:
+    """Hessian of beta (:meth:`BetaSolver.hessian`) with an eigenvalue
+    report; positive definite means every eigenvalue exceeds PD_TOL."""
+    H = BetaSolver(sys, J, n=n, N=N, window=window).hessian(t)
     eigs = np.linalg.eigvalsh(H)
     return HessianResult(matrix=tuple(map(tuple, H.tolist())),
                          eigenvalues=tuple(eigs.tolist()),
-                         positive_definite=bool(eigs.min() > pd_tol),
-                         tolerance=pd_tol)
+                         positive_definite=bool(eigs.min() > PD_TOL))
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +256,7 @@ def hessian_beta(sys: SystemDescriptor, J: PotentialVector, t, tol: float = 1e-6
 # ---------------------------------------------------------------------------
 
 def independence_certificate(sys: SystemDescriptor, J: PotentialVector,
-                             periodic_words: Sequence, *,
-                             rank_tol: float = 1e-9,
-                             probe_period: int = 3,
-                             probe_truncation: int = 8,
-                             verify_tol: float = 1e-10) -> CertificateResult:
+                             periodic_words: Sequence) -> CertificateResult:
     """Test whether the potential components are independent in the sense
     that no nontrivial combination has bounded Birkhoff sums.
 
@@ -275,7 +279,7 @@ def independence_certificate(sys: SystemDescriptor, J: PotentialVector,
     diffs = rows[1:] - rows[0]
     svals = np.linalg.svd(diffs, compute_uv=False)
     smax = float(svals.max(initial=0.0))
-    rank = int((svals > rank_tol * max(1.0, smax)).sum())
+    rank = int((svals > RANK_TOL * max(1.0, smax)).sum())
     if rank >= d:
         return CertificateResult("independent", None, rank,
                                  tuple(map(tuple, rows.tolist())))
@@ -285,11 +289,11 @@ def independence_certificate(sys: SystemDescriptor, J: PotentialVector,
     idx = int(np.argmax(np.abs(alpha)))
     if alpha[idx] < 0:
         alpha = -alpha
-    N = sys.effective_truncation(probe_truncation)
+    N = sys.effective_truncation(PROBE_TRUNCATION)
     base = rows[0]
-    for syms in enumerate_cycles(sys.incidence, probe_period, N):
+    for syms in enumerate_cycles(sys.incidence, PROBE_PERIOD, N):
         v = cycle_birkhoff(J, syms) / len(syms)
-        if abs(float(np.dot(alpha, v - base))) > verify_tol:
+        if abs(float(np.dot(alpha, v - base))) > VERIFY_TOL:
             return CertificateResult("inconclusive", tuple(alpha.tolist()),
                                      rank, tuple(map(tuple, rows.tolist())))
     return CertificateResult("dependent-witness", tuple(alpha.tolist()), rank,
@@ -301,36 +305,31 @@ def independence_certificate(sys: SystemDescriptor, J: PotentialVector,
 # ---------------------------------------------------------------------------
 
 def _legendre_newton(solver: BetaSolver, alpha: np.ndarray, tol: float,
-                     t0: np.ndarray, max_iter: int, hd_hint: float,
-                     escape_norm: float = 256.0):
-    """Damped Newton on grad beta = alpha with Armijo-backtracked descent
-    fallback on g(t) = beta(t) - <t, alpha>."""
-    t = t0.astype(float).copy()
+                     max_iter: int, hd_hint: float):
+    """Damped Newton from t = 0 on grad beta = alpha with Armijo-backtracked
+    descent fallback on g(t) = beta(t) - <t, alpha>.
+
+    Returns (status, g, t, gradient error, iterations)."""
+    t = np.zeros(alpha.size)
     g_prev = math.inf
-    status = "unresolved"
     it = 0
     for it in range(1, max_iter + 1):
-        beta_t = solver.root(t)
-        gval = beta_t - float(np.dot(t, alpha))
+        gval = solver.root(t) - float(np.dot(t, alpha))
         resid = solver.grad(t) - alpha
         err = float(np.abs(resid).max())
         if err <= tol:
             return "interior", gval, t, err, it
         if gval < -0.25 * max(1.0, hd_hint):
-            # certified descent along a ray settles the outside verdict
-            if _certify_outside(solver, alpha, t, gval):
+            # heuristic outside verdict: g keeps falling along a ray
+            if _descends_along_ray(solver, alpha, t, gval):
                 return "outside", -math.inf, None, err, it
-        if float(np.linalg.norm(t)) > escape_norm and abs(gval - g_prev) < 0.1 * tol:
+        if float(np.linalg.norm(t)) > ESCAPE_NORM and abs(gval - g_prev) < 0.1 * tol:
             return "boundary-limit", gval, t, err, it
-        H = solver.hessian(t)
-        step = None
         try:
-            cand = np.linalg.solve(H, resid)
-            if np.all(np.isfinite(cand)):
-                step = cand
+            step = np.linalg.solve(solver.hessian(t), resid)
         except np.linalg.LinAlgError:
-            step = None
-        if step is None or float(np.dot(step, resid)) <= 0.0:
+            step = resid
+        if not np.all(np.isfinite(step)) or float(np.dot(step, resid)) <= 0.0:
             step = resid  # gradient direction of g
         # Armijo backtracking on g
         slope = -float(np.dot(resid, step))
@@ -343,14 +342,15 @@ def _legendre_newton(solver: BetaSolver, alpha: np.ndarray, tol: float,
             s *= BACKTRACK
         t = t - s * step
         g_prev = gval
-    beta_t = solver.root(t)
-    gval = beta_t - float(np.dot(t, alpha))
+    gval = solver.root(t) - float(np.dot(t, alpha))
     err = float(np.abs(solver.grad(t) - alpha).max())
-    return status, gval, t, err, it
+    return "unresolved", gval, t, err, it
 
 
-def _certify_outside(solver: BetaSolver, alpha, t, gval) -> bool:
-    """g decreases along the doubling ray and is already far negative."""
+def _descends_along_ray(solver: BetaSolver, alpha, t, gval) -> bool:
+    """g falls at three points of the doubling ray from t (or the ray
+    leaves |t| <= 1e6).  Nothing is certified: the roots are anchored
+    stage-n values, and three samples do not bound g from above."""
     prev = gval
     tt = t.copy()
     for _ in range(3):
@@ -366,31 +366,30 @@ def _certify_outside(solver: BetaSolver, alpha, t, gval) -> bool:
 
 def legendre(sys: SystemDescriptor, J: PotentialVector, alpha, tol: float = 1e-6,
              *, n: int = DEFAULT_STAGES, N: Optional[int] = None,
-             window: Optional[int] = None,
-             t0=None, max_iter: int = 80,
+             window: Optional[int] = None, max_iter: int = 80,
              solver: Optional[BetaSolver] = None) -> SpectrumPoint:
     """Evaluate the concave conjugate at alpha by minimizing
-    beta(t) - <t, alpha>.
+    beta(t) - <t, alpha>, starting from t = 0.
 
-    Status ``interior`` requires the gradient match within tol; a ray
-    along which the objective drops certifiably below zero yields
-    ``outside`` (value -inf); iterate escape with a stabilized objective
-    yields ``boundary-limit``; anything else is ``unresolved``.
+    Status ``interior`` requires the gradient match within tol; an
+    objective far below zero that keeps falling along a doubling ray
+    yields ``outside`` (value -inf), a heuristic verdict rather than a
+    certificate; iterate escape with a stabilized objective yields
+    ``boundary-limit``; anything else is ``unresolved``.
     """
     alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
     if solver is None:
         solver = BetaSolver(sys, J, n=n, N=N, window=window)
     hd_hint = solver.root(np.zeros(J.dim))
-    start = np.zeros(J.dim) if t0 is None else np.atleast_1d(np.asarray(t0, dtype=float))
     flags = ()
-    eigs = np.linalg.eigvalsh(solver.hessian(start))
+    eigs = np.linalg.eigvalsh(solver.hessian(np.zeros(J.dim)))
     if eigs.min() <= 1e-10:
         # without strict convexity the minimizer need not be unique and
         # the conjugate value is only an upper envelope sample
         flags = ("non-strictly-convex",)
     try:
         status, gval, tstar, err, its = _legendre_newton(
-            solver, alpha, tol, start, max_iter, hd_hint)
+            solver, alpha, tol, max_iter, hd_hint)
     except BracketBudgetError:
         # the search left the domain where the zero stays nonnegative
         flags = flags + ("left-solver-domain",)
@@ -414,9 +413,7 @@ def spectrum_scan(sys: SystemDescriptor, J: PotentialVector,
     point status, never as a global error.
     """
     solver = BetaSolver(sys, J, n=n, N=N, window=window)
-    points = [legendre(sys, J, np.atleast_1d(np.asarray(a, dtype=float)), tol,
-                       solver=solver)
-              for a in alphas]
+    points = [legendre(sys, J, a, tol, solver=solver) for a in alphas]
     surface = []
     if t_grid is not None:
         for t in t_grid:
@@ -429,8 +426,8 @@ def estimate_M(sys: SystemDescriptor, J: PotentialVector, t_grid: Sequence,
                tol: float = 1e-4, *, n: int = DEFAULT_STAGES,
                N: Optional[int] = None, window: Optional[int] = None,
                max_iter: int = 80) -> MEstimate:
-    """Sample the gradient range of beta and certify whether 0 belongs to
-    it by locating an interior minimizer of beta."""
+    """Sample the gradient range of beta and decide whether 0 belongs to
+    it by locating an interior minimizer of beta (:func:`legendre` at 0)."""
     solver = BetaSolver(sys, J, n=n, N=N, window=window)
     pts = []
     for t in t_grid:
@@ -442,25 +439,19 @@ def estimate_M(sys: SystemDescriptor, J: PotentialVector, t_grid: Sequence,
     if degenerate:
         notes.append("gradient cloud collapsed to a point; components are "
                      "not independent and the range is degenerate")
-    hd_hint = solver.root(np.zeros(J.dim))
-    try:
-        status, gval, tstar, err, _ = _legendre_newton(
-            solver, np.zeros(J.dim), tol, np.zeros(J.dim), max_iter, hd_hint)
-    except BracketBudgetError as exc:
-        notes.append(f"minimizer search left the solver domain: {exc}")
-        status, gval, tstar, err = "unresolved", math.nan, None, math.nan
-    zero_in = status == "interior" and err <= tol
+    sp = legendre(sys, J, np.zeros(J.dim), tol, solver=solver, max_iter=max_iter)
+    if "left-solver-domain" in sp.flags:
+        notes.append("minimizer search left the solver domain")
+    zero_in = sp.status == "interior" and sp.grad_error <= tol
     return MEstimate(points=tuple(pts), zero_in_M=bool(zero_in and not degenerate),
-                     minimizer=None if tstar is None else tuple(tstar.tolist()),
-                     grad_norm=err,
-                     beta_min=gval if tstar is not None else math.nan,
+                     minimizer=sp.minimizer_t, grad_norm=sp.grad_error,
+                     beta_min=sp.beta_hat if sp.minimizer_t is not None else math.nan,
                      degenerate=degenerate, notes=tuple(notes))
 
 
 def estimate_KL(sys: SystemDescriptor, J: PotentialVector, *,
                 bernoulli_specs: Sequence = (), cycles: Sequence = (),
-                m_points: Sequence = (), hull_pad: float = 1e-6,
-                mc_samples: int = 0, seed: int = 0) -> KLEstimate:
+                m_points: Sequence = (), hull_pad: float = 1e-6) -> KLEstimate:
     """Point clouds for the attainable-value sets.
 
     L is sampled through the measure functional on the supplied Bernoulli
@@ -472,7 +463,7 @@ def estimate_KL(sys: SystemDescriptor, J: PotentialVector, *,
 
     L_pts = []
     for spec in bernoulli_specs:
-        summ = measures.Q_of_bernoulli(sys, J, spec, n_mc=mc_samples, seed=seed)
+        summ = measures.Q_of_bernoulli(sys, J, spec)
         L_pts.append(tuple(e.mid for e in summ.Q_value))
     K_pts = []
     for c in cycles:

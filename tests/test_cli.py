@@ -185,6 +185,29 @@ class TestBetaCommand:
         assert len(read_body(tmp_path / "o" / "beta.csv").splitlines()) == 2
         assert len(builds) == 2
 
+    def test_one_moment_pass_per_t_point(self, tmp_path, monkeypatch):
+        """The Gibbs means of solve_beta and the gradient of grad_beta are
+        one memoized moment pass of the point's solver."""
+        from cgdms.kernel import PressureKernel
+        calls = []
+        moments = PressureKernel.moments
+
+        def counting_moments(self, *args, **kwargs):
+            calls.append(1)
+            return moments(self, *args, **kwargs)
+
+        monkeypatch.setattr(PressureKernel, "moments", counting_moments)
+        doc = {"system": {"kind": "moebius-cf", "alphabet": 24},
+               "potential": {"kind": "mod-cycle",
+                             "tables": [[-1.0, 1.0], [0.0, 1.0, -1.0]]},
+               "numerics": {"word_length": 10, "truncation": 24, "window": 3,
+                            "tolerance": 0.2},
+               "beta": {"t_points": [[0.1, -0.2], [-0.25, 0.05]]}}
+        cfg = write_config(tmp_path, doc)
+        assert main(["beta", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert len(read_body(tmp_path / "o" / "beta.csv").splitlines()) == 3
+        assert len(calls) == 2
+
 
 class TestSpectrumCommand:
     def test_surface_and_points(self, tmp_path):

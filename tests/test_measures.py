@@ -186,12 +186,54 @@ class TestQOfBernoulli:
         assert err == float(vals.std(ddof=1) / math.sqrt(20))
 
     def test_rule_branch_on_custom_family_matches_closed_form(self):
+        """A custom family coding the CF maps reads the closed form's
+        partial sums.  Past the cutoff, the exact sup I_k <= 2 log(k+1) is
+        the CF family's alone: the custom one bounds sup I_k by its tail
+        rule, 2 log k + log(D / c_lower), and without a rule by +inf."""
         spec = BernoulliSpec.named("inverse-square")
-        custom = Q_of_bernoulli(CF_CUSTOM, MOD23_J, spec, rule_cutoff=2000)
-        closed = Q_of_bernoulli(CF, MOD23_J, spec, rule_cutoff=2000)
+        K = 2000
+        closed = Q_of_bernoulli(CF, MOD23_J, spec, rule_cutoff=K)
+        tailed = build_system({"kind": "custom-1d", "map_expr": "1/(x+k)",
+                               "abs_deriv_expr": "(x+k)^-2",
+                               "contraction_bound": 0.5,
+                               "contraction_prefactor": 2.0,
+                               "distortion_constant": 4.0,
+                               "tail": {"exponent": 2}})
+        custom = Q_of_bernoulli(tailed, MOD23_J, spec, rule_cutoff=K)
         assert custom.J_mean == closed.J_mean
         assert custom.I_mean.lo == pytest.approx(closed.I_mean.lo, rel=1e-12)
-        assert custom.I_mean.hi == pytest.approx(closed.I_mean.hi, rel=1e-12)
+        S = measures.BASEL_SUM
+        cf_tail = 2.0 / S * (math.log(K + 1.0) / K + math.log(1.0 + 1.0 / K))
+        rule_tail = (2.0 * (math.log(K) + 1.0) + math.log(4.0)) / (K * S)
+        assert custom.I_mean.hi == pytest.approx(
+            closed.I_mean.hi - cf_tail + rule_tail, rel=1e-12)
+        untailed = Q_of_bernoulli(CF_CUSTOM, MOD23_J, spec, rule_cutoff=K)
+        assert untailed.I_mean.lo == custom.I_mean.lo
+        assert untailed.I_mean.hi == math.inf
+
+    def test_rule_tail_follows_the_declared_tail_rule(self):
+        """|phi_k'| = (k+1)^-3 has I_k = 3 log(k+1), above the CF bound
+        2 log(k+1).  The enclosure holds the true mean: the partial sum to
+        10^7 plus the integral test's tail range (mpmath.nsum misses this
+        series by 4e-3)."""
+        sysd = build_system({"kind": "custom-1d", "map_expr": "x*(k+1)^-3",
+                             "abs_deriv_expr": "(k+1)^-3",
+                             "contraction_bound": 0.125,
+                             "tail": {"exponent": 3, "c_upper": 1,
+                                      "c_lower": 0.125}})
+        summ = Q_of_bernoulli(sysd, MOD23_J, BernoulliSpec.named("inverse-square"))
+        K = 10 ** 7
+        parts = []
+        for a in range(1, K + 1, 10 ** 6):
+            ks = np.arange(a, min(a + 10 ** 6, K + 1), dtype=float)
+            parts.append(math.fsum((np.log(ks + 1.0) / ks ** 2).tolist()))
+        part = math.fsum(parts)
+        # sum_{k>K} log(k+1)/k^2 lies between the integrals from K+1 and K
+        tail = lambda x: math.log(x + 1.0) / x + math.log(1.0 + 1.0 / x)
+        S = measures.BASEL_SUM
+        true_lo, true_hi = 3 * (part + tail(K + 1)) / S, 3 * (part + tail(K)) / S
+        assert summ.I_mean.lo <= true_lo <= true_hi <= summ.I_mean.hi
+        assert summ.I_mean.hi - true_hi < 1e-4
 
     def test_heavy_log_normalizer_bounds_the_series(self):
         """The masses 1/(k log(k+1)^2)/norm sum to at most 1, and by less

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from cgdms import measures, potentials
-from cgdms.multifractal import (BetaSolver, estimate_KL, estimate_M,
+from cgdms import measures, multifractal, potentials
+from cgdms.multifractal import (FD_HESS_STEP, BetaSolver, estimate_KL, estimate_M,
                                 grad_beta, hessian_beta,
                                 independence_certificate, legendre,
                                 solve_beta, spectrum_scan)
@@ -54,6 +54,15 @@ class TestSolveBeta:
         assert abs(bp.estimate - exact) < 1e-10
         assert exact in bp.beta
         assert bp.beta.width <= 1e-8
+
+    def test_solver_decides_the_certification_window(self):
+        """With a solver, n and window of the call are not read: the
+        enclosure comes from the solver's certifying kernel."""
+        cf3 = truncated_cf_system(3)
+        s = BetaSolver(cf3, MOD23_J, n=10, window=3)
+        bp = solve_beta(cf3, MOD23_J, (0.0, 0.0), 0.05, n=24, window=5, solver=s)
+        assert (bp.window, bp.stages, bp.truncation) == (3, 10, 3)
+        assert s.certifier().window == 3
 
     def test_gibbs_means_reported(self):
         bp = solve_beta(SIM, J01, (0.0,), 1e-8, n=24)
@@ -111,6 +120,34 @@ class TestHessianBeta:
         assert hs.positive_definite
         H = np.array(hs.matrix)
         assert np.allclose(H, H.T)
+
+    def test_hessian_differences_the_exact_gradient(self, monkeypatch):
+        """A fresh solver's Hessian solves 2d roots (the 2d^2+1-root second
+        differences of the root took 9 at d=2) and agrees with them."""
+        t = np.array([0.3, -0.2])
+        roots = []
+        anchored = multifractal.anchored_pressure_root
+
+        def counting_root(*args):
+            roots.append(1)
+            return anchored(*args)
+
+        monkeypatch.setattr(multifractal, "anchored_pressure_root", counting_root)
+        H = BetaSolver(CF24, MOD23_J, n=10, window=3).hessian(t)
+        assert len(roots) == 4
+        assert np.array_equal(H, H.T)
+
+        # the second-difference root stencil the Hessian replaced
+        solver = BetaSolver(CF24, MOD23_J, n=10, window=3)
+        h = FD_HESS_STEP * max(1.0, float(np.abs(t).max()))
+        e = h * np.eye(2)
+        b = lambda v: solver.root(t + v)
+        H_old = np.empty((2, 2))
+        for i in range(2):
+            H_old[i, i] = (b(e[i]) + b(-e[i]) - 2 * b(0 * e[i])) / h ** 2
+        H_old[0, 1] = H_old[1, 0] = (b(e[0] + e[1]) - b(e[0] - e[1])
+                                     - b(-e[0] + e[1]) + b(-e[0] - e[1])) / (4 * h ** 2)
+        assert np.abs(H - H_old).max() < 1e-5
 
 
 class TestIndependence:
@@ -268,6 +305,16 @@ class TestEstimateM:
         assert res.zero_in_M
         assert res.grad_norm <= 1e-6
         assert not res.degenerate
+
+    def test_minimizer_is_legendre_at_zero(self):
+        grid = [(a, b) for a in (-1.0, 1.0) for b in (-1.0, 1.0)]
+        res = estimate_M(CF24, MOD23_J, grid, tol=1e-6, n=10, window=3)
+        sp = legendre(CF24, MOD23_J, (0.0, 0.0), 1e-6,
+                      solver=BetaSolver(CF24, MOD23_J, n=10, window=3))
+        assert sp.status == "interior"
+        assert res.minimizer == sp.minimizer_t
+        assert res.grad_norm == sp.grad_error
+        assert res.beta_min == sp.beta_hat
 
     def test_zero_potential_degenerate(self):
         res = estimate_M(SIM, potentials.zero(1), [(0.0,), (1.0,)],

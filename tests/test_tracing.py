@@ -40,6 +40,23 @@ def test_traced_names_exist():
     assert missing == []
 
 
+def test_newton_returns_its_iteration_count():
+    """``multifractal.newton_iters`` sums index 4 of each
+    ``_legendre_newton`` result, which must be its iteration count."""
+    import numpy as np
+
+    from cgdms import multifractal, potentials
+    from cgdms.system import similarity_system
+
+    sim = similarity_system([0.5, 0.5], offsets=[0.0, 0.5])
+    solver = multifractal.BetaSolver(sim, potentials.from_table({1: [0.0], 2: [1.0]}),
+                                     n=16)
+    result = multifractal._legendre_newton(solver, np.array([0.5]), 1e-8, 80,
+                                           solver.root(np.zeros(1)))
+    assert result[0] == "interior"
+    assert type(result[4]) is int and result[4] >= 1
+
+
 def test_kernel_attrs_read_the_kernel():
     """``_kernel_attrs`` reads the enumerate tables of ``PressureKernel``;
     its word count must be the number of admissible words."""
