@@ -67,16 +67,30 @@ def _pick(lo, hi, which: str):
     return 0.5 * (lo + hi)
 
 
-def _advance(T: np.ndarray, N: int) -> np.ndarray:
-    """One transfer step: values on (state, next symbol) pairs, shape
-    (S, N, ...), summed over the symbol leaving the window into values on
-    the next (q-1)-gram states, shape (S, ...)."""
-    S = T.shape[0]
-    return T.reshape(N, S // N, N, *T.shape[2:]).sum(axis=0).reshape(S, *T.shape[2:])
+def _sides(lo, hi) -> dict:
+    """The 'inf', 'sup' and 'mid' points of a bracket pair, by name."""
+    return {w: _pick(lo, hi, w) for w in ("inf", "sup", "mid")}
 
 
-def _perron_bracket(eW: np.ndarray, live: np.ndarray, v: np.ndarray,
-                    N: int) -> tuple:
+def _step(v: np.ndarray, ET: np.ndarray) -> np.ndarray:
+    """One transfer step: values on the (q-1)-gram states, summed over the
+    symbol leaving the window, into values on the next states.  ``ET`` holds
+    the window weights in transfer order, (N, N, R) with R = N**(q-2):
+    ET[a, b, r] weighs the window of first symbol a, middle (q-2)-gram r and
+    next symbol b, so that a step reads states (a, r) and writes (r, b)."""
+    N, _, R = ET.shape
+    return np.einsum("ar,abr->rb", v.reshape(N, R), ET).reshape(N * R)
+
+
+def _transfer_order(N: int, q: int) -> np.ndarray:
+    """Window codes in the transfer order of :func:`_step`: the code at
+    position (a, b, r) of an (N, N, N**(q-2)) array; the natural order when
+    q = 1, which has no states."""
+    codes = np.arange(N ** q)
+    return codes if q == 1 else codes.reshape(N, -1, N).transpose(0, 2, 1).ravel()
+
+
+def _perron_bracket(ET: np.ndarray, live, v: np.ndarray) -> tuple:
     """Collatz-Wielandt bracket (lo, hi) of the spectral radius of the
     window transfer matrix on the irreducible class ``live`` (a mask or
     every state): min (vL)_i/v_i <= rho <= max (vL)_i/v_i for v > 0.  The
@@ -85,7 +99,7 @@ def _perron_bracket(eW: np.ndarray, live: np.ndarray, v: np.ndarray,
     stops once the spread stops shrinking."""
     lo, hi, spread = 0.0, math.inf, math.inf
     for _ in range(PERRON_ITER_CAP):
-        u = _advance(v[:, None] * eW, N)[live]
+        u = _step(v, ET)[live]
         r = u / v[live]
         rlo, rhi = float(r.min()), float(r.max())
         lo, hi = max(lo, rlo), min(hi, rhi)
@@ -154,12 +168,14 @@ class _Tables:
         if not windows:
             return
 
-        # full windows of depth q
-        codes = np.arange(N ** q)
+        # full windows of depth q, in transfer order
+        order = _transfer_order(N, q)
         syms = _words(N, q)
-        self.win_valid = inc.admits(syms)
-        self.win_ld_lo, self.win_ld_hi = fam.vec_suffix_then_head(syms, self.hull)
-        self.win_jcode = codes // (N ** (q - m))  # first-m-symbol codes
+        self.win_valid = inc.admits(syms)[order]
+        self.win_all = bool(self.win_valid.all())
+        self.win_ld = _sides(*(ld[order] for ld in
+                               fam.vec_suffix_then_head(syms, self.hull)))
+        self.win_jcode = order // (N ** (q - m))  # first-m-symbol codes
         # admissible (q-1)-gram states, read off the windows ending in 1
         self.state_valid = inc.admits(syms[:-1, ::N])
 
@@ -169,8 +185,7 @@ class _Tables:
             entry = self.part.setdefault(l, {})
             if l >= m:
                 entry["jcode"] = pc // (N ** (l - m))
-            entry["ld_lo"], entry["ld_hi"] = fam.vec_suffix_then_head(
-                _words(N, l), self.hull)
+            entry["ld"] = _sides(*fam.vec_suffix_then_head(_words(N, l), self.hull))
 
     # -- potential projections -------------------------------------------
     def j_dot(self, t: np.ndarray) -> np.ndarray:
@@ -230,6 +245,8 @@ class PressureKernel:
                     "shrink the truncation")
             self.window = window
         self.tables = _Tables(sys, J, N, window, windows=self.mode == "dp")
+        self._jkey = None
+        self._derivs: dict = {}
         if self.mode == "enumerate":
             self._build_exact()
 
@@ -340,63 +357,92 @@ class PressureKernel:
     # ------------------------------------------------------------------
     # dp mode
     # ------------------------------------------------------------------
+    def _j_dot(self, t) -> tuple:
+        """(<t, J> on depth-m words, its values on the windows), kept for
+        the last t: a root solve evaluates one t at many beta."""
+        key = t.tobytes()
+        if self._jkey != key:
+            u = self.tables.j_dot(t)
+            self._jkey, self._ju = key, (u, u[self.tables.win_jcode])
+        return self._ju
+
     def _dp_weights(self, t, beta, which):
-        """(base, eW): window weights exp(w - base) on (state, next symbol)
-        pairs, base being the largest admissible log weight w."""
+        """(base, ew): window weights exp(w - base) in transfer order, base
+        being the largest admissible log weight w."""
         tab = self.tables
-        w = tab.j_dot(t)[tab.win_jcode] + beta * _pick(
-            tab.win_ld_lo, tab.win_ld_hi, which)
-        w[~tab.win_valid] = -math.inf
-        finite = w[np.isfinite(w)]
-        if finite.size == 0:
-            return -math.inf, np.zeros((w.size // self.N, self.N))
-        base = float(finite.max())
-        return base, np.exp(w - base).reshape(-1, self.N)
+        w = self._j_dot(t)[1] + beta * tab.win_ld[which]
+        if not tab.win_all:
+            w[~tab.win_valid] = -math.inf
+        base = float(w.max())
+        if not math.isfinite(base):  # no admissible window, or +-inf/nan
+            finite = w[np.isfinite(w)]
+            if finite.size == 0:
+                return -math.inf, np.zeros(w.size)
+            base = float(finite.max())
+        return base, np.exp(w - base)
+
+    def _window_derivs(self, which) -> np.ndarray:
+        """(N**q, d+1): the t- and -beta-derivatives (J and -ld) of the
+        window log weights at ``which``, in natural window order; kept per
+        side."""
+        if which not in self._derivs:
+            tab = self.tables
+            order = _transfer_order(self.N, self.window)
+            dW = np.empty((order.size, self.J.dim + 1))
+            dW[order, :-1] = tab.jvals[tab.win_jcode]
+            dW[order, -1] = -tab.win_ld[which]
+            self._derivs[which] = dW
+        return self._derivs[which]
 
     def _dp_logsum(self, t, beta, which, grad):
         """Transfer recursion over (q-1)-gram states with the window weights
         at the ``which`` point of their brackets, closed by the trailing
-        windows.  With ``grad`` a stacked (S, d+1) accumulator, advanced by
-        the same steps, carries the t- and -beta-derivatives (J and -ld) of
-        the same weights."""
+        windows.  With ``grad`` a (S, d+1) accumulator, advanced by the same
+        steps as batched products, carries the t- and -beta-derivatives (J
+        and -ld) of the same weights."""
         tab, N, q, n, d = self.tables, self.N, self.window, self.n, self.J.dim
-        base, eW = self._dp_weights(t, beta, which)
+        base, ew = self._dp_weights(t, beta, which)
         if base == -math.inf:
             return -math.inf, None, None
         if grad:
-            jwin = tab.jvals[tab.win_jcode]
-            nld = -_pick(tab.win_ld_lo, tab.win_ld_hi, which)
+            dW = self._window_derivs(which)
         if q == 1:  # no state memory and no trailing windows
-            z = float(eW.sum())
+            z = float(ew.sum())
             value = n * (base + math.log(z)) / n
             if not grad:
                 return value, None, None
-            jq = (jwin * eW.reshape(-1, 1)).sum(axis=0) / z
-            return value, jq, float((nld * eW.reshape(-1)).sum()) / z
+            jq = (dW[:, :d] * ew[:, None]).sum(axis=0) / z
+            return value, jq, float((dW[:, d] * ew).sum()) / z
+        ET = ew.reshape(N, N, -1)
+        R = ET.shape[2]
         V = tab.state_valid.astype(float)
         S = V.size
         if grad:
-            dW = np.concatenate((jwin.reshape(S, N, d), nld.reshape(S, N, 1)), axis=2)
+            # the weights as one (b, a) matrix per middle r, and the weights
+            # times their derivatives in natural order, (a, r, b, k)
+            M = np.ascontiguousarray(ET.transpose(2, 1, 0))
+            G = ET.transpose(0, 2, 1)[..., None] * dW.reshape(N, R, N, d + 1)
             A = np.zeros((S, d + 1))
         logoff = 0.0
         for _ in range(n - (q - 1)):
-            Vn = _advance(V[:, None] * eW, N)
+            Vn = _step(V, ET)
             mx = Vn.max()
             if mx <= 0.0 or not math.isfinite(mx):
                 return -math.inf, None, None
             if grad:
-                A = _advance((A[:, None, :] + V[:, None, None] * dW) * eW[:, :, None], N) / mx
+                A = np.matmul(M, A.reshape(N, R, d + 1).transpose(1, 0, 2))
+                A += np.einsum("ar,arbk->rbk", V.reshape(N, R), G)
+                A = A.reshape(S, d + 1) / mx
             V = Vn / mx
             logoff += math.log(mx) + base
         # trailing windows of lengths 1..q-1 on each state's last symbols
-        u = tab.j_dot(t)
+        u = self._j_dot(t)[0]
         scodes = np.arange(S)
         term = np.zeros(S)
         dT = np.zeros((S, d + 1)) if grad else None
         for l in range(1, q):
             sub = scodes % (N ** l)
-            entry = tab.part[l]
-            ld = _pick(entry["ld_lo"], entry["ld_hi"], which)
+            ld = tab.part[l]["ld"][which]
             jlo, jhi, clo, chi = tab.part_j_bounds(l, u)
             term = term + _pick(jlo, jhi, which)[sub] + beta * ld[sub]
             if grad:
@@ -419,7 +465,7 @@ class PressureKernel:
         states with a cycle: rho of the transfer matrix is the largest of
         their radii, whatever its transient states."""
         S = self.N ** (self.window - 1)
-        c = np.flatnonzero(self.tables.win_valid)
+        c = _transfer_order(self.N, self.window)[self.tables.win_valid]
         src, dst = c // self.N, c % S  # window code -> (state, next state)
         graph = csr_matrix((np.ones(c.size), (src, dst)), shape=(S, S))
         lab = connected_components(graph, connection="strong")[1]
@@ -437,13 +483,13 @@ class PressureKernel:
             raise ValueError("limit bounds need a dp-mode kernel")
         which = {"lower": "inf", "upper": "sup", "mid": "mid"}[side]
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        base, eW = self._dp_weights(t, beta, which)
+        base, ew = self._dp_weights(t, beta, which)
         if self.window == 1:
             # no state memory: L is the 1x1 sum of the weights
-            lo = hi = float(eW.sum())
+            lo = hi = float(ew.sum())
         else:
-            brackets = [_perron_bracket(eW, live, v, self.N)
-                        for live, v in self._classes]
+            ET = ew.reshape(self.N, self.N, -1)
+            brackets = [_perron_bracket(ET, live, v) for live, v in self._classes]
             lo = max((b[0] for b in brackets), default=0.0)
             hi = max((b[1] for b in brackets), default=0.0)
         with np.errstate(divide="ignore"):

@@ -2,9 +2,8 @@
 
 Periodic-orbit measures are evaluated exactly up to a coding enclosure of
 the cycle's fixed point; Bernoulli measures combine exact potential means
-with per-symbol brackets of the geometric potential.  Enclosure endpoints
-never depend on Monte Carlo sampling: seeded sampling only adds a separate
-statistical estimate with a standard error.
+with per-symbol brackets of the geometric potential.  Nothing here samples
+at random.
 """
 
 from __future__ import annotations
@@ -118,8 +117,6 @@ class MeasureSummary:
     I_mean: Enclosure
     J_mean: tuple         # per-component Enclosure
     entropy: float
-    mc_estimate: Optional[float] = None
-    mc_stderr: Optional[float] = None
 
 
 def _divide(j: Enclosure, i: Enclosure) -> Enclosure:
@@ -166,8 +163,7 @@ def Q_of_periodic(sys: SystemDescriptor, J: PotentialVector, cycle,
 
 
 def Q_of_bernoulli(sys: SystemDescriptor, J: PotentialVector,
-                   spec: BernoulliSpec, n_mc: int = 0, seed: int = 0,
-                   rule_cutoff: int = RULE_CUTOFF) -> MeasureSummary:
+                   spec: BernoulliSpec, rule_cutoff: int = RULE_CUTOFF) -> MeasureSummary:
     """Quotient value of a Bernoulli measure.
 
     Potential means are exact for depth-1 potentials (weighted symbol
@@ -212,12 +208,8 @@ def Q_of_bernoulli(sys: SystemDescriptor, J: PotentialVector,
         i_hi_tail = _rule_I_tail_upper(sys, spec.rule, rule_cutoff)
         I_enc = Enclosure(i_lo, i_hi_partial + i_hi_tail)
     Q = tuple(_divide(j, I_enc) for j in J_enc)
-    mc_est = mc_err = None
-    if n_mc > 0:
-        mc_est, mc_err = _mc_I_mean(sys, spec, n_mc, seed)
     return MeasureSummary(Q_value=Q, I_mean=I_enc, J_mean=J_enc,
-                          entropy=spec.entropy, mc_estimate=mc_est,
-                          mc_stderr=mc_err)
+                          entropy=spec.entropy)
 
 
 def _rule_I_tail_upper(sys: SystemDescriptor, rule: str, K: int) -> float:
@@ -238,29 +230,6 @@ def _rule_I_tail_upper(sys: SystemDescriptor, rule: str, K: int) -> float:
     # sum_{k>K} log(k) k^-2 <= (log K + 1)/K and sum_{k>K} k^-2 <= 1/K
     c = max(0.0, math.log(sys.family.distortion_constant / tail.c_lower))
     return (tail.exponent * (math.log(K) + 1.0) + c) / (K * BASEL_SUM)
-
-
-def _mc_I_mean(sys: SystemDescriptor, spec: BernoulliSpec, n_mc: int, seed: int):
-    """Seeded sampling of the geometric potential under the product
-    measure; statistical tightening only, never part of enclosures."""
-    rng = np.random.default_rng(seed)
-    depth = 30
-    fam = sys.family
-    if spec.probs is not None:
-        syms = [k for k, _ in spec.probs]
-        wts = np.array([p for _, p in spec.probs])
-        draw = lambda size: rng.choice(syms, size=size, p=wts / wts.sum())
-    else:
-        # inverse-cdf on a truncated grid; the tail mass is re-thrown
-        ks = np.arange(1, 100001)
-        ps = _rule_mass(spec.rule, ks)
-        cdf = np.cumsum(ps / ps.sum())
-        draw = lambda size: ks[np.searchsorted(cdf, rng.random(size=size))]
-    # one block is the same stream as n_mc draws of depth symbols
-    words = draw(n_mc * depth).reshape(n_mc, depth).T
-    lo, hi = fam.vec_suffix_then_head(words, fam.domain())
-    vals = -0.5 * (lo + hi)
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_mc)) if n_mc > 1 else None
 
 
 # ---------------------------------------------------------------------------

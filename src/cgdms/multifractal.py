@@ -68,12 +68,16 @@ class SpectrumPoint:
 
 @dataclass(frozen=True)
 class GradResult:
-    primary: tuple
-    gibbs: tuple
+    primary: tuple        # the Gibbs-quotient gradient
     finite_diff: tuple
     flagged: bool
     beta_estimate: float
     gibbs_means: tuple
+
+    @property
+    def gibbs(self) -> tuple:
+        """The Gibbs-quotient gradient: another name for ``primary``."""
+        return self.primary
 
 
 @dataclass(frozen=True)
@@ -233,9 +237,8 @@ def grad_beta(sys: SystemDescriptor, J: PotentialVector, t, tol: float = 1e-6,
     gq, beta_n, means = solver.grad_with_means(t)
     fd = solver.fd_grad(t)
     flagged = bool(np.abs(gq - fd).max() > 10.0 * tol)
-    return GradResult(primary=tuple(gq.tolist()), gibbs=tuple(gq.tolist()),
-                      finite_diff=tuple(fd.tolist()), flagged=flagged,
-                      beta_estimate=beta_n,
+    return GradResult(primary=tuple(gq.tolist()), finite_diff=tuple(fd.tolist()),
+                      flagged=flagged, beta_estimate=beta_n,
                       gibbs_means=(tuple(means[0].tolist()), float(means[1])))
 
 

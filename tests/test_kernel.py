@@ -9,6 +9,8 @@ composed map, and resolve the trailing windows by the same inf/sup over
 completions, so they must lie inside the enumerate bracket, which in turn
 lies inside the dp brackets.  The Gibbs quotients of ``moments`` must be
 the derivatives of the anchored ``value``, trailing windows included.
+The dp recursion must also reproduce, bit for bit, the recursion it
+replaced, which is written out here as the reference.
 """
 
 import itertools
@@ -16,9 +18,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from cgdms import potentials
-from cgdms.kernel import PressureKernel
+from cgdms.kernel import (PERRON_ITER_CAP, PERRON_LAZY, PressureKernel, _pick,
+                          _words)
 from cgdms.system import similarity_system, truncated_cf_system
 
 N_WORDS = 8
@@ -208,3 +213,173 @@ def test_enumerate_value_matches_fsum_oracle(J):
         # the oracle adds each word's exponent in another order
         assert abs(value - oracle) <= 4 * math.ulp(oracle), (beta, value, oracle)
         assert kern.moments(T, beta)[0] == value
+
+
+# -- the transfer step against the recursion it replaced -------------------
+
+def _advance(T, N):
+    """The former transfer step: values on (state, next symbol) pairs,
+    shape (S, N, ...), summed over the symbol leaving the window."""
+    S = T.shape[0]
+    return T.reshape(N, S // N, N, *T.shape[2:]).sum(axis=0).reshape(S, *T.shape[2:])
+
+
+class _Reference:
+    """The dp recursion as written before the transfer-order step: window
+    tables in natural code order, one (S, N) product per step, a stacked
+    (S, N, d+1) gradient accumulator, and Perron brackets with their own
+    warm starts.  It reads only the potential tables of ``kern``."""
+
+    def __init__(self, kern):
+        tab, N, q, m = kern.tables, kern.N, kern.window, kern.J.depth
+        fam, inc = kern.sys.family, kern.sys.incidence
+        self.kern, self.tab = kern, tab
+        syms = _words(N, q)
+        self.valid = inc.admits(syms)
+        self.ld = fam.vec_suffix_then_head(syms, tab.hull)
+        self.jcode = np.arange(N ** q) // N ** (q - m)
+        self.state_valid = inc.admits(syms[:-1, ::N])
+        self.part_ld = {l: fam.vec_suffix_then_head(_words(N, l), tab.hull)
+                        for l in range(1, q)}
+        S = N ** (q - 1)
+        c = np.flatnonzero(self.valid)
+        src, dst = c // N, c % S
+        graph = csr_matrix((np.ones(c.size), (src, dst)), shape=(S, S))
+        lab = connected_components(graph, connection="strong")[1]
+        masks = [lab == k for k in np.unique(lab[src[lab[src] == lab[dst]]])]
+        self.classes = [(slice(None) if mk.all() else mk, mk.astype(float))
+                        for mk in masks]
+
+    def weights(self, t, beta, which):
+        w = self.tab.j_dot(t)[self.jcode] + beta * _pick(*self.ld, which)
+        w[~self.valid] = -math.inf
+        finite = w[np.isfinite(w)]
+        if finite.size == 0:
+            return -math.inf, np.zeros((w.size // self.kern.N, self.kern.N))
+        base = float(finite.max())
+        return base, np.exp(w - base).reshape(-1, self.kern.N)
+
+    def logsum(self, t, beta, which, grad=False):
+        tab, kern = self.tab, self.kern
+        N, q, n, d = kern.N, kern.window, kern.n, kern.J.dim
+        base, eW = self.weights(t, beta, which)
+        if base == -math.inf:
+            return -math.inf, None, None
+        if grad:
+            jwin = tab.jvals[self.jcode]
+            nld = -_pick(*self.ld, which)
+        if q == 1:
+            z = float(eW.sum())
+            value = n * (base + math.log(z)) / n
+            if not grad:
+                return value, None, None
+            jq = (jwin * eW.reshape(-1, 1)).sum(axis=0) / z
+            return value, jq, float((nld * eW.reshape(-1)).sum()) / z
+        V = self.state_valid.astype(float)
+        S = V.size
+        if grad:
+            dW = np.concatenate((jwin.reshape(S, N, d), nld.reshape(S, N, 1)), axis=2)
+            A = np.zeros((S, d + 1))
+        logoff = 0.0
+        for _ in range(n - (q - 1)):
+            Vn = _advance(V[:, None] * eW, N)
+            mx = Vn.max()
+            if mx <= 0.0 or not math.isfinite(mx):
+                return -math.inf, None, None
+            if grad:
+                A = _advance((A[:, None, :] + V[:, None, None] * dW)
+                             * eW[:, :, None], N) / mx
+            V = Vn / mx
+            logoff += math.log(mx) + base
+        u = tab.j_dot(t)
+        scodes = np.arange(S)
+        term = np.zeros(S)
+        dT = np.zeros((S, d + 1)) if grad else None
+        for l in range(1, q):
+            sub = scodes % (N ** l)
+            ld = _pick(*self.part_ld[l], which)
+            jlo, jhi, clo, chi = tab.part_j_bounds(l, u)
+            term = term + _pick(jlo, jhi, which)[sub] + beta * ld[sub]
+            if grad:
+                jl = tab.jvals[clo[sub]]
+                dT[:, :d] += jl if clo is chi else _pick(jl, tab.jvals[chi[sub]], which)
+                dT[:, d] -= ld[sub]
+        tmax = float(term.max())
+        E = np.exp(term - tmax)
+        z = float((V * E).sum())
+        value = (logoff + tmax + math.log(z)) / n
+        if not grad:
+            return value, None, None
+        A = A + V[:, None] * dT
+        jq = (A[:, :d] * E[:, None]).sum(axis=0) / z / n
+        return value, jq, float((A[:, d] * E).sum()) / z / n
+
+    def perron(self, eW, live, v):
+        lo, hi, spread = 0.0, math.inf, math.inf
+        for _ in range(PERRON_ITER_CAP):
+            u = _advance(v[:, None] * eW, self.kern.N)[live]
+            r = u / v[live]
+            rlo, rhi = float(r.min()), float(r.max())
+            lo, hi = max(lo, rlo), min(hi, rhi)
+            if rhi - rlo >= spread or rhi == 0.0:
+                break
+            spread = rhi - rlo
+            u += PERRON_LAZY * rhi * v[live]
+            v[live] = np.maximum(u / u.max(), np.finfo(float).tiny)
+        return lo, hi
+
+    def limit_bound(self, t, beta, side):
+        which = {"lower": "inf", "upper": "sup", "mid": "mid"}[side]
+        base, eW = self.weights(t, beta, which)
+        if self.kern.window == 1:
+            lo = hi = float(eW.sum())
+        else:
+            brackets = [self.perron(eW, live, v) for live, v in self.classes]
+            lo = max((b[0] for b in brackets), default=0.0)
+            hi = max((b[1] for b in brackets), default=0.0)
+        with np.errstate(divide="ignore"):
+            return base + float(np.log(_pick(lo, hi, which)))
+
+
+UPPER_TRIANGULAR = similarity_system([0.5, 0.3], offsets=[0.0, 0.6],
+                                     incidence=[[1, 1], [0, 1]])
+# (system, potential, word length, window): the cf windows of the
+# benchmarks, Markov systems whose states are masked or whose Perron
+# classes are not the whole state set, and a depth-2 potential
+STEP_CASES = {
+    "cf2-window16": (truncated_cf_system(2), MOD23_J, 20, 16),
+    "cf3-n12": (truncated_cf_system(3), MOD23_J, 12, None),
+    "cf5-window6": (truncated_cf_system(5), MOD23_J, 10, 6),
+    "cf24-window3": (truncated_cf_system(24), MOD23_J, 10, 3),
+    "golden-mean": (CASES["golden-mean"][0], MOD23_J, 12, 3),
+    "upper-triangular": (UPPER_TRIANGULAR, MOD23_J, 12, 3),
+    "cf3-depth2": (truncated_cf_system(3), J2, 12, 4),
+    "golden-mean-depth2": (CASES["golden-mean"][0], J2, 12, 3),
+    "similarity-window1": (similarity_system([0.5, 0.3]), MOD23_J, 10, 1),
+}
+STEP_POINTS = ((T, 0.0), (T, 0.8), (np.array([-0.3, 0.2]), 1.3))
+
+
+@pytest.mark.parametrize("name", sorted(STEP_CASES))
+def test_transfer_step_matches_former_recursion(name):
+    """Stage values, both bounds and all three limit brackets are the
+    former recursion's bit for bit; the Gibbs quotients, which the
+    batched accumulator reassociates, agree to 1e-13 relative."""
+    sys, J, n, window = STEP_CASES[name]
+    kern = PressureKernel(sys, J, n=n, window=window)
+    assert kern.mode == "dp"
+    ref = _Reference(kern)
+    for t, beta in STEP_POINTS:
+        val = kern.value(t, beta)
+        assert val == ref.logsum(t, beta, "mid")[0]
+        assert kern.values(t, beta) == (ref.logsum(t, beta, "inf")[0],
+                                        ref.logsum(t, beta, "sup")[0])
+        assert kern.bound(t, beta, "lower") == ref.logsum(t, beta, "inf")[0]
+        assert kern.bound(t, beta, "upper") == ref.logsum(t, beta, "sup")[0]
+        for side in ("lower", "upper", "mid"):
+            assert kern.limit_bound(t, beta, side) == ref.limit_bound(t, beta, side)
+        mval, jq, iq = kern.moments(t, beta)
+        _, rjq, riq = ref.logsum(t, beta, "mid", grad=True)
+        assert mval == val
+        for got, want in zip([*jq, iq], [*rjq, riq]):
+            assert abs(got - want) <= 1e-13 * abs(want), (got, want)

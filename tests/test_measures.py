@@ -143,48 +143,6 @@ class TestQOfBernoulli:
         assert math.isfinite(summ.I_mean.hi)
         assert 0 < summ.I_mean.lo < summ.I_mean.hi < 3.0
 
-    def test_mc_estimate_is_seed_deterministic(self):
-        spec = BernoulliSpec.finite({1: 0.3, 2: 0.7})
-        a = Q_of_bernoulli(CF, MOD23_J, spec, n_mc=64, seed=5)
-        b = Q_of_bernoulli(CF, MOD23_J, spec, n_mc=64, seed=5)
-        c = Q_of_bernoulli(CF, MOD23_J, spec, n_mc=64, seed=6)
-        assert a.mc_estimate == b.mc_estimate
-        assert a.mc_estimate != c.mc_estimate
-        # sampling never moves enclosures
-        assert a.I_mean == b.I_mean == c.I_mean
-        assert a.I_mean.lo <= a.mc_estimate <= a.I_mean.hi
-
-    @pytest.mark.parametrize("spec", [
-        BernoulliSpec.finite({1: 0.3, 2: 0.5, 5: 0.2}),
-        BernoulliSpec.named("inverse-square"),
-    ])
-    def test_mc_block_draw_is_the_per_sample_stream(self, spec):
-        """One block of n_mc * depth symbols, evaluated in one table call,
-        gives what drawing and evaluating one sample at a time gave."""
-        from cgdms.measures import _mc_I_mean, _rule_mass
-        fam = CF_CUSTOM.family
-        rng = np.random.default_rng(7)
-        if spec.probs is not None:
-            wts = np.array([p for _, p in spec.probs])
-            draws = [rng.choice([k for k, _ in spec.probs], size=30,
-                                p=wts / wts.sum()) for _ in range(20)]
-        else:
-            ks = np.arange(1, 100001)
-            ps = _rule_mass(spec.rule, ks)
-            cdf = np.cumsum(ps / ps.sum())
-            draws = [ks[np.searchsorted(cdf, rng.random(size=30))]
-                     for _ in range(20)]
-        vals = []
-        for word in draws:
-            word = tuple(int(x) for x in word)
-            lo, hi = fam.deriv_log_range(word[0],
-                                         fam.word_image(word[1:], fam.domain()))
-            vals.append(-0.5 * (lo + hi))
-        vals = np.array(vals)
-        est, err = _mc_I_mean(CF_CUSTOM, spec, 20, 7)
-        assert est == float(vals.mean())
-        assert err == float(vals.std(ddof=1) / math.sqrt(20))
-
     def test_rule_branch_on_custom_family_matches_closed_form(self):
         """A custom family coding the CF maps reads the closed form's
         partial sums.  Past the cutoff, the exact sup I_k <= 2 log(k+1) is
