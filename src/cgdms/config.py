@@ -13,6 +13,7 @@ from typing import Optional
 from . import potentials
 from .errors import ConfigError, InvalidWordError
 from .families import Custom1DFamily
+from .kernel import PressureKernel, WindowTransfer
 from .measures import RULE_CUTOFF, BernoulliSpec
 from .potentials import PotentialVector, cycle_birkhoff
 from .symbolic import IncidenceMatrix, Multigraph, closed_cycle
@@ -71,6 +72,18 @@ def _optional(cfg: dict, key: str, types, path: str, default=None):
     return val
 
 
+def _numbers(val) -> bool:
+    """A list of numbers."""
+    return isinstance(val, list) and all(_typed(x, (int, float)) for x in val)
+
+
+def _domain(cfg: dict, path: str) -> tuple:
+    dom = _optional(cfg, "domain", list, path, [0.0, 1.0])
+    if len(dom) != 2 or not _numbers(dom) or not dom[0] < dom[1]:
+        raise ConfigError(f"{path}.domain", "need two numbers [lo, hi] with lo < hi")
+    return tuple(dom)
+
+
 def build_system(cfg: dict, path: str = "system") -> SystemDescriptor:
     kind = _expect(cfg, "kind", str, path)
     if kind == "similarity":
@@ -81,8 +94,10 @@ def build_system(cfg: dict, path: str = "system") -> SystemDescriptor:
             raise ConfigError(f"{path}.ratios", "ratios must lie strictly in (0,1)")
         offsets = _optional(cfg, "offsets", list, path)
         flips = _optional(cfg, "flips", list, path)
+        if flips is not None and not _numbers(flips):
+            raise ConfigError(f"{path}.flips", "need a list of numbers")
         incidence = _optional(cfg, "incidence", list, path)
-        domain = tuple(_optional(cfg, "domain", list, path, [0.0, 1.0]))
+        domain = _domain(cfg, path)
         try:
             return similarity_system(ratios, offsets=offsets, flips=flips,
                                      incidence=incidence, domain=domain)
@@ -96,6 +111,10 @@ def build_system(cfg: dict, path: str = "system") -> SystemDescriptor:
             raise ConfigError(f"{path}.alphabet", "must be >= 1")
         return truncated_cf_system(alphabet)
     if kind == "custom-1d":
+        domain = _domain(cfg, path)
+        edges = _optional(cfg, "edges", int, path)
+        if edges is not None and edges < 1:
+            raise ConfigError(f"{path}.edges", "must be a positive integer")
         try:
             tail = None
             if cfg.get("tail") is not None:
@@ -113,8 +132,7 @@ def build_system(cfg: dict, path: str = "system") -> SystemDescriptor:
                                                     (int, float), path, 1.0)),
                 contraction_prefactor=float(_optional(cfg, "contraction_prefactor",
                                                       (int, float), path, 1.0)),
-                domain=tuple(_optional(cfg, "domain", list, path, [0.0, 1.0])),
-                n_edges=_optional(cfg, "edges", int, path))
+                domain=domain, n_edges=edges)
         except ConfigError:
             raise
         except (ValueError, KeyError) as exc:
@@ -127,20 +145,21 @@ def build_system(cfg: dict, path: str = "system") -> SystemDescriptor:
 
 def build_potential(cfg: dict, path: str = "potential") -> PotentialVector:
     kind = _expect(cfg, "kind", str, path)
+    dim = _optional(cfg, "dim", int, path)
+    if dim is not None and dim < 1:
+        raise ConfigError(f"{path}.dim", "must be a positive integer")
     if kind == "zero":
-        dim = _optional(cfg, "dim", int, path, 1)
-        return potentials.zero(dim)
+        return potentials.zero(dim or 1)
     if kind == "table":
         values = _expect(cfg, "values", dict, path)
         try:
             return potentials.from_table(
-                {int(k): v for k, v in values.items()},
-                dim=_optional(cfg, "dim", int, path))
+                {int(k): v for k, v in values.items()}, dim=dim)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"{path}.values", str(exc)) from exc
     if kind == "mod-cycle":
         tables = _expect(cfg, "tables", list, path)
-        if not tables or not all(isinstance(t, list) and t for t in tables):
+        if not tables or not all(t and _numbers(t) for t in tables):
             raise ConfigError(f"{path}.tables",
                               "need a nonempty list of nonempty numeric lists")
         return potentials.mod_cycle(tables)
@@ -183,8 +202,10 @@ def validate_config(doc: dict, command: str) -> RunConfig:
     if not _typed(seed, int) or seed < 0:
         raise ConfigError("numerics.seed", "must be a nonnegative integer")
     if command in ("pressure", "beta", "spectrum", "sets"):  # read the potential
-        _check_declared(potential, system.effective_truncation(trunc),
-                        "potential.values")
+        N = system.effective_truncation(trunc)
+        _check_declared(potential, N, "potential.values")
+        if window is not None:
+            _check_window(system, potential, wl, N, window, command == "beta")
     params = doc.get(command, {})
     if not isinstance(params, dict):
         raise ConfigError(command, "command parameters must be an object")
@@ -232,10 +253,12 @@ def _validate_command(command: str, params: dict, system: SystemDescriptor,
         if tg is not None and not isinstance(tg, (dict, list)):
             raise ConfigError(f"{command}.t_grid",
                               "must be a grid object or explicit list")
-        if isinstance(tg, dict):
+        if isinstance(tg, list):
+            check_vectors("t_grid")
+        elif isinstance(tg, dict):
             for key in ("min", "max"):
                 v = tg.get(key)
-                if not isinstance(v, list) or len(v) != d:
+                if not _numbers(v) or len(v) != d:
                     raise ConfigError(f"{command}.t_grid.{key}",
                                       f"need a numeric vector of length {d}")
             pts = tg.get("points", 9)
@@ -259,6 +282,22 @@ def _validate_command(command: str, params: dict, system: SystemDescriptor,
     else:
         raise ConfigError("", f"unknown command {command!r}")
     return []
+
+
+def _check_window(system: SystemDescriptor, potential: PotentialVector,
+                  n: int, N: int, window: int, certify: bool) -> None:
+    """The window tables built from ``numerics.window`` fit the kernel's
+    cap: the stage kernel's when it runs dp and, with ``certify`` (the
+    ``beta`` command), the certifying transfer's."""
+    try:
+        mode, q = PressureKernel.layout(system, potential, n, N, window)
+        if mode == "dp":
+            WindowTransfer.check_size(N, q)
+        if certify:
+            WindowTransfer.check_size(
+                N, WindowTransfer.window_at(system, potential, N, n, window))
+    except ValueError as exc:
+        raise ConfigError("numerics.window", str(exc)) from exc
 
 
 def _check_declared(potential: PotentialVector, N: int, path: str) -> None:

@@ -1,27 +1,26 @@
-"""Fused word-sum kernels for cylinder-weighted pressure sums.
+"""Cylinder-weighted pressure sums: stage-n word sums, and the window
+transfer matrix that brackets the limit pressure.
 
-Two evaluation modes share one result contract (values are (1/n)-normalized
-log sums over admissible length-n words, lower using per-cylinder infima
-and upper using suprema):
+:class:`PressureKernel` evaluates stage-n sums in one of two modes with one
+result contract ((1/n)-normalized log sums over admissible length-n words,
+lower using per-cylinder infima and upper using suprema):
 
 * ``enumerate``: every word is visited once with an exact per-word bracket;
   feasible while truncation**length stays below a cap.  One flat table
-  holds every admissible word; a call scales the words' weights by their
-  largest and reduces them with one vectorized compensated sum.
+  holds every admissible word, reduced by one vectorized compensated sum.
 
-* ``dp``: cylinder brackets are refined only to a fixed window depth q and
-  the sum is driven by a transfer recursion over (q-1)-gram states.  The
-  resulting interval always contains the enumerate-mode interval for the
-  same length.  The same window transfer matrix brackets the limit
-  pressure: log rho(L_inf) <= P <= log rho(L_sup), with rho bounded by
-  Collatz-Wielandt ratios (:meth:`PressureKernel.limit_bound`).
+* ``dp``: brackets are refined only to a window depth q, and the sum is a
+  transfer recursion over (q-1)-gram states on the kernel's
+  :class:`WindowTransfer`; its interval contains the enumerate-mode one.
 
-Each mode has one reduction, which takes its per-word or per-window
-weights at the infimum, supremum or midpoint of their brackets; bounds,
-anchored point values and bracket pairs are all that reduction.  On
-request the same reduction also carries the t- and beta-derivatives of
-those weights, which gives the Gibbs moments as exact derivatives of the
-anchored value.
+:class:`WindowTransfer` is the only limit-bracket object:
+log rho(L_inf) <= P <= log rho(L_sup) for its window matrix L, each radius
+bounded by Collatz-Wielandt ratios.  It owns the window clamps and the
+table cap, and holds none of the trailing windows that only stage sums read.
+
+Each reduction takes its weights at the infimum, supremum or midpoint of
+their brackets and, on request, carries their t- and beta-derivatives,
+which gives the Gibbs moments as exact derivatives of the anchored value.
 """
 
 from __future__ import annotations
@@ -112,82 +111,22 @@ def _perron_bracket(ET: np.ndarray, live, v: np.ndarray) -> tuple:
     return lo, hi
 
 
-def dp_window(sys: SystemDescriptor, J: PotentialVector, N: int,
-              level: int) -> int:
-    """Window depth of the transfer recursion at refinement ``level``.
-    Exact (distortion-free) brackets need only potential depth and Markov
-    memory; otherwise it is ``level`` while its words could be enumerated,
-    else the deepest window below ``level`` whose table fits."""
-    q = 1
-    if not sys.family.distortion_free:
-        q = level if N ** min(level, 40) <= EXACT_CAP else 1
-        while N ** (q + 1) <= DP_WINDOW_CAP and q + 1 < level:
-            q += 1
-    return max(q, J.depth, 1 if sys.incidence.full_shift else 2)
-
-
-def limit_kernel(sys: SystemDescriptor, J: PotentialVector, N: int,
-                 q: int) -> "PressureKernel":
-    """A dp-mode kernel at window ``q`` for :meth:`PressureKernel.limit_bound`:
-    any word length past the window gives one, and only its window tables
-    are read."""
-    return PressureKernel(sys, J, n=q + 1, N=N, window=q)
-
-
 class _Tables:
-    """Potential tables for one (system, N, window) choice, plus the
-    window geometry of the transfer recursion when ``windows`` is set."""
+    """Potential tables for one (system, N): <t, J> on the admissible
+    depth-m words, its range over the completions of shorter words, and
+    the cylinder hull."""
 
-    def __init__(self, sys: SystemDescriptor, J: PotentialVector, N: int,
-                 q: int, windows: bool):
-        if J.depth > q:
-            raise ValueError(
-                f"window depth {q} shorter than potential depth {J.depth}")
-        if N ** q > DP_WINDOW_CAP * 4:
-            raise ValueError(f"window table too large: {N}**{q}")
+    def __init__(self, sys: SystemDescriptor, J: PotentialVector, N: int):
         self.hull = sys.hull(N)
-        fam = sys.family
-        inc = sys.incidence
-
-        # potential values on admissible depth-m words
-        m = J.depth
+        self.N = N
+        self.m = m = J.depth
         msyms = _words(N, m)
-        mvalid = inc.admits(msyms)
-        jvals = np.zeros((N ** m, J.dim))
+        self.mvalid = mvalid = sys.incidence.admits(msyms)
+        self.jvals = jvals = np.zeros((N ** m, J.dim))
         for code in range(N ** m):
             if mvalid[code]:
                 jvals[code] = J.value(tuple(msyms[:, code]))
-        self.jvals = jvals
-        self.mvalid = mvalid
 
-        # trailing (partial) windows of each length l: potential codes for
-        # l >= m, where the value is exact; below that the completion range
-        # is resolved at call time from jvals.  Enumeration only reads the
-        # l < m entries.
-        self.part = {l: {"prefix_block": N ** (m - l)} for l in range(1, m)}
-        if not windows:
-            return
-
-        # full windows of depth q, in transfer order
-        order = _transfer_order(N, q)
-        syms = _words(N, q)
-        self.win_valid = inc.admits(syms)[order]
-        self.win_all = bool(self.win_valid.all())
-        self.win_ld = _sides(*(ld[order] for ld in
-                               fam.vec_suffix_then_head(syms, self.hull)))
-        self.win_jcode = order // (N ** (q - m))  # first-m-symbol codes
-        # admissible (q-1)-gram states, read off the windows ending in 1
-        self.state_valid = inc.admits(syms[:-1, ::N])
-
-        # log-derivative ranges over the trailing l-cylinders, l < q
-        for l in range(1, q):
-            pc = np.arange(N ** l)
-            entry = self.part.setdefault(l, {})
-            if l >= m:
-                entry["jcode"] = pc // (N ** (l - m))
-            entry["ld"] = _sides(*fam.vec_suffix_then_head(_words(N, l), self.hull))
-
-    # -- potential projections -------------------------------------------
     def j_dot(self, t: np.ndarray) -> np.ndarray:
         """<t, J> on admissible depth-m words; -inf marks inadmissible."""
         u = self.jvals @ t
@@ -198,13 +137,13 @@ class _Tables:
         """(inf, sup, inf code, sup code) of <t, J> over admissible
         completions of l-words: the two bounds and the codes of the depth-m
         words attaining them, whose ``jvals`` rows are the t-derivatives of
-        the bounds."""
-        entry = self.part[l]
-        if "jcode" in entry:
-            code = entry["jcode"]
+        the bounds.  From l = m on, the first m symbols fix the value."""
+        N, m = self.N, self.m
+        if l >= m:
+            code = np.arange(N ** l) // (N ** (l - m))
             v = u[code]
             return v, v, code, code
-        blk = entry["prefix_block"]
+        blk = N ** (m - l)
         grid = u.reshape(-1, blk)
         rows = np.arange(grid.shape[0])
         top = grid.argmax(axis=1)
@@ -215,40 +154,167 @@ class _Tables:
         return inf, sup, rows * blk + low, rows * blk + top
 
 
+class WindowTransfer:
+    """The window transfer matrix of one system, potential, truncation N
+    and window q: the weights of the admissible q-symbol windows over
+    (q-1)-gram states, laid out in the transfer order of :func:`_step`,
+    and the Collatz-Wielandt bracket of its spectral radius, which brackets
+    the limit pressure.  A dp-mode :class:`PressureKernel` runs its stage
+    recursion on one; certification builds one with :meth:`at_level`."""
+
+    def __init__(self, sys: SystemDescriptor, J: PotentialVector, N: int,
+                 q: int):
+        q = self.clamp(sys, J, q)
+        self.check_size(N, q)
+        self.sys, self.J, self.N, self.window = sys, J, N, q
+        self.tables = tab = _Tables(sys, J, N)
+        order = _transfer_order(N, q)
+        syms = _words(N, q)
+        self.valid = sys.incidence.admits(syms)[order]
+        self.all_valid = bool(self.valid.all())
+        self.ld = _sides(*(ld[order] for ld in
+                           sys.family.vec_suffix_then_head(syms, tab.hull)))
+        self.jcode = order // (N ** (q - J.depth))  # first-m-symbol codes
+        # admissible (q-1)-gram states, read off the windows ending in 1
+        self.state_valid = sys.incidence.admits(syms[:-1, ::N])
+        self._jkey = None
+
+    @staticmethod
+    def clamp(sys: SystemDescriptor, J: PotentialVector, q: int) -> int:
+        """The window ``q`` raised to the potential depth, and to 2 on a
+        Markov incidence, whose states must remember the last symbol."""
+        return max(q, J.depth, 1 if sys.incidence.full_shift else 2)
+
+    @staticmethod
+    def check_size(N: int, q: int) -> None:
+        """ValueError when a window table of N**q entries passes the cap."""
+        if N ** q > DP_WINDOW_CAP * 4:
+            raise ValueError(f"window table too large: {N}**{q}")
+
+    @classmethod
+    def window_at(cls, sys: SystemDescriptor, J: PotentialVector, N: int,
+                  level: int, window: Optional[int] = None) -> int:
+        """The clamped ``window``, or absent one the window of refinement
+        ``level``: exact (distortion-free) brackets need only potential
+        depth and Markov memory; otherwise it is ``level`` while its words
+        could be enumerated, else the deepest window below ``level`` whose
+        table fits."""
+        if window is None:
+            window = 1
+            if not sys.family.distortion_free:
+                window = level if N ** min(level, 40) <= EXACT_CAP else 1
+                while N ** (window + 1) <= DP_WINDOW_CAP and window + 1 < level:
+                    window += 1
+        return cls.clamp(sys, J, window)
+
+    @classmethod
+    def at_level(cls, sys: SystemDescriptor, J: PotentialVector, N: int,
+                 level: int, window: Optional[int] = None) -> "WindowTransfer":
+        """The transfer at :meth:`window_at` of ``level`` and ``window``."""
+        return cls(sys, J, N, cls.window_at(sys, J, N, level, window))
+
+    def j_dot(self, t) -> tuple:
+        """(<t, J> on depth-m words, its values on the windows), kept for
+        the last t: a root solve evaluates one t at many beta."""
+        key = t.tobytes()
+        if self._jkey != key:
+            u = self.tables.j_dot(t)
+            self._jkey, self._ju = key, (u, u[self.jcode])
+        return self._ju
+
+    def weights(self, t, beta, which):
+        """(base, ew): window weights exp(w - base) at the ``which`` point
+        of their brackets, in transfer order, base being the largest
+        admissible log weight w."""
+        w = self.j_dot(t)[1] + beta * self.ld[which]
+        if not self.all_valid:
+            w[~self.valid] = -math.inf
+        base = float(w.max())
+        if not math.isfinite(base):  # no admissible window, or +-inf/nan
+            finite = w[np.isfinite(w)]
+            if finite.size == 0:
+                return -math.inf, np.zeros(w.size)
+            base = float(finite.max())
+        return base, np.exp(w - base)
+
+    @cached_property
+    def _classes(self) -> list:
+        """(states, Perron iterate) of each irreducible class of (q-1)-gram
+        states with a cycle: rho of the transfer matrix is the largest of
+        their radii, whatever its transient states."""
+        S = self.N ** (self.window - 1)
+        c = _transfer_order(self.N, self.window)[self.valid]
+        src, dst = c // self.N, c % S  # window code -> (state, next state)
+        graph = csr_matrix((np.ones(c.size), (src, dst)), shape=(S, S))
+        lab = connected_components(graph, connection="strong")[1]
+        masks = [lab == k for k in np.unique(lab[src[lab[src] == lab[dst]]])]
+        # a class of every state is read whole, without gathers
+        return [(slice(None) if m.all() else m, m.astype(float)) for m in masks]
+
+    def limit_bound(self, t, beta, side: str) -> float:
+        """The limit pressure of <t,J> - beta*I over the truncated system
+        (beta >= 0) lies in [log rho(L_inf), log rho(L_sup)] for the window
+        transfer matrix L.  'lower' and 'upper' are those endpoints, each
+        radius bounded by Collatz-Wielandt ratios; 'mid' is the log of the
+        midpoint ratio of the midpoint-weight matrix, the point estimate."""
+        which = {"lower": "inf", "upper": "sup", "mid": "mid"}[side]
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        base, ew = self.weights(t, beta, which)
+        if self.window == 1:
+            # no state memory: L is the 1x1 sum of the weights
+            lo = hi = float(ew.sum())
+        else:
+            ET = ew.reshape(self.N, self.N, -1)
+            brackets = [_perron_bracket(ET, live, v) for live, v in self._classes]
+            lo = max((b[0] for b in brackets), default=0.0)
+            hi = max((b[1] for b in brackets), default=0.0)
+        with np.errstate(divide="ignore"):
+            return base + float(np.log(_pick(lo, hi, which)))
+
+
 class PressureKernel:
-    """Evaluates bracketed and anchored pressure sums for one system,
-    potential, truncation, word length, and window depth."""
+    """Evaluates bracketed and anchored stage-n pressure sums for one
+    system, potential, truncation, word length, and window depth."""
 
     def __init__(self, sys: SystemDescriptor, J: PotentialVector, *,
                  n: int, N: Optional[int] = None, window: Optional[int] = None):
         if n < 1:
             raise ValueError("word length must be >= 1")
         N = sys.effective_truncation(N)
-        if window is None:
-            window = n if N ** min(n, 40) <= EXACT_CAP else dp_window(sys, J, N, n)
-        window = min(window, n)
-        window = max(window, J.depth)
-        if not sys.incidence.full_shift and window < 2 and n > 1:
-            window = 2
-        self.sys = sys
-        self.J = J
-        self.n = n
-        self.N = N
-        self.window = window
-        self.mode = "enumerate" if (window == n and N ** n <= EXACT_CAP) else "dp"
-        if self.mode == "dp" and window >= n:
-            window = max(1, n - 1, J.depth)
+        self.sys, self.J, self.n, self.N = sys, J, n, N
+        self.mode, self.window = self.layout(sys, J, n, N, window)
+        self._derivs: dict = {}
+        if self.mode == "enumerate":
+            self.transfer = None
+            self.tables = _Tables(sys, J, N)
+            self._build_exact()
+            return
+        self.transfer = WindowTransfer(sys, J, N, self.window)
+        self.tables = self.transfer.tables
+        # log-derivative ranges of the trailing l-cylinders, l < q
+        self._trail_ld = {l: _sides(*sys.family.vec_suffix_then_head(
+            _words(N, l), self.tables.hull)) for l in range(1, self.window)}
+
+    @staticmethod
+    def layout(sys: SystemDescriptor, J: PotentialVector, n: int, N: int,
+               window: Optional[int] = None) -> tuple:
+        """(mode, window) of the stage-n kernel over edges <= N: ``window``,
+        else n while the words fit or the window of level n, clamped but no
+        longer than the word; a dp window must be shorter than the word."""
+        if window is None and N ** min(n, 40) <= EXACT_CAP:
+            window = n
+        window = min(WindowTransfer.window_at(sys, J, N, n, window),
+                     max(n, J.depth))
+        if window == n and N ** n <= EXACT_CAP:
+            return "enumerate", window
+        if window >= n:
+            window = WindowTransfer.clamp(sys, J, max(1, n - 1))
             if window >= n:
                 raise ValueError(
                     f"words of length {n} with potential depth {J.depth} admit "
                     "no window shorter than the word; raise the length or "
                     "shrink the truncation")
-            self.window = window
-        self.tables = _Tables(sys, J, N, window, windows=self.mode == "dp")
-        self._jkey = None
-        self._derivs: dict = {}
-        if self.mode == "enumerate":
-            self._build_exact()
+        return "dp", window
 
     # unused in the package; bench/tracing.py looks it up by name
     def with_length(self, n: int) -> "PressureKernel":
@@ -260,9 +326,7 @@ class PressureKernel:
             raise ValueError("cannot change length of an enumerate-mode kernel")
         return clone
 
-    # ------------------------------------------------------------------
-    # enumerate mode
-    # ------------------------------------------------------------------
+    # -- enumerate mode ---------------------------------------------------
     def _build_exact(self):
         """The flat word table: per admissible word, in lexicographic
         order, its log-derivative bracket, exact potential sum and the
@@ -354,43 +418,17 @@ class PressureKernel:
         return ((mx + math.log(sums[0])) / self.n, sums[1:d + 1] / scale,
                 float(sums[d + 1] / scale))
 
-    # ------------------------------------------------------------------
-    # dp mode
-    # ------------------------------------------------------------------
-    def _j_dot(self, t) -> tuple:
-        """(<t, J> on depth-m words, its values on the windows), kept for
-        the last t: a root solve evaluates one t at many beta."""
-        key = t.tobytes()
-        if self._jkey != key:
-            u = self.tables.j_dot(t)
-            self._jkey, self._ju = key, (u, u[self.tables.win_jcode])
-        return self._ju
-
-    def _dp_weights(self, t, beta, which):
-        """(base, ew): window weights exp(w - base) in transfer order, base
-        being the largest admissible log weight w."""
-        tab = self.tables
-        w = self._j_dot(t)[1] + beta * tab.win_ld[which]
-        if not tab.win_all:
-            w[~tab.win_valid] = -math.inf
-        base = float(w.max())
-        if not math.isfinite(base):  # no admissible window, or +-inf/nan
-            finite = w[np.isfinite(w)]
-            if finite.size == 0:
-                return -math.inf, np.zeros(w.size)
-            base = float(finite.max())
-        return base, np.exp(w - base)
-
+    # -- dp mode ----------------------------------------------------------
     def _window_derivs(self, which) -> np.ndarray:
         """(N**q, d+1): the t- and -beta-derivatives (J and -ld) of the
         window log weights at ``which``, in natural window order; kept per
         side."""
         if which not in self._derivs:
-            tab = self.tables
+            tr = self.transfer
             order = _transfer_order(self.N, self.window)
             dW = np.empty((order.size, self.J.dim + 1))
-            dW[order, :-1] = tab.jvals[tab.win_jcode]
-            dW[order, -1] = -tab.win_ld[which]
+            dW[order, :-1] = self.tables.jvals[tr.jcode]
+            dW[order, -1] = -tr.ld[which]
             self._derivs[which] = dW
         return self._derivs[which]
 
@@ -401,7 +439,7 @@ class PressureKernel:
         steps as batched products, carries the t- and -beta-derivatives (J
         and -ld) of the same weights."""
         tab, N, q, n, d = self.tables, self.N, self.window, self.n, self.J.dim
-        base, ew = self._dp_weights(t, beta, which)
+        base, ew = self.transfer.weights(t, beta, which)
         if base == -math.inf:
             return -math.inf, None, None
         if grad:
@@ -415,7 +453,7 @@ class PressureKernel:
             return value, jq, float((dW[:, d] * ew).sum()) / z
         ET = ew.reshape(N, N, -1)
         R = ET.shape[2]
-        V = tab.state_valid.astype(float)
+        V = self.transfer.state_valid.astype(float)
         S = V.size
         if grad:
             # the weights as one (b, a) matrix per middle r, and the weights
@@ -436,13 +474,13 @@ class PressureKernel:
             V = Vn / mx
             logoff += math.log(mx) + base
         # trailing windows of lengths 1..q-1 on each state's last symbols
-        u = self._j_dot(t)[0]
+        u = self.transfer.j_dot(t)[0]
         scodes = np.arange(S)
         term = np.zeros(S)
         dT = np.zeros((S, d + 1)) if grad else None
         for l in range(1, q):
             sub = scodes % (N ** l)
-            ld = tab.part[l]["ld"][which]
+            ld = self._trail_ld[l][which]
             jlo, jhi, clo, chi = tab.part_j_bounds(l, u)
             term = term + _pick(jlo, jhi, which)[sub] + beta * ld[sub]
             if grad:
@@ -459,45 +497,7 @@ class PressureKernel:
         jq = (A[:, :d] * E[:, None]).sum(axis=0) / z / n
         return value, jq, float((A[:, d] * E).sum()) / z / n
 
-    @cached_property
-    def _classes(self) -> list:
-        """(states, Perron iterate) of each irreducible class of (q-1)-gram
-        states with a cycle: rho of the transfer matrix is the largest of
-        their radii, whatever its transient states."""
-        S = self.N ** (self.window - 1)
-        c = _transfer_order(self.N, self.window)[self.tables.win_valid]
-        src, dst = c // self.N, c % S  # window code -> (state, next state)
-        graph = csr_matrix((np.ones(c.size), (src, dst)), shape=(S, S))
-        lab = connected_components(graph, connection="strong")[1]
-        masks = [lab == k for k in np.unique(lab[src[lab[src] == lab[dst]]])]
-        # a class of every state is read whole, without gathers
-        return [(slice(None) if m.all() else m, m.astype(float)) for m in masks]
-
-    def limit_bound(self, t, beta, side: str) -> float:
-        """The limit pressure of <t,J> - beta*I over the truncated system
-        (beta >= 0) lies in [log rho(L_inf), log rho(L_sup)] for the window
-        transfer matrix L.  'lower' and 'upper' are those endpoints, each
-        radius bounded by Collatz-Wielandt ratios; 'mid' is the log of the
-        midpoint ratio of the midpoint-weight matrix, the point estimate."""
-        if self.mode != "dp":
-            raise ValueError("limit bounds need a dp-mode kernel")
-        which = {"lower": "inf", "upper": "sup", "mid": "mid"}[side]
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        base, ew = self._dp_weights(t, beta, which)
-        if self.window == 1:
-            # no state memory: L is the 1x1 sum of the weights
-            lo = hi = float(ew.sum())
-        else:
-            ET = ew.reshape(self.N, self.N, -1)
-            brackets = [_perron_bracket(ET, live, v) for live, v in self._classes]
-            lo = max((b[0] for b in brackets), default=0.0)
-            hi = max((b[1] for b in brackets), default=0.0)
-        with np.errstate(divide="ignore"):
-            return base + float(np.log(_pick(lo, hi, which)))
-
-    # ------------------------------------------------------------------
-    # public evaluations
-    # ------------------------------------------------------------------
+    # -- public evaluations -----------------------------------------------
     def _logsum(self, t, beta, which: str, grad: bool = False) -> tuple:
         """(value, J quotient, I quotient): the stage-n normalized log sum
         with every weight taken at the 'inf', 'sup' or 'mid' point of its

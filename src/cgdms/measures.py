@@ -73,6 +73,7 @@ class BernoulliSpec:
         return cls(rule=rule, entropy=_rule_entropy(rule))
 
 
+@functools.lru_cache(maxsize=None)
 def _heavy_norm() -> float:
     """An upper bound, within 1e-7, on the sum of 1/(k log(k+1)^2): the
     partial sum to K plus the upper end of the integral test's remainder
@@ -84,21 +85,17 @@ def _heavy_norm() -> float:
     return partial + 1.0 / math.log(K)
 
 
-_HEAVY_NORM = None
 # edges a named rule reads exactly; the rest is its closed-form tail
 RULE_CUTOFF = 50000
 
 
 def _rule_mass(rule: str, k):
     """Mass of edge k (an int or an integer array) under a named rule."""
-    global _HEAVY_NORM
     if rule == "inverse-square":
         # float_power matches the scalar k ** -2.0 bit for bit; ** on an
         # integer array does not
         return np.float_power(k, -2.0) / BASEL_SUM
-    if _HEAVY_NORM is None:
-        _HEAVY_NORM = _heavy_norm()
-    return 1.0 / (k * np.log(k + 1.0) ** 2) / _HEAVY_NORM
+    return 1.0 / (k * np.log(k + 1.0) ** 2) / _heavy_norm()
 
 
 # config validation builds each named spec; runs in one process share it
@@ -413,24 +410,25 @@ def semicontinuity_counterexample(M_param: float, n_list: Sequence[int],
                                 verdict=verdict, M_param=float(M_param))
 
 
-_LOG_KP1_SUM_UPPER = None
+# terms summed exactly by the counterexample's series bounds
+SERIES_TERMS = 1000000
 
 
-def _log_kp1_sum_upper(K: int = 1000000) -> float:
+@functools.lru_cache(maxsize=None)
+def _log_kp1_sum_upper() -> float:
     """Upper value of sum_k log(k+1)/k**2 (partial sum plus integral tail)."""
-    global _LOG_KP1_SUM_UPPER
-    if _LOG_KP1_SUM_UPPER is None:
-        ks = np.arange(1, K + 1, dtype=float)
-        part = math.fsum((np.log(ks + 1.0) / ks ** 2).tolist())
-        _LOG_KP1_SUM_UPPER = part + math.log(K + 1.0) / K + math.log(1.0 + 1.0 / K)
-    return _LOG_KP1_SUM_UPPER
-
-
-def _limit_I_enclosure(K: int = 1000000) -> Enclosure:
-    """Geometric mean of the inverse-square Bernoulli measure."""
+    K = SERIES_TERMS
     ks = np.arange(1, K + 1, dtype=float)
+    part = math.fsum((np.log(ks + 1.0) / ks ** 2).tolist())
+    return part + math.log(K + 1.0) / K + math.log(1.0 + 1.0 / K)
+
+
+@functools.lru_cache(maxsize=None)
+def _limit_I_enclosure() -> Enclosure:
+    """Geometric mean of the inverse-square Bernoulli measure."""
+    ks = np.arange(1, SERIES_TERMS + 1, dtype=float)
     lo = math.fsum((2.0 * np.log(ks) / ks ** 2).tolist()) / BASEL_SUM
-    hi = 2.0 * _log_kp1_sum_upper(K) / BASEL_SUM
+    hi = 2.0 * _log_kp1_sum_upper() / BASEL_SUM
     return Enclosure(lo, hi)
 
 

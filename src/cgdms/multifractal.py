@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import BracketBudgetError
-from .kernel import PressureKernel, dp_window, limit_kernel
+from .kernel import PressureKernel, WindowTransfer
 from .potentials import PotentialVector, cycle_birkhoff
 from .symbolic import closed_cycle, enumerate_cycles
 from .system import SystemDescriptor
@@ -118,8 +118,8 @@ class BetaSolver:
 
     Roots and exact gradients are memoized per t; the Hessian is the
     symmetrized central difference of the exact gradient.  The solver
-    also owns the kernel that certifies beta.  All differentiation steps
-    are pinned constants so results are reproducible.
+    also owns the window transfer that certifies beta.  Differentiation
+    steps are pinned constants so results are reproducible.
     """
 
     def __init__(self, sys: SystemDescriptor, J: PotentialVector, *,
@@ -128,20 +128,21 @@ class BetaSolver:
         self.sys = sys
         self.J = J
         self.kern = PressureKernel(sys, J, n=n, N=N, window=window)
-        self._window = window or dp_window(sys, J, self.kern.N, n)
-        self._limit: Optional[PressureKernel] = None
+        self._window = window
+        self._limit: Optional[WindowTransfer] = None
         self._cache: dict = {}
         self._grads: dict = {}
 
-    def certifier(self) -> PressureKernel:
-        """The dp-mode kernel whose window bracket certifies beta: the
-        stage kernel when it runs dp at the certification window
-        (``window``, or :func:`~cgdms.kernel.dp_window` at level n), else
-        a limit kernel at that window, built on first use."""
+    def certifier(self) -> WindowTransfer:
+        """The window transfer whose bracket certifies beta, at the window
+        of :meth:`~cgdms.kernel.WindowTransfer.window_at` (``window``, or
+        the choice of refinement level n): the stage kernel's own transfer
+        when it runs dp at that window, else one built on first use."""
         if self._limit is None:
-            kern, q = self.kern, self._window
-            reuse = kern.mode == "dp" and kern.window == q
-            self._limit = kern if reuse else limit_kernel(self.sys, self.J, kern.N, q)
+            kern, own = self.kern, self.kern.transfer
+            q = WindowTransfer.window_at(self.sys, self.J, kern.N, kern.n, self._window)
+            self._limit = (own if own is not None and own.window == q
+                           else WindowTransfer(self.sys, self.J, kern.N, q))
         return self._limit
 
     def root(self, t) -> float:

@@ -12,7 +12,7 @@ from scipy.optimize import brentq
 
 from . import potentials
 from .errors import BracketBudgetError
-from .kernel import PressureKernel, dp_window, limit_kernel
+from .kernel import PressureKernel, WindowTransfer
 from .potentials import PotentialVector
 from .system import SystemDescriptor
 from .util import Enclosure
@@ -165,22 +165,22 @@ def anchored_pressure_root(kern: PressureKernel, t) -> float:
     return _root(lambda b: kern.value(t, b))
 
 
-def _certifies(kern: PressureKernel, t, est: float,
+def _certifies(transfer: WindowTransfer, t, est: float,
                half: float) -> Optional[Enclosure]:
     """The enclosure [est - half, est + half], clipped at the floor, if the
     lower limit bound is positive on its left end (nonnegative at the
     floor) and the upper limit bound negative on its right end; else None."""
     left = max(est - half, BETA_FLOOR)
-    lower = kern.limit_bound(t, left, "lower")
+    lower = transfer.limit_bound(t, left, "lower")
     lo_ok = lower >= 0.0 if left == BETA_FLOOR else lower > 0.0
-    if lo_ok and kern.limit_bound(t, est + half, "upper") < 0.0:
+    if lo_ok and transfer.limit_bound(t, est + half, "upper") < 0.0:
         return Enclosure(left, est + half)
     return None
 
 
-def certified_pressure_zero(kern: PressureKernel, t, tol: float) -> tuple:
+def certified_pressure_zero(transfer: WindowTransfer, t, tol: float) -> tuple:
     """(enclosure, estimate) of the zero in beta of the limit pressure of
-    <t,J> - beta*I over the truncated system, from one dp-mode kernel: the
+    <t,J> - beta*I over the truncated system, from one window transfer: the
     estimate is the zero of the 'mid' limit bound, certified as
     est +/- tol/2 by :func:`_certifies`.  Failing that, the half-width is
     doubled until it certifies, and :class:`BracketBudgetError` carries
@@ -188,49 +188,48 @@ def certified_pressure_zero(kern: PressureKernel, t, tol: float) -> tuple:
     ``required_n``.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    est = _root(lambda b: kern.limit_bound(t, b, "mid"))
+    est = _root(lambda b: transfer.limit_bound(t, b, "mid"))
     # shaved slightly below tol/2 so the reported width respects tol even
     # after float rounding of the endpoints
     half = 0.5 * tol * (1.0 - 1e-6)
     for k in range(61):
-        best = _certifies(kern, t, est, half * 2.0 ** k)
+        best = _certifies(transfer, t, est, half * 2.0 ** k)
         if best is not None and k == 0:
             return best, est
         if best is not None:
-            rate = kern.sys.family.contraction_bound
-            needed = kern.window + math.ceil(
+            rate = transfer.sys.family.contraction_bound
+            needed = transfer.window + math.ceil(
                 math.log(best.width / tol) / math.log(1.0 / rate))
             raise BracketBudgetError(
-                f"could not certify width {tol} at window {kern.window}; "
+                f"could not certify width {tol} at window {transfer.window}; "
                 f"roughly window {needed} would be needed",
                 best=best, required_n=needed)
     raise BracketBudgetError(
-        f"pressure zero could not be certified at all at window {kern.window}",
+        f"pressure zero could not be certified at all at window {transfer.window}",
         best=None, required_n=None)
 
 
 def bowen_dimension(sys: SystemDescriptor, n: int, N: Optional[int] = None,
                     tol: float = 1e-9, *, workers: int = 1) -> BowenResult:
     """Enclosure of the zero of the one-parameter limit pressure, bracketed
-    by the window transfer matrix at :func:`~cgdms.kernel.dp_window` of the
-    refinement level ``n``.  ``workers`` is accepted for compatibility and
-    ignored: the kernel runs single-threaded.
+    by the window transfer matrix of refinement level ``n``
+    (:meth:`~cgdms.kernel.WindowTransfer.at_level`).  ``workers`` is
+    accepted for compatibility and ignored: the kernel runs single-threaded.
     """
-    J = potentials.zero(1)
     t = np.zeros(1)
-    N_eff = sys.effective_truncation(N)
-    kern = limit_kernel(sys, J, N_eff, dp_window(sys, J, N_eff, n))
-    if kern.limit_bound(t, 0.0, "upper") < 0.0:
+    transfer = WindowTransfer.at_level(sys, potentials.zero(1),
+                                       sys.effective_truncation(N), n)
+    if transfer.limit_bound(t, 0.0, "upper") < 0.0:
         # pressure already negative at the domain edge: the zero-crossing
         # formulation degenerates and the critical exponent is the edge
         return BowenResult(enclosure=Enclosure(0.0, 0.0), estimate=0.0,
-                           stages=n, window=kern.window,
-                           truncation=kern.N, critical=True,
+                           stages=n, window=transfer.window,
+                           truncation=transfer.N, critical=True,
                            notes=("pressure certified negative on the whole "
                                   "parameter range; reporting its left edge",))
-    enc, est = certified_pressure_zero(kern, t, tol)
+    enc, est = certified_pressure_zero(transfer, t, tol)
     return BowenResult(enclosure=enc, estimate=est, stages=n,
-                       window=kern.window, truncation=kern.N)
+                       window=transfer.window, truncation=transfer.N)
 
 
 def classify_regularity(sys: SystemDescriptor, *,
@@ -254,16 +253,15 @@ def classify_regularity(sys: SystemDescriptor, *,
         return "co-finitely-regular", (
             "declared weight series diverges at the threshold, so every "
             "co-finite subsystem still blows up there and must cross zero",)
-    J = potentials.zero(1)
     t = np.zeros(1)
-    N_eff = sys.effective_truncation(N)
-    kern = limit_kernel(sys, J, N_eff, dp_window(sys, J, N_eff, 1))
-    lower = kern.limit_bound(t, 0.0, "lower")
+    transfer = WindowTransfer.at_level(sys, potentials.zero(1),
+                                       sys.effective_truncation(N), 1)
+    lower = transfer.limit_bound(t, 0.0, "lower")
     if lower > 1e-12:
         return "strongly-regular", (
             "finite alphabet: co-finite condition not applicable",
             f"certified 0 < p(0) (lower={lower:.6g}) < inf")
-    upper = kern.limit_bound(t, 0.0, "upper")
+    upper = transfer.limit_bound(t, 0.0, "upper")
     return "regular", (
         f"p(0) = 0 (limit bracket [{lower:.6g}, {upper:.6g}])",
         "pressure zero sits at the left edge of the domain")

@@ -166,24 +166,39 @@ class TestBetaCommand:
         assert est1 == pytest.approx(math.log(1 + math.e) / math.log(2), abs=1e-9)
 
     def test_one_stage_kernel_per_t_point(self, tmp_path, monkeypatch):
-        """solve_beta and grad_beta share the stage kernel; the only other
-        build is the dp kernel that certifies the limit enclosure."""
-        from cgdms.kernel import PressureKernel
+        """solve_beta and grad_beta share the stage kernel, which enumerates
+        here; the only other build is the window transfer that certifies
+        the limit enclosure."""
+        from cgdms.kernel import PressureKernel, WindowTransfer
         builds = []
-        init = PressureKernel.__init__
+        for cls in (PressureKernel, WindowTransfer):
+            def counting_init(self, *args, _init=cls.__init__, **kwargs):
+                builds.append(type(self).__name__)
+                _init(self, *args, **kwargs)
 
-        def counting_init(self, *args, **kwargs):
-            builds.append(1)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(PressureKernel, "__init__", counting_init)
+            monkeypatch.setattr(cls, "__init__", counting_init)
         doc = dict(SIM_CONFIG)
         doc["numerics"] = dict(doc["numerics"], word_length=16)
         doc["beta"] = {"t_points": [[0.5]]}
         cfg = write_config(tmp_path, doc)
         assert main(["beta", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         assert len(read_body(tmp_path / "o" / "beta.csv").splitlines()) == 2
-        assert len(builds) == 2
+        assert builds == ["PressureKernel", "WindowTransfer"]
+
+    def test_markov_window_one_is_window_two(self, tmp_path):
+        """On a Markov incidence window 1 is clamped to 2 for the
+        certifying transfer as for the stage kernel: same data row."""
+        doc = dict(SIM_CONFIG)
+        doc["system"] = dict(SIM_CONFIG["system"], incidence=[[1, 1], [1, 0]])
+        doc["beta"] = {"t_points": [[0.5]]}
+        rows = []
+        for window in (1, 2):
+            doc["numerics"] = dict(SIM_CONFIG["numerics"], window=window)
+            cfg = write_config(tmp_path, doc, f"w{window}.json")
+            out = tmp_path / f"o{window}"
+            assert main(["beta", "--config", cfg, "--out", str(out)]) == 0
+            rows.append(read_body(out / "beta.csv").splitlines()[1])
+        assert rows[0] == rows[1]
 
     def test_one_moment_pass_per_t_point(self, tmp_path, monkeypatch):
         """The Gibbs means of solve_beta and the gradient of grad_beta are
@@ -445,3 +460,37 @@ class TestConfigValidation:
         else:
             doc[section][key] = True
         self._rejected(tmp_path, capsys, "sets", doc, field)
+
+    CUSTOM = {"kind": "custom-1d", "map_expr": "x/3 + 2*(k-1)/3",
+              "abs_deriv_expr": "1/3 + 0*x", "contraction_bound": 0.34,
+              "edges": 2}
+
+    @pytest.mark.parametrize("command,section,value,field", [
+        ("pressure", "potential", {"kind": "zero", "dim": 0}, "potential.dim"),
+        ("pressure", "potential", {"kind": "mod-cycle", "tables": [["a", 1.0]]},
+         "potential.tables"),
+        ("dimension", "system", {"kind": "similarity", "ratios": [0.5, 0.5],
+                                 "flips": ["x", 1]}, "system.flips"),
+        ("dimension", "system", dict(CUSTOM, domain=[]), "system.domain"),
+        ("dimension", "system", dict(CUSTOM, edges=0), "system.edges"),
+        ("spectrum", "spectrum", {"t_grid": [["a"]]}, "spectrum.t_grid[0]"),
+        ("spectrum", "spectrum", {"t_grid": [[0.1, 0.2]]}, "spectrum.t_grid[0]"),
+        ("sets", "sets", {"t_grid": {"min": ["a"], "max": [1.0]}},
+         "sets.t_grid.min"),
+    ], ids=["dim-zero", "tables-word", "flips-word", "custom-domain-empty",
+            "custom-edges-zero", "t-grid-word", "t-grid-length", "t-grid-min-word"])
+    def test_malformed_field(self, tmp_path, capsys, command, section, value, field):
+        doc = json.loads(json.dumps(SIM_CONFIG))
+        doc[section] = value
+        self._rejected(tmp_path, capsys, command, doc, field)
+
+    def test_window_table_over_the_cap(self, tmp_path, capsys):
+        """cf24 at window 5 needs a 24**5 table for the certifying
+        transfer of ``beta``: rejected before any table is built."""
+        doc = {"system": {"kind": "moebius-cf", "alphabet": 24},
+               "potential": self.CF_SETS["potential"],
+               "numerics": {"word_length": 10, "truncation": 24, "window": 5,
+                            "tolerance": 0.2},
+               "beta": {"t_points": [[0.1, -0.2]]}}
+        err = self._rejected(tmp_path, capsys, "beta", doc, "numerics.window")
+        assert "24**5" in err

@@ -1,5 +1,6 @@
 """Static import rules for the package: no command uses threads or
-processes, and ``src`` never imports the benchmark harness."""
+processes, ``src`` never imports the benchmark harness, and the layers
+above ``kernel`` see only its two classes."""
 
 import ast
 from pathlib import Path
@@ -39,3 +40,36 @@ def test_the_rule_sees_each_forbidden_import():
            "import multiprocessing.pool\nfrom bench import tracing\n"
            "from .kernel import PressureKernel\n")
     assert _imported(src) == set(FORBIDDEN)
+
+
+# the names ``thermo`` and ``multifractal`` may take from ``kernel``: window
+# choice, caps and clamps stay behind its two classes
+KERNEL_API = {"PressureKernel", "WindowTransfer"}
+
+
+def _from_kernel(source: str) -> set:
+    """Every name a module imports from its sibling ``kernel``, and
+    ``kernel`` itself when it imports the whole module."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module == "kernel":
+                names.update(a.name for a in node.names)
+            elif node.module is None:
+                names.update(a.name for a in node.names if a.name == "kernel")
+    return names
+
+
+@pytest.mark.parametrize("name", ["thermo", "multifractal"])
+def test_layers_above_kernel_import_its_classes_only(name):
+    source = (SRC / f"{name}.py").read_text(encoding="utf-8")
+    assert _from_kernel(source) <= KERNEL_API
+    # the module is importing from kernel at all, so the rule has teeth
+    assert _from_kernel(source)
+
+
+def test_the_kernel_rule_sees_helpers():
+    src = ("from .kernel import PressureKernel, dp_window\n"
+           "from .kernel import EXACT_CAP as cap\nfrom . import kernel\n")
+    assert _from_kernel(src) == {"PressureKernel", "dp_window", "EXACT_CAP",
+                                 "kernel"}

@@ -377,7 +377,7 @@ def test_transfer_step_matches_former_recursion(name):
         assert kern.bound(t, beta, "lower") == ref.logsum(t, beta, "inf")[0]
         assert kern.bound(t, beta, "upper") == ref.logsum(t, beta, "sup")[0]
         for side in ("lower", "upper", "mid"):
-            assert kern.limit_bound(t, beta, side) == ref.limit_bound(t, beta, side)
+            assert kern.transfer.limit_bound(t, beta, side) == ref.limit_bound(t, beta, side)
         mval, jq, iq = kern.moments(t, beta)
         _, rjq, riq = ref.logsum(t, beta, "mid", grad=True)
         assert mval == val

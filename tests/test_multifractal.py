@@ -64,6 +64,14 @@ class TestSolveBeta:
         assert (bp.window, bp.stages, bp.truncation) == (3, 10, 3)
         assert s.certifier().window == 3
 
+    def test_depth_two_window_one_is_window_two(self):
+        """The certifying transfer clamps window 1 up to the potential
+        depth, as the stage kernel does, and certifies what window 2 does."""
+        cf3 = truncated_cf_system(3)
+        one = solve_beta(cf3, J2, (0.2, -0.1), 0.1, n=10, window=1)
+        assert one == solve_beta(cf3, J2, (0.2, -0.1), 0.1, n=10, window=2)
+        assert one.window == 2
+
     def test_gibbs_means_reported(self):
         bp = solve_beta(SIM, J01, (0.0,), 1e-8, n=24)
         jmean, imean = bp.gibbs_means
