@@ -117,9 +117,9 @@ class _Tables:
     the cylinder hull."""
 
     def __init__(self, sys: SystemDescriptor, J: PotentialVector, N: int):
-        self.hull = sys.hull(N)
-        self.N = N
+        self.hull, self.N = sys.hull(N), N
         self.m = m = J.depth
+        self._heads: dict = {}  # l -> first-m-symbol codes of the l-words
         msyms = _words(N, m)
         self.mvalid = mvalid = sys.incidence.admits(msyms)
         self.jvals = jvals = np.zeros((N ** m, J.dim))
@@ -140,7 +140,9 @@ class _Tables:
         the bounds.  From l = m on, the first m symbols fix the value."""
         N, m = self.N, self.m
         if l >= m:
-            code = np.arange(N ** l) // (N ** (l - m))
+            if l not in self._heads:
+                self._heads[l] = np.arange(N ** l) // (N ** (l - m))
+            code = self._heads[l]
             v = u[code]
             return v, v, code, code
         blk = N ** (m - l)
@@ -209,9 +211,9 @@ class WindowTransfer:
 
     @classmethod
     def at_level(cls, sys: SystemDescriptor, J: PotentialVector, N: int,
-                 level: int, window: Optional[int] = None) -> "WindowTransfer":
-        """The transfer at :meth:`window_at` of ``level`` and ``window``."""
-        return cls(sys, J, N, cls.window_at(sys, J, N, level, window))
+                 level: int) -> "WindowTransfer":
+        """The transfer at the :meth:`window_at` choice of ``level``."""
+        return cls(sys, J, N, cls.window_at(sys, J, N, level))
 
     def j_dot(self, t) -> tuple:
         """(<t, J> on depth-m words, its values on the windows), kept for

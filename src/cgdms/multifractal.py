@@ -125,10 +125,8 @@ class BetaSolver:
     def __init__(self, sys: SystemDescriptor, J: PotentialVector, *,
                  n: int = DEFAULT_STAGES, N: Optional[int] = None,
                  window: Optional[int] = None):
-        self.sys = sys
-        self.J = J
+        self.sys, self.J, self._window = sys, J, window
         self.kern = PressureKernel(sys, J, n=n, N=N, window=window)
-        self._window = window
         self._limit: Optional[WindowTransfer] = None
         self._cache: dict = {}
         self._grads: dict = {}

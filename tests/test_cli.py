@@ -494,3 +494,14 @@ class TestConfigValidation:
                "beta": {"t_points": [[0.1, -0.2]]}}
         err = self._rejected(tmp_path, capsys, "beta", doc, "numerics.window")
         assert "24**5" in err
+
+    def test_certifier_alone_over_the_cap(self, tmp_path, capsys):
+        """At word length 3 the cf24 stage kernel enumerates (24**3 words),
+        so only the certifying transfer at window 5 passes the cap."""
+        doc = {"system": {"kind": "moebius-cf", "alphabet": 24},
+               "potential": self.CF_SETS["potential"],
+               "numerics": {"word_length": 3, "truncation": 24, "window": 5,
+                            "tolerance": 0.2},
+               "beta": {"t_points": [[0.1, -0.2]]}}
+        err = self._rejected(tmp_path, capsys, "beta", doc, "numerics.window")
+        assert "24**5" in err
