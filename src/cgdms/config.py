@@ -162,6 +162,9 @@ def build_potential(cfg: dict, path: str = "potential") -> PotentialVector:
         if not tables or not all(t and _numbers(t) for t in tables):
             raise ConfigError(f"{path}.tables",
                               "need a nonempty list of nonempty numeric lists")
+        if dim is not None and dim != len(tables):
+            raise ConfigError(f"{path}.dim", f"is {dim}, but {len(tables)} "
+                              "tables give the dimension")
         return potentials.mod_cycle(tables)
     raise ConfigError(f"{path}.kind", f"unknown potential kind {kind!r}")
 

@@ -4,8 +4,10 @@ the attainable value sets of Birkhoff quotients.
 beta(t) is the zero in beta of the pressure of <t,J> - beta*I.  Enclosures
 bracket the limit pressure with the window transfer matrix; roots,
 gradients, Hessians and Newton steps come from one :class:`BetaSolver`
-over the anchored stage-n value, whose exact gradient is the weighted
-word-sum quotient.
+over the anchored stage-n value P, whose exact gradient is the weighted
+word-sum quotient.  The Hessian needs no root beyond the one at t: the
+implicit-function identity turns it into differences of the gradient of
+P along the tangent directions of the surface.
 """
 
 from __future__ import annotations
@@ -113,13 +115,19 @@ class KLEstimate:
     inclusion: dict
 
 
+def _key(t) -> tuple:
+    """The memo key of a point t: its coordinates as a tuple of floats."""
+    return tuple(np.atleast_1d(np.asarray(t, dtype=float)).tolist())
+
+
 class BetaSolver:
     """The one root/gradient/Hessian engine of the multifractal layer.
 
-    Roots and exact gradients are memoized per t; the Hessian is the
-    symmetrized central difference of the exact gradient.  The solver
-    also owns the window transfer that certifies beta.  Differentiation
-    steps are pinned constants so results are reproducible.
+    Roots, exact gradients and Hessians are memoized per t; the Hessian
+    takes the root and moment pass of the gradient at t plus 2d moment
+    passes at nearby (t, beta), and no further root.  The solver also owns
+    the window transfer that certifies beta.  Differentiation steps are
+    pinned constants so results are reproducible.
     """
 
     def __init__(self, sys: SystemDescriptor, J: PotentialVector, *,
@@ -130,6 +138,7 @@ class BetaSolver:
         self._limit: Optional[WindowTransfer] = None
         self._cache: dict = {}
         self._grads: dict = {}
+        self._hess: dict = {}
 
     def certifier(self) -> WindowTransfer:
         """The window transfer whose bracket certifies beta, at the window
@@ -149,7 +158,7 @@ class BetaSolver:
         The starting bracket is fixed rather than warm-started so that
         results cannot depend on call order.
         """
-        key = tuple(np.atleast_1d(np.asarray(t, dtype=float)).tolist())
+        key = _key(t)
         if key not in self._cache:
             self._cache[key] = anchored_pressure_root(self.kern, np.asarray(key))
         return self._cache[key]
@@ -162,7 +171,7 @@ class BetaSolver:
     def grad_with_means(self, t):
         """(gradient, root, (J mean, I mean)) at t, from one moment pass
         per t; the arrays are shared with the memo and read-only."""
-        key = tuple(np.atleast_1d(np.asarray(t, dtype=float)).tolist())
+        key = _key(t)
         if key not in self._grads:
             beta = self.root(key)
             _, jq, iq = self.kern.moments(np.asarray(key), beta)
@@ -180,13 +189,35 @@ class BetaSolver:
                          for e in h * np.eye(t.size)]) / (2 * h)
 
     def hessian(self, t) -> np.ndarray:
-        """Symmetrized central differences of the exact gradient with step
-        FD_HESS_STEP: 2d roots and moment passes at a fresh t."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        h = FD_HESS_STEP * max(1.0, float(np.abs(t).max()))
-        H = np.array([self.grad(t + e) - self.grad(t - e)
-                      for e in h * np.eye(t.size)]) / (2 * h)
-        return 0.5 * (H + H.T)
+        """Hessian of the anchored stage root at t, with no root solve
+        beyond the memoized one at t.
+
+        P(t, beta(t)) = 0 differentiated twice along u_i = (e_i, d_i beta)
+        gives d_ij beta = u_i . (D2 P) u_j / I, with grad P = (J mean,
+        -I mean) from :meth:`~cgdms.kernel.PressureKernel.moments` and I
+        the I mean at the root.  (D2 P) u_j is the central difference of
+        grad P along u_j with step h = FD_HESS_STEP * max(1, |t|_inf), at
+        (t +/- h e_j, beta +/- h d_j beta): 2d moment passes.  Those betas
+        may fall below BETA_FLOOR; the kernel evaluates any beta, and
+        nothing here is a certified bound.  Symmetrized, memoized per t
+        and read-only.
+        """
+        key = _key(t)
+        if key not in self._hess:
+            g, beta, (_, iq) = self.grad_with_means(key)
+            t = np.asarray(key)
+            d = t.size
+            h = FD_HESS_STEP * max(1.0, float(np.abs(t).max()))
+            D = np.empty((d, d + 1))  # row j: 2h (D2 P) u_j
+            for j, (e, db) in enumerate(zip(h * np.eye(d), h * g)):
+                _, jp, ip = self.kern.moments(t + e, beta + db)
+                _, jm, im = self.kern.moments(t - e, beta - db)
+                D[j, :d], D[j, d] = jp - jm, im - ip
+            H = D @ np.vstack([np.eye(d), g]) / (2 * h * iq)
+            H = 0.5 * (H + H.T)
+            H.flags.writeable = False
+            self._hess[key] = H
+        return self._hess[key]
 
 
 def solve_beta(sys: SystemDescriptor, J: PotentialVector, t, tol: float = 1e-8,
@@ -244,8 +275,9 @@ def grad_beta(sys: SystemDescriptor, J: PotentialVector, t, tol: float = 1e-6,
 def hessian_beta(sys: SystemDescriptor, J: PotentialVector, t, *,
                  n: int = DEFAULT_STAGES, N: Optional[int] = None,
                  window: Optional[int] = None) -> HessianResult:
-    """Hessian of beta (:meth:`BetaSolver.hessian`) with an eigenvalue
-    report; positive definite means every eigenvalue exceeds PD_TOL."""
+    """Hessian of beta with an eigenvalue report: :meth:`BetaSolver.hessian`,
+    one root and 2d+1 moment passes on a fresh solver.  Positive definite
+    means every eigenvalue exceeds PD_TOL."""
     H = BetaSolver(sys, J, n=n, N=N, window=window).hessian(t)
     eigs = np.linalg.eigvalsh(H)
     return HessianResult(matrix=tuple(map(tuple, H.tolist())),

@@ -139,7 +139,9 @@ def estimate_theta(sys: SystemDescriptor) -> ThetaResult:
 
 def _root(f: Callable) -> float:
     """Zero of a pressure function decreasing in beta: brentq after
-    doubling the right end from ROOT_HI_HINT until f turns negative."""
+    doubling the right end from ROOT_HI_HINT until f turns negative.
+    brentq reads the two bracket ends from the values already computed,
+    so no bracket end is evaluated twice."""
     flo = f(BETA_FLOOR)
     if flo == 0.0:
         return BETA_FLOOR
@@ -156,7 +158,9 @@ def _root(f: Callable) -> float:
         fhi = f(hi)
     else:
         raise BracketBudgetError("pressure never becomes negative")
-    return float(brentq(f, BETA_FLOOR, hi, xtol=ROOT_XTOL, maxiter=256))
+    ends = {BETA_FLOOR: flo, hi: fhi}
+    return float(brentq(lambda b: ends[b] if b in ends else f(b),
+                        BETA_FLOOR, hi, xtol=ROOT_XTOL, maxiter=256))
 
 
 def anchored_pressure_root(kern: PressureKernel, t) -> float:

@@ -477,8 +477,11 @@ class TestConfigValidation:
         ("spectrum", "spectrum", {"t_grid": [[0.1, 0.2]]}, "spectrum.t_grid[0]"),
         ("sets", "sets", {"t_grid": {"min": ["a"], "max": [1.0]}},
          "sets.t_grid.min"),
+        ("pressure", "potential", {"kind": "mod-cycle", "tables": [[1, 0], [0, 1]],
+                                   "dim": 3}, "potential.dim"),
     ], ids=["dim-zero", "tables-word", "flips-word", "custom-domain-empty",
-            "custom-edges-zero", "t-grid-word", "t-grid-length", "t-grid-min-word"])
+            "custom-edges-zero", "t-grid-word", "t-grid-length", "t-grid-min-word",
+            "mod-cycle-dim"])
     def test_malformed_field(self, tmp_path, capsys, command, section, value, field):
         doc = json.loads(json.dumps(SIM_CONFIG))
         doc[section] = value

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from cgdms import measures, multifractal, potentials
 from cgdms.multifractal import (FD_HESS_STEP, BetaSolver, estimate_KL, estimate_M,
@@ -130,10 +131,11 @@ class TestHessianBeta:
         assert np.allclose(H, H.T)
 
     def test_hessian_differences_the_exact_gradient(self, monkeypatch):
-        """A fresh solver's Hessian solves 2d roots (the 2d^2+1-root second
-        differences of the root took 9 at d=2) and agrees with them."""
+        """A fresh solver's Hessian solves one root, at t, and takes 2d
+        moment passes away from t (the 2d^2+1-root second differences of the
+        root took 9 roots at d=2), and agrees with those second differences."""
         t = np.array([0.3, -0.2])
-        roots = []
+        roots, points = [], []
         anchored = multifractal.anchored_pressure_root
 
         def counting_root(*args):
@@ -141,8 +143,17 @@ class TestHessianBeta:
             return anchored(*args)
 
         monkeypatch.setattr(multifractal, "anchored_pressure_root", counting_root)
-        H = BetaSolver(CF24, MOD23_J, n=10, window=3).hessian(t)
-        assert len(roots) == 4
+        fresh = BetaSolver(CF24, MOD23_J, n=10, window=3)
+        moments = fresh.kern.moments
+
+        def counting_moments(tt, beta):
+            points.append(tuple(tt))
+            return moments(tt, beta)
+
+        fresh.kern.moments = counting_moments
+        H = fresh.hessian(t)
+        assert len(roots) == 1
+        assert len([p for p in points if p != tuple(t)]) == 4
         assert np.array_equal(H, H.T)
 
         # the second-difference root stencil the Hessian replaced
@@ -156,6 +167,38 @@ class TestHessianBeta:
         H_old[0, 1] = H_old[1, 0] = (b(e[0] + e[1]) - b(e[0] - e[1])
                                      - b(-e[0] + e[1]) + b(-e[0] - e[1])) / (4 * h ** 2)
         assert np.abs(H - H_old).max() < 1e-5
+
+    def test_second_hessian_is_memoized(self):
+        solver = BetaSolver(CF24, MOD23_J, n=10, window=3)
+        H = solver.hessian((0.3, -0.2))
+        calls = []
+        for name in ("value", "values", "bound", "moments"):
+            setattr(solver.kern, name, lambda *a, name=name: calls.append(name))
+        assert solver.hessian(np.array([0.3, -0.2])) is H
+        assert calls == []
+        assert not H.flags.writeable
+
+    def test_two_dim_similarity_closed_form(self):
+        """Three similarities with a 2-D table potential: beta solves the
+        Moran equation sum_k exp(<t, J_k>) r_k**beta = 1, and its Hessian,
+        off-diagonal term included, is the central difference of the
+        closed-form gradient sum_k w_k J_k / sum_k w_k (-log r_k)."""
+        r = np.array([0.5, 0.3, 0.15])
+        Jk = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0]])
+        sim3 = similarity_system(r.tolist(), offsets=[0.0, 0.5, 0.85])
+        J = potentials.from_table({k + 1: v for k, v in enumerate(Jk.tolist())})
+
+        def grad(t):
+            beta = brentq(lambda b: np.exp(Jk @ t) @ r ** b - 1.0, 0.0, 10.0,
+                          xtol=1e-15)
+            w = np.exp(Jk @ t) * r ** beta
+            return w @ Jk / (w @ -np.log(r))
+
+        t, h = np.array([0.4, -0.3]), 1e-4
+        H_ref = np.array([grad(t + e) - grad(t - e) for e in h * np.eye(2)]) / (2 * h)
+        H = BetaSolver(sim3, J, n=8).hessian(t)
+        assert abs(H_ref[0, 1]) > 0.01
+        assert np.abs(H - H_ref).max() < 1e-5
 
 
 class TestIndependence:

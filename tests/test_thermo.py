@@ -10,12 +10,13 @@ from scipy.optimize import brentq
 
 from cgdms import potentials
 from cgdms.errors import BracketBudgetError
-from cgdms.kernel import PressureKernel
+from cgdms.kernel import PressureKernel, WindowTransfer
 from cgdms.system import (SystemDescriptor, TailRule, moebius_cf_system,
                           similarity_system, truncated_cf_system)
-from cgdms.thermo import (PressureQuery, bowen_dimension,
-                          classify_regularity, estimate_theta,
-                          pressure_bracket, thermo_report)
+from cgdms.thermo import (BETA_FLOOR, ROOT_HI_HINT, ROOT_XTOL, PressureQuery,
+                          anchored_pressure_root, bowen_dimension,
+                          certified_pressure_zero, classify_regularity,
+                          estimate_theta, pressure_bracket, thermo_report)
 
 J0 = potentials.zero(1)
 SIM_HALF = similarity_system([0.5, 0.5], offsets=[0.0, 0.5])
@@ -260,6 +261,46 @@ class TestBowenDimension:
         assert err.value.best is not None
         assert 0.5313 in err.value.best.padded(5e-3)
         assert err.value.required_n is not None
+
+
+class TestRoot:
+    """Each root solve evaluates the pressure at most once per beta."""
+
+    CF24 = truncated_cf_system(24)
+    MOD_J = potentials.mod_cycle([[-1.0, 1.0], [0.0, 1.0, -1.0]])
+    T = np.array([0.3, -0.2])
+
+    def test_stage_root_evaluates_each_beta_once(self):
+        kern = PressureKernel(self.CF24, self.MOD_J, n=10, window=3)
+        value, betas = kern.value, []
+
+        def counting(t, b):
+            betas.append(b)
+            return value(t, b)
+
+        kern.value = counting
+        root = anchored_pressure_root(kern, self.T)
+        assert len(betas) == len(set(betas))
+        # the right end of the bracket is the last doubling of ROOT_HI_HINT,
+        # and brentq on that bracket gives the root bit for bit
+        hi = max(betas)
+        assert math.log2(hi / ROOT_HI_HINT).is_integer() and kern.value(self.T, hi) < 0.0
+        assert root == brentq(lambda b: kern.value(self.T, b), BETA_FLOOR, hi,
+                              xtol=ROOT_XTOL, maxiter=256)
+
+    def test_limit_root_evaluates_each_beta_once(self):
+        transfer = WindowTransfer(self.CF24, self.MOD_J, 24, 3)
+        bound, mids = transfer.limit_bound, []
+
+        def counting(t, b, side):
+            if side == "mid":
+                mids.append(b)
+            return bound(t, b, side)
+
+        transfer.limit_bound = counting
+        enc, est = certified_pressure_zero(transfer, self.T, 0.2)
+        assert len(mids) == len(set(mids))
+        assert enc.lo <= est <= enc.hi
 
 
 class TestTheta:
