@@ -13,7 +13,7 @@ from typing import Optional
 from . import potentials
 from .errors import ConfigError, InvalidWordError
 from .families import Custom1DFamily
-from .kernel import PressureKernel, WindowTransfer
+from .kernel import STAGE_STEP_CAP, PressureKernel, WindowTransfer
 from .measures import RULE_CUTOFF, BernoulliSpec
 from .potentials import PotentialVector, cycle_birkhoff
 from .symbolic import IncidenceMatrix, Multigraph, closed_cycle
@@ -209,6 +209,7 @@ def validate_config(doc: dict, command: str) -> RunConfig:
         _check_declared(potential, N, "potential.values")
         if window is not None:
             _check_window(system, potential, wl, N, window, command == "beta")
+        _check_steps(system, potential, wl, N, window)
     params = doc.get(command, {})
     if not isinstance(params, dict):
         raise ConfigError(command, "command parameters must be an object")
@@ -301,6 +302,21 @@ def _check_window(system: SystemDescriptor, potential: PotentialVector,
                 N, WindowTransfer.window_at(system, potential, N, n, window))
     except ValueError as exc:
         raise ConfigError("numerics.window", str(exc)) from exc
+
+
+def _check_steps(system: SystemDescriptor, potential: PotentialVector,
+                 n: int, N: int, window: Optional[int]) -> None:
+    """One stage recursion of the run's kernel makes at most
+    ``STAGE_STEP_CAP`` state-steps, so no word length runs for hours."""
+    try:
+        steps = PressureKernel.stage_steps(system, potential, n, N, window)
+    except ValueError:
+        return  # no window fits the word; the kernel reports that itself
+    if steps > STAGE_STEP_CAP:
+        raise ConfigError("numerics.word_length", (
+            f"one stage recursion at length {n} would make {steps} "
+            f"state-steps, over the cap of {STAGE_STEP_CAP}; shorten the "
+            "words, the window or the truncation"))
 
 
 def _check_declared(potential: PotentialVector, N: int, path: str) -> None:

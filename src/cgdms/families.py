@@ -105,22 +105,57 @@ class MapFamily:
             iv = self.image(e, iv)
         return iv
 
-    # -- vectorized forms used by the pressure kernel --------------------
-    # Columns of ``syms`` are words; each row is one word position, so the
-    # generic forms call the elementwise primitives once per row.
+    # -- the word recursion of the pressure kernel ------------------------
+    # A state holds per-word arrays, one entry per word.  A step extends
+    # every word w by one leading symbol k (phi_{kw} = phi_k o phi_w), so
+    # the tables of all L-words grow into those of all (L+1)-words one
+    # symbol at a time, with the same per-word arithmetic as the scalar
+    # :meth:`word_image` and :meth:`word_log_deriv_range`.  The default
+    # carries the image interval of the tail and, with ``sums``, the
+    # chain-rule log-derivative sums.
+    def word_start(self, tail: tuple, sums: bool = False) -> tuple:
+        """State of the empty word over the ``tail`` interval."""
+        iv = (np.full(1, tail[0], dtype=float), np.full(1, tail[1], dtype=float))
+        return (*iv, np.zeros(1), np.zeros(1)) if sums else iv
+
+    def word_step(self, k, state: tuple) -> tuple:
+        """State of each word k·w from that of w, elementwise: one ``image``
+        call, and one ``deriv_log_range`` call when the sums are carried."""
+        iv = state[:2]
+        image = self.image(k, iv)
+        if len(state) == 2:
+            return image
+        dlo, dhi = self.deriv_log_range(k, iv)
+        return (*image, state[2] + dlo, state[3] + dhi)
+
+    def word_bracket(self, state: tuple, tail: tuple) -> tuple:
+        """Enclosure of log|phi_w'| over ``tail`` per word, from a state
+        started over ``tail`` with ``sums``."""
+        return state[2], state[3]
+
+    def head_bracket(self, k, state: tuple, tail: tuple) -> tuple:
+        """Range of log|phi_k'| over phi_w(tail) per word k·w: the
+        contribution of the window k·w."""
+        return self.deriv_log_range(k, state[:2])
+
+    # -- vectorized forms over explicit words -----------------------------
+    # Columns of ``syms`` are words; each row is one word position, taken
+    # by the word recursion from the last to the first.
     def vec_word_log_deriv(self, syms: np.ndarray, tail: tuple):
-        """Per-column enclosures for a (L, M) matrix of words; overridden
-        by the built-ins with closed forms."""
-        lo, hi = self.word_log_deriv_range(syms, tail)
-        return _columns(lo, syms), _columns(hi, syms)
+        """Per-column enclosures of log|phi_w'| for a (L, M) matrix of
+        words."""
+        state = self.word_start(tail, sums=True)
+        for k in syms[::-1]:
+            state = self.word_step(k, state)
+        return tuple(_columns(v, syms) for v in self.word_bracket(state, tail))
 
     def vec_suffix_then_head(self, syms: np.ndarray, tail: tuple):
-        """Per-column range of log|phi'_{w_1}| over phi_{w_2..w_L}(tail).
-
-        This is the single-window contribution used by the fused kernel.
-        """
-        lo, hi = self.deriv_log_range(syms[0], self.word_image(syms[1:], tail))
-        return _columns(lo, syms), _columns(hi, syms)
+        """Per-column range of log|phi'_{w_1}| over phi_{w_2..w_L}(tail):
+        the single-window contribution."""
+        state = self.word_start(tail)
+        for k in syms[:0:-1]:
+            state = self.word_step(k, state)
+        return tuple(_columns(v, syms) for v in self.head_bracket(syms[0], state, tail))
 
 
 def _columns(v, syms: np.ndarray) -> np.ndarray:
@@ -185,13 +220,20 @@ class SimilarityFamily(MapFamily):
         s = sum(math.log(self.ratios[e - 1]) for e in word)
         return (s, s)
 
-    def vec_word_log_deriv(self, syms, tail):
-        s = self._logr[syms].sum(axis=0)
-        return s.copy(), s
+    # the state is the sum of log ratios, added from the last symbol to the
+    # first; every bracket has zero width
+    def word_start(self, tail, sums=False):
+        return (np.zeros(1),)
 
-    def vec_suffix_then_head(self, syms, tail):
-        s = self._logr[syms[0]]
-        return s.copy(), s
+    def word_step(self, k, state):
+        return (self._logr[k] + state[0],)
+
+    def word_bracket(self, state, tail):
+        return state[0], state[0]
+
+    def head_bracket(self, k, state, tail):
+        s = self._logr[k]
+        return s, s
 
 
 class MoebiusCFFamily(MapFamily):
@@ -251,37 +293,30 @@ class MoebiusCFFamily(MapFamily):
         x1 = (pn + pn1 * b) / (qn + qn1 * b)
         return (min(x0, x1), max(x0, x1))
 
-    @staticmethod
-    def _vec_continuants(syms: np.ndarray):
-        L, M = syms.shape
-        pn = np.zeros(M)
-        pn1 = np.ones(M)
-        qn = np.ones(M)
-        qn1 = np.zeros(M)
-        for i in range(L):
-            k = syms[i].astype(float)
-            pn, pn1 = k * pn + pn1, pn
-            qn, qn1 = k * qn + qn1, qn
-        return pn, pn1, qn, qn1
+    # The state is the continuants (p, p1, q, q1) of phi_w(x) =
+    # (p + p1 x)/(q + q1 x), which one leading symbol k maps to
+    # (q, q1, p + k q, p1 + k q1).  They are integers, exact in floats below
+    # 2**53, and the table caps keep them far under it, so every table
+    # equals the left-to-right continuant recursion bit for bit.
+    def word_start(self, tail, sums=False):
+        return (np.zeros(1), np.ones(1), np.ones(1), np.zeros(1))
 
-    def vec_word_log_deriv(self, syms, tail):
-        _, _, qn, qn1 = self._vec_continuants(syms)
-        a, b = tail
-        return (-2.0 * np.log(qn + qn1 * b), -2.0 * np.log(qn + qn1 * a))
+    def word_step(self, k, state):
+        p, p1, q, q1 = state
+        return q, q1, p + k * q, p1 + k * q1
 
-    def vec_suffix_then_head(self, syms, tail):
+    def word_bracket(self, state, tail):
+        _, _, q, q1 = state
         a, b = tail
-        if syms.shape[0] == 1:
-            ylo = np.full(syms.shape[1], a)
-            yhi = np.full(syms.shape[1], b)
-        else:
-            pn, pn1, qn, qn1 = self._vec_continuants(syms[1:])
-            x0 = (pn + pn1 * a) / (qn + qn1 * a)
-            x1 = (pn + pn1 * b) / (qn + qn1 * b)
-            ylo = np.minimum(x0, x1)
-            yhi = np.maximum(x0, x1)
-        k = syms[0].astype(float)
-        return (-2.0 * np.log(yhi + k), -2.0 * np.log(ylo + k))
+        return (-2.0 * np.log(q + q1 * b), -2.0 * np.log(q + q1 * a))
+
+    def head_bracket(self, k, state, tail):
+        p, p1, q, q1 = state
+        a, b = tail
+        x0 = (p + p1 * a) / (q + q1 * a)
+        x1 = (p + p1 * b) / (q + q1 * b)
+        return (-2.0 * np.log(np.maximum(x0, x1) + k),
+                -2.0 * np.log(np.minimum(x0, x1) + k))
 
 
 # ---------------------------------------------------------------------------

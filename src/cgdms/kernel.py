@@ -18,6 +18,12 @@ log rho(L_inf) <= P <= log rho(L_sup) for its window matrix L, each radius
 bounded by Collatz-Wielandt ratios.  It owns the window clamps and the
 table cap, and holds none of the trailing windows that only stage sums read.
 
+Every window, trailing and word table comes from one recursion on word
+length (:func:`_levels`): the family's per-word state of all L-words, in
+natural code order, is extended to all (L+1)-words by one leading symbol,
+and :class:`~cgdms.symbolic.IncidenceMatrix` extends their admissibility
+the same way, so no table builds a grid of symbols.
+
 Each reduction takes its weights at the infimum, supremum or midpoint of
 their brackets and, on request, carries their t- and beta-derivatives,
 which gives the Gibbs moments as exact derivatives of the anchored value.
@@ -39,6 +45,8 @@ from .util import compensated_sum
 
 EXACT_CAP = 1 << 17      # max truncation**length for per-word enumeration
 DP_WINDOW_CAP = 1 << 19  # max truncation**window for fused-mode tables
+# max state-steps of one dp stage recursion, about 1 s at 8 ns a state-step
+STAGE_STEP_CAP = 1 << 27
 # default weight of anchored point values: the exact per-word suprema when
 # enumerating, bracket midpoints in the transfer recursion
 _ANCHOR = {"enumerate": "sup", "dp": "mid"}
@@ -49,11 +57,50 @@ PERRON_ITER_CAP = 1000   # Perron steps per irreducible class and bracket
 def _words(N: int, length: int) -> np.ndarray:
     """Every word of ``length`` symbols as the columns of a (length,
     N**length) array: column c holds the base-N digits of c, first symbol
-    most significant, symbols 1-based."""
+    most significant, symbols 1-based.  Only the depth-m potential grams
+    of :class:`_Tables` are built this way."""
     syms = np.empty((length, N ** length), dtype=np.int64)
     for i in range(length):
         syms[i].reshape(N ** i, N, -1)[...] = np.arange(1, N + 1)[:, None]
     return syms
+
+
+def _levels(sys: SystemDescriptor, N: int, hull: tuple, top: int, *,
+            whole: bool = False):
+    """The tables of the L-words over 1..N for L = 0, 1, ..., top, by one
+    recursion on word length.  Yields (ok, state) per level: ``ok`` the
+    admissibility of every L-word in natural code order (first symbol most
+    significant) and ``state`` the family's per-word arrays over ``hull``
+    (:meth:`~cgdms.families.MapFamily.word_step`) in the same order, for
+    every word, or with ``whole`` for the admissible words only and
+    carrying their whole-word log-derivative sums.  Level L+1 extends each
+    word of level L by one leading symbol."""
+    fam, inc = sys.family, sys.incidence
+    ok, state = np.ones(1, dtype=bool), fam.word_start(hull, sums=whole)
+    yield ok, state
+    for L in range(1, top + 1):
+        nxt = np.ones(N, dtype=bool) if L == 1 else inc.extend_admits(ok, N)
+        if whole and not nxt.all():  # pruned to the admissible words
+            codes = np.flatnonzero(nxt)
+            tails = (np.cumsum(ok) - 1)[codes % ok.size]  # ranks of the tails
+            state = fam.word_step(codes // ok.size + 1, tuple(s[tails] for s in state))
+            shape = codes.shape
+        else:
+            state = fam.word_step(np.arange(1, N + 1)[:, None], state)
+            shape = (N, ok.size)
+        state = tuple(np.broadcast_to(s, shape).ravel() for s in state)
+        ok = nxt
+        yield ok, state
+
+
+def _head_brackets(fam, tails: tuple, hull: tuple, N: int) -> tuple:
+    """(lo, hi) of log|phi_k'| over phi_w(hull), flattened, for each
+    leading symbol k in 1..N (the leading axis) and each word w whose
+    family state ``tails`` holds (arrays of any one shape)."""
+    k = np.arange(1, N + 1).reshape((N,) + (1,) * tails[0].ndim)
+    shape = (N, *tails[0].shape)
+    return tuple(np.broadcast_to(x, shape).ravel()
+                 for x in fam.head_bracket(k, tails, hull))
 
 
 def _pick(lo, hi, which: str):
@@ -89,20 +136,21 @@ def _transfer_order(N: int, q: int) -> np.ndarray:
     return codes if q == 1 else codes.reshape(N, -1, N).transpose(0, 2, 1).ravel()
 
 
-def _perron_bracket(ET: np.ndarray, live, v: np.ndarray) -> tuple:
+def _perron_bracket(ET: np.ndarray, live, v: np.ndarray, settled=None) -> tuple:
     """Collatz-Wielandt bracket (lo, hi) of the spectral radius of the
     window transfer matrix on the irreducible class ``live`` (a mask or
     every state): min (vL)_i/v_i <= rho <= max (vL)_i/v_i for v > 0.  The
     step v <- vL + c*hi*v keeps the Perron vector, is aperiodic on periodic
     classes and updates ``v`` in place as the next call's warm start; it
-    stops once the spread stops shrinking."""
+    stops once the spread stops shrinking, or once ``settled(lo, hi)``
+    holds for the running bracket."""
     lo, hi, spread = 0.0, math.inf, math.inf
     for _ in range(PERRON_ITER_CAP):
         u = _step(v, ET)[live]
         r = u / v[live]
         rlo, rhi = float(r.min()), float(r.max())
         lo, hi = max(lo, rlo), min(hi, rhi)
-        if rhi - rlo >= spread or rhi == 0.0:
+        if rhi - rlo >= spread or rhi == 0.0 or (settled and settled(lo, hi)):
             break
         spread = rhi - rlo
         u += PERRON_LAZY * rhi * v[live]
@@ -162,23 +210,35 @@ class WindowTransfer:
     (q-1)-gram states, laid out in the transfer order of :func:`_step`,
     and the Collatz-Wielandt bracket of its spectral radius, which brackets
     the limit pressure.  A dp-mode :class:`PressureKernel` runs its stage
-    recursion on one; certification builds one with :meth:`at_level`."""
+    recursion on one; certification builds one with :meth:`at_level`.
+
+    The window table is written in transfer order straight from level q-1
+    of :func:`_levels`: the states of the (q-1)-word tails r b, read as
+    (b, r), meet every leading symbol a, and no other level is kept.  A
+    ``trailing`` dict is filled, from the lower levels of the same
+    recursion, with the log-derivative ranges of the l-cylinders, l < q,
+    keyed by l: the trailing windows that only a stage sum reads."""
 
     def __init__(self, sys: SystemDescriptor, J: PotentialVector, N: int,
-                 q: int):
+                 q: int, trailing: Optional[dict] = None):
         q = self.clamp(sys, J, q)
         self.check_size(N, q)
         self.sys, self.J, self.N, self.window = sys, J, N, q
         self.tables = tab = _Tables(sys, J, N)
-        order = _transfer_order(N, q)
-        syms = _words(N, q)
-        self.valid = sys.incidence.admits(syms)[order]
+        for L, (ok, tails) in enumerate(_levels(sys, N, tab.hull, q - 1)):
+            if trailing is not None and L < q - 1:
+                trailing[L + 1] = _sides(*_head_brackets(sys.family, tails, tab.hull, N))
+        self.state_valid = ok  # admissible (q-1)-gram states
+        if q == 1:  # no states: the windows are the symbols
+            valid = np.ones(N, dtype=bool)
+        else:
+            valid = sys.incidence.extend_admits(ok, N).reshape(N, -1, N).transpose(0, 2, 1)
+            tails = tuple(np.ascontiguousarray(s.reshape(-1, N).T) for s in tails)
+        self.valid = valid.ravel()
         self.all_valid = bool(self.valid.all())
-        self.ld = _sides(*(ld[order] for ld in
-                           sys.family.vec_suffix_then_head(syms, tab.hull)))
-        self.jcode = order // (N ** (q - J.depth))  # first-m-symbol codes
-        # admissible (q-1)-gram states, read off the windows ending in 1
-        self.state_valid = sys.incidence.admits(syms[:-1, ::N])
+        self.ld = _sides(*_head_brackets(sys.family, tails, tab.hull, N))
+        del tails
+        self.jcode = _transfer_order(N, q) // (N ** (q - J.depth))  # first-m-symbol codes
         self._jkey = None
 
     @staticmethod
@@ -273,6 +333,31 @@ class WindowTransfer:
         with np.errstate(divide="ignore"):
             return base + float(np.log(_pick(lo, hi, which)))
 
+    def limit_sign(self, t, beta, side: str, strict: bool = True) -> bool:
+        """Whether :meth:`limit_bound` is above 0 for 'lower' (at or above
+        0 unless ``strict``) or below 0 for 'upper', with the answer of full
+        convergence: a class's Perron iteration ends as soon as its running
+        Collatz-Wielandt bracket settles the sign, since its lower end only
+        rises and its upper end only falls.  The lower bound is the largest
+        class bound, so one settled class answers yes; the upper bound
+        needs every class settled."""
+        which = "inf" if side == "lower" else "sup"
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        base, ew = self.weights(t, beta, which)
+
+        def settled(lo, hi):
+            with np.errstate(divide="ignore"):
+                p = base + float(np.log(lo if side == "lower" else hi))
+            return p < 0.0 if side == "upper" else (p > 0.0 if strict else p >= 0.0)
+
+        if self.window == 1:
+            z = float(ew.sum())
+            return settled(z, z)
+        ET = ew.reshape(self.N, self.N, -1)
+        test = any if side == "lower" else all
+        return test(settled(*_perron_bracket(ET, live, v, settled))
+                    for live, v in self._classes)
+
 
 class PressureKernel:
     """Evaluates bracketed and anchored stage-n pressure sums for one
@@ -291,11 +376,11 @@ class PressureKernel:
             self.tables = _Tables(sys, J, N)
             self._build_exact()
             return
-        self.transfer = WindowTransfer(sys, J, N, self.window)
+        # log-derivative ranges of the trailing l-cylinders, l < q, from the
+        # transfer's own recursion
+        self._trail_ld: dict = {}
+        self.transfer = WindowTransfer(sys, J, N, self.window, self._trail_ld)
         self.tables = self.transfer.tables
-        # log-derivative ranges of the trailing l-cylinders, l < q
-        self._trail_ld = {l: _sides(*sys.family.vec_suffix_then_head(
-            _words(N, l), self.tables.hull)) for l in range(1, self.window)}
 
     @staticmethod
     def layout(sys: SystemDescriptor, J: PotentialVector, n: int, N: int,
@@ -318,6 +403,15 @@ class PressureKernel:
                     "shrink the truncation")
         return "dp", window
 
+    @classmethod
+    def stage_steps(cls, sys: SystemDescriptor, J: PotentialVector, n: int,
+                    N: int, window: Optional[int] = None) -> int:
+        """State-steps of one stage recursion of the :meth:`layout` kernel:
+        (n - q + 1) * N**(q-1) at a dp window q >= 2; none at window 1 or
+        when enumerating."""
+        mode, q = cls.layout(sys, J, n, N, window)
+        return 0 if mode == "enumerate" or q == 1 else (n - q + 1) * N ** (q - 1)
+
     # unused in the package; bench/tracing.py looks it up by name
     def with_length(self, n: int) -> "PressureKernel":
         """Same tables, longer words; only meaningful in dp mode."""
@@ -330,34 +424,21 @@ class PressureKernel:
 
     # -- enumerate mode ---------------------------------------------------
     def _build_exact(self):
-        """The flat word table: per admissible word, in lexicographic
-        order, its log-derivative bracket, exact potential sum and the
-        codes of its trailing windows.  Words are decoded one first-symbol
-        block at a time, which bounds the transient symbol grid."""
-        N, n, tab = self.N, self.n, self.tables
-        fam = self.sys.family
-        tails = _words(N, n - 1).T
-        block = tails.shape[0]
-        blocks = []
-        for first in range(N):
-            # Fortran order fixes the summation order of vec_word_log_deriv;
-            # boolean column selection keeps it
-            rows = np.empty((block, n), dtype=np.int64)
-            rows[:, 0] = first + 1
-            rows[:, 1:] = tails
-            syms = rows.T
-            valid = self.sys.incidence.admits(syms)
-            if not valid.all():
-                syms = syms[:, valid]
-            if syms.shape[1]:
-                blocks.append((first * block + np.flatnonzero(valid),
-                               *fam.vec_word_log_deriv(syms, tab.hull)))
-        if not blocks:  # no admissible word of this length
-            blocks.append((np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0)))
-        codes, ld_lo, ld_hi = (np.concatenate(c) for c in zip(*blocks))
+        """The flat word table: per admissible word, in natural
+        (lexicographic) code order, its log-derivative bracket, exact
+        potential sum and the codes of its trailing windows.  The brackets
+        are level n of :func:`_levels`, pruned to admissible words at every
+        level and carrying the log-derivative sums."""
+        N, n, hull = self.N, self.n, self.tables.hull
+        for ok, state in _levels(self.sys, N, hull, n, whole=True):
+            pass
+        ld_lo, ld_hi = self.sys.family.word_bracket(state, hull)
+        del state
+        codes = np.flatnonzero(ok)
+        jsum = self._word_jsums()
         self._table = {
             "ld_lo": ld_lo, "ld_hi": ld_hi,
-            "jsum": self._word_jsums()[codes],
+            "jsum": jsum if codes.size == ok.size else jsum[codes],
             # trailing windows: the codes of the suffixes of length l < m
             "tcodes": {l: codes % N ** l for l in range(1, self.J.depth)},
         }

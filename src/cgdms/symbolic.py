@@ -55,7 +55,9 @@ class IncidenceMatrix:
     (:meth:`from_dense`; an all-ones array is the full shift).  A word is
     admissible when every consecutive pair has entry 1, and the class
     answers that for single pairs (:meth:`entry`), whole word tables
-    (:meth:`admits`) and closed cycles (:func:`enumerate_cycles`).
+    (:meth:`admits`), every word of one length from those one symbol
+    shorter (:meth:`extend_admits`) and closed cycles
+    (:func:`enumerate_cycles`).
     ``entry(u, v) == 1`` requires the terminal vertex of u to equal the
     initial vertex of v.
     """
@@ -100,6 +102,16 @@ class IncidenceMatrix:
             for i in range(syms.shape[0] - 1):
                 ok &= self._dense[syms[i] - 1, syms[i + 1] - 1]
         return ok
+
+    def extend_admits(self, ok: np.ndarray, N: int) -> np.ndarray:
+        """Admissibility of every (L+1)-word over 1..N from that of every
+        L-word, ``ok`` (L >= 1), both in natural code order (first symbol
+        most significant): a word is admissible when its tail is and its
+        first symbol may precede the tail's first.  All true on a full
+        shift."""
+        if self.full_shift:
+            return np.ones(N * ok.size, dtype=bool)
+        return (self._dense[:N, :N, None] & ok.reshape(1, N, -1)).ravel()
 
     def successors(self, u: int, N: int) -> tuple:
         return tuple(v for v in range(1, N + 1) if self.entry(u, v))

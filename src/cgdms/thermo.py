@@ -173,11 +173,12 @@ def _certifies(transfer: WindowTransfer, t, est: float,
                half: float) -> Optional[Enclosure]:
     """The enclosure [est - half, est + half], clipped at the floor, if the
     lower limit bound is positive on its left end (nonnegative at the
-    floor) and the upper limit bound negative on its right end; else None."""
+    floor) and the upper limit bound negative on its right end; else None.
+    Only the two signs are asked for (:meth:`WindowTransfer.limit_sign`),
+    so each Perron iteration stops once its sign is settled."""
     left = max(est - half, BETA_FLOOR)
-    lower = transfer.limit_bound(t, left, "lower")
-    lo_ok = lower >= 0.0 if left == BETA_FLOOR else lower > 0.0
-    if lo_ok and transfer.limit_bound(t, est + half, "upper") < 0.0:
+    if (transfer.limit_sign(t, left, "lower", strict=left > BETA_FLOOR)
+            and transfer.limit_sign(t, est + half, "upper")):
         return Enclosure(left, est + half)
     return None
 

@@ -414,6 +414,17 @@ class TestConfigValidation:
         err = self._rejected(tmp_path, capsys, "sets", doc, "sets.cycles[0]")
         assert "edge 9" in err
 
+    def test_word_length_past_the_stage_step_cap(self, tmp_path, capsys):
+        """A length whose stage recursion would run for about an hour is
+        refused before any work."""
+        from cgdms.kernel import STAGE_STEP_CAP
+
+        doc = dict(CF2_CONFIG, numerics=dict(CF2_CONFIG["numerics"],
+                                             word_length=10 ** 6))
+        err = self._rejected(tmp_path, capsys, "pressure", doc,
+                             "numerics.word_length")
+        assert str(STAGE_STEP_CAP) in err
+
     def test_nilpotent_incidence(self, tmp_path, capsys):
         doc = {
             "system": {"kind": "similarity", "ratios": [0.5, 0.3],

@@ -10,7 +10,8 @@ completions, so they must lie inside the enumerate bracket, which in turn
 lies inside the dp brackets.  The Gibbs quotients of ``moments`` must be
 the derivatives of the anchored ``value``, trailing windows included.
 The dp recursion must also reproduce, bit for bit, the recursion it
-replaced, which is written out here as the reference.
+replaced, which is written out here as the reference, and the sign test
+that certification asks must answer as the fully converged bounds do.
 """
 
 import itertools
@@ -22,9 +23,10 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from cgdms import potentials
-from cgdms.kernel import (PERRON_ITER_CAP, PERRON_LAZY, PressureKernel, _pick,
-                          _words)
+from cgdms.kernel import (PERRON_ITER_CAP, PERRON_LAZY, PressureKernel,
+                          WindowTransfer, _pick, _words)
 from cgdms.system import similarity_system, truncated_cf_system
+from cgdms.thermo import BETA_FLOOR, _certifies, _root
 
 N_WORDS = 8
 T = np.array([0.7, -0.4])
@@ -383,3 +385,37 @@ def test_transfer_step_matches_former_recursion(name):
         assert mval == val
         for got, want in zip([*jq, iq], [*rjq, riq]):
             assert abs(got - want) <= 1e-13 * abs(want), (got, want)
+
+
+def _full_certifies(transfer, t, est, half):
+    """The certification test answered from two fully converged limit
+    bounds, as it was before it asked only for their signs."""
+    left = max(est - half, BETA_FLOOR)
+    lower = transfer.limit_bound(t, left, "lower")
+    lo_ok = lower >= 0.0 if left == BETA_FLOOR else lower > 0.0
+    return lo_ok and transfer.limit_bound(t, est + half, "upper") < 0.0
+
+
+@pytest.mark.parametrize("name", sorted(STEP_CASES))
+def test_sign_certification_matches_full_limit_bounds(name):
+    """On a fresh transfer, the early-stopping sign test certifies exactly
+    when the fully converged bounds do, at the mid root and away from it,
+    with and without the floor."""
+    sys, J, n, window = STEP_CASES[name]
+    kern = PressureKernel(sys, J, n=n, window=window)
+
+    def fresh():
+        return WindowTransfer(sys, J, kern.N, kern.window)
+
+    seen = set()
+    for t, beta in STEP_POINTS:
+        ests = [beta]
+        probe = fresh()
+        if probe.limit_bound(t, BETA_FLOOR, "mid") > 0.0:
+            ests.append(_root(lambda b: probe.limit_bound(t, b, "mid")))
+        for est in ests:
+            for half in (1e-9, 1e-4, 1e-2, 0.3, 2.0):
+                got = _certifies(fresh(), t, est, half) is not None
+                assert got == _full_certifies(fresh(), t, est, half), (t, est, half)
+                seen.add(got)
+    assert seen == {True, False}

@@ -130,6 +130,25 @@ class TestIncidenceQuestions:
                   if all(rows[w[i] - 1][w[(i + 1) % p] - 1] for i in range(p))]
         assert list(enumerate_cycles(A, max_period, N)) == expect
 
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(incidence_and_words())
+    def test_extend_admits_matches_the_grid(self, case):
+        """Admissibility of every word one symbol longer, from that of the
+        shorter words, equals :meth:`admits` on the grid of all words."""
+        rows, _ = case
+        N = len(rows)
+        A = IncidenceMatrix.from_dense(rows)
+
+        def grid(L):
+            return np.array(list(itertools.product(range(1, N + 1), repeat=L)),
+                            dtype=np.int64).T
+
+        ok = np.ones(N, dtype=bool)
+        for L in range(2, 6):
+            ok = A.extend_admits(ok, N)
+            assert ok.tolist() == A.admits(grid(L)).tolist()
+        assert FULL.extend_admits(np.ones(9, dtype=bool), 3).all()
+
     def test_full_shift_admits_without_reading(self):
         # symbols outside any alphabet are not looked at
         assert FULL.admits(np.full((3, 4), -7)).all()

@@ -8,13 +8,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from cgdms import potentials
+from cgdms import kernel, potentials
 from cgdms.errors import BracketBudgetError
 from cgdms.kernel import PressureKernel, WindowTransfer
 from cgdms.system import (SystemDescriptor, TailRule, moebius_cf_system,
                           similarity_system, truncated_cf_system)
 from cgdms.thermo import (BETA_FLOOR, ROOT_HI_HINT, ROOT_XTOL, PressureQuery,
-                          anchored_pressure_root, bowen_dimension,
+                          _certifies, anchored_pressure_root, bowen_dimension,
                           certified_pressure_zero, classify_regularity,
                           estimate_theta, pressure_bracket, thermo_report)
 
@@ -254,6 +254,55 @@ class TestBowenDimension:
         res = bowen_dimension(similarity_system(ratios, incidence=rows), 6,
                               tol=1e-9)
         assert spectral_root(rows, ratios) in res.enclosure.padded(1e-12)
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(markov_similarity())
+    def test_sign_certification_matches_full_limit_bounds(self, case):
+        """Certification asks only for two signs and stops each Perron
+        iteration once its sign is settled; on a fresh transfer it answers
+        as the fully converged bounds do."""
+        rows, ratios = case
+        assume(max(abs(np.linalg.eigvals(np.asarray(rows, float)))) > 1.0 + 1e-9)
+        sysd = similarity_system(ratios, incidence=rows)
+        t = np.zeros(1)
+
+        def fresh():
+            return WindowTransfer.at_level(sysd, J0, len(rows), 6)
+
+        est = bowen_dimension(sysd, 6, tol=1e-9).estimate
+        for shift in (0.0, 1e-3, -0.3):
+            for half in (1e-12, 1e-9, 1e-4, 0.05, 1.0):
+                tr = fresh()
+                left = max(est + shift - half, BETA_FLOOR)
+                lower = tr.limit_bound(t, left, "lower")
+                full = ((lower >= 0.0 if left == BETA_FLOOR else lower > 0.0)
+                        and tr.limit_bound(t, est + shift + half, "upper") < 0.0)
+                got = _certifies(fresh(), t, est + shift, half) is not None
+                assert got == full, (shift, half)
+
+    def test_certification_stops_once_the_sign_is_settled(self, monkeypatch):
+        """cf3 at window 10: each of the two certification brackets makes
+        at most 3 transfer steps (a full Perron bracket takes about 30)."""
+        steps, per_bracket = [0], []
+        step = kernel._step
+
+        def counting_step(v, ET):
+            steps[0] += 1
+            return step(v, ET)
+
+        sign = WindowTransfer.limit_sign
+
+        def counting_sign(self, *args, **kwargs):
+            before = steps[0]
+            result = sign(self, *args, **kwargs)
+            per_bracket.append(steps[0] - before)
+            return result
+
+        monkeypatch.setattr(kernel, "_step", counting_step)
+        monkeypatch.setattr(WindowTransfer, "limit_sign", counting_sign)
+        res = bowen_dimension(truncated_cf_system(3), 10, tol=1e-3)
+        assert res.window == 10 and res.enclosure.width <= 1e-3
+        assert len(per_bracket) == 2 and max(per_bracket) <= 3, per_bracket
 
     def test_budget_error_carries_best(self):
         with pytest.raises(BracketBudgetError) as err:
