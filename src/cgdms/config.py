@@ -307,7 +307,9 @@ def _check_window(system: SystemDescriptor, potential: PotentialVector,
 def _check_steps(system: SystemDescriptor, potential: PotentialVector,
                  n: int, N: int, window: Optional[int]) -> None:
     """One stage recursion of the run's kernel makes at most
-    ``STAGE_STEP_CAP`` state-steps, so no word length runs for hours."""
+    ``STAGE_STEP_CAP`` state-steps, each step counting at least its fixed
+    cost (:meth:`~cgdms.kernel.PressureKernel.stage_steps`), so no word
+    length runs for more than about a second per recursion."""
     try:
         steps = PressureKernel.stage_steps(system, potential, n, N, window)
     except ValueError:

@@ -15,8 +15,10 @@ lower using per-cylinder infima and upper using suprema):
 
 :class:`WindowTransfer` is the only limit-bracket object:
 log rho(L_inf) <= P <= log rho(L_sup) for its window matrix L, each radius
-bounded by Collatz-Wielandt ratios.  It owns the window clamps and the
-table cap, and holds none of the trailing windows that only stage sums read.
+bounded by Collatz-Wielandt ratios per irreducible class of states; on a
+full shift the state graph is a de Bruijn graph, whose one class of every
+state is taken without a search.  It owns the window clamps and the table
+cap, and holds none of the trailing windows that only stage sums read.
 
 Every window, trailing and word table comes from one recursion on word
 length (:func:`_levels`): the family's per-word state of all L-words, in
@@ -24,9 +26,17 @@ natural code order, is extended to all (L+1)-words by one leading symbol,
 and :class:`~cgdms.symbolic.IncidenceMatrix` extends their admissibility
 the same way, so no table builds a grid of symbols.
 
+The dp closure over the trailing windows comes from the same kind of
+recursion on suffix length: the closure of the l-suffixes is that of the
+(l-1)-suffixes, repeated over one leading symbol, plus the bounds of the
+l-suffixes.  No stage sum gathers by suffix codes.
+
 Each reduction takes its weights at the infimum, supremum or midpoint of
 their brackets and, on request, carries their t- and beta-derivatives,
 which gives the Gibbs moments as exact derivatives of the anchored value.
+The <t, J> tables, and in enumerate mode every word's <t, J> sum, are
+kept for the last t, since a root solve or a pressure grid evaluates one
+t at many beta.
 """
 
 from __future__ import annotations
@@ -47,11 +57,14 @@ EXACT_CAP = 1 << 17      # max truncation**length for per-word enumeration
 DP_WINDOW_CAP = 1 << 19  # max truncation**window for fused-mode tables
 # max state-steps of one dp stage recursion, about 1 s at 8 ns a state-step
 STAGE_STEP_CAP = 1 << 27
+# state-steps charged at least per stage step: its fixed cost, about 8 us
+STEP_FLOOR = 1 << 10
 # default weight of anchored point values: the exact per-word suprema when
 # enumerating, bracket midpoints in the transfer recursion
 _ANCHOR = {"enumerate": "sup", "dp": "mid"}
 PERRON_LAZY = 0.1        # weight of v in the Perron step v <- vL + c*hi*v
 PERRON_ITER_CAP = 1000   # Perron steps per irreducible class and bracket
+_TINY = np.finfo(float).tiny  # floor of the Perron iterates
 
 
 def _words(N: int, length: int) -> np.ndarray:
@@ -143,19 +156,22 @@ def _perron_bracket(ET: np.ndarray, live, v: np.ndarray, settled=None) -> tuple:
     step v <- vL + c*hi*v keeps the Perron vector, is aperiodic on periodic
     classes and updates ``v`` in place as the next call's warm start; it
     stops once the spread stops shrinking, or once ``settled(lo, hi)``
-    holds for the running bracket."""
+    holds for the running bracket.  The ratios' buffer takes the lazy
+    term, and the new iterate is normalized and floored in place."""
     lo, hi, spread = 0.0, math.inf, math.inf
     for _ in range(PERRON_ITER_CAP):
+        vl = v[live]
         u = _step(v, ET)[live]
-        r = u / v[live]
+        r = u / vl
         rlo, rhi = float(r.min()), float(r.max())
         lo, hi = max(lo, rlo), min(hi, rhi)
         if rhi - rlo >= spread or rhi == 0.0 or (settled and settled(lo, hi)):
             break
         spread = rhi - rlo
-        u += PERRON_LAZY * rhi * v[live]
+        u += np.multiply(vl, PERRON_LAZY * rhi, out=r)
+        u /= u.max()
         # floored so every iterate stays positive on the class
-        v[live] = np.maximum(u / u.max(), np.finfo(float).tiny)
+        v[live] = np.maximum(u, _TINY, out=u)
     return lo, hi
 
 
@@ -167,7 +183,6 @@ class _Tables:
     def __init__(self, sys: SystemDescriptor, J: PotentialVector, N: int):
         self.hull, self.N = sys.hull(N), N
         self.m = m = J.depth
-        self._heads: dict = {}  # l -> first-m-symbol codes of the l-words
         msyms = _words(N, m)
         self.mvalid = mvalid = sys.incidence.admits(msyms)
         self.jvals = jvals = np.zeros((N ** m, J.dim))
@@ -188,9 +203,7 @@ class _Tables:
         the bounds.  From l = m on, the first m symbols fix the value."""
         N, m = self.N, self.m
         if l >= m:
-            if l not in self._heads:
-                self._heads[l] = np.arange(N ** l) // (N ** (l - m))
-            code = self._heads[l]
+            code = np.arange(N ** l) // (N ** (l - m))
             v = u[code]
             return v, v, code, code
         blk = N ** (m - l)
@@ -303,8 +316,12 @@ class WindowTransfer:
     def _classes(self) -> list:
         """(states, Perron iterate) of each irreducible class of (q-1)-gram
         states with a cycle: rho of the transfer matrix is the largest of
-        their radii, whatever its transient states."""
+        their radii, whatever its transient states.  With every window
+        admissible the state graph is a de Bruijn graph, which is strongly
+        connected, so its one class is every state and no search runs."""
         S = self.N ** (self.window - 1)
+        if self.all_valid:
+            return [(slice(None), np.ones(S))]
         c = _transfer_order(self.N, self.window)[self.valid]
         src, dst = c // self.N, c % S  # window code -> (state, next state)
         graph = csr_matrix((np.ones(c.size), (src, dst)), shape=(S, S))
@@ -374,6 +391,7 @@ class PressureKernel:
         if self.mode == "enumerate":
             self.transfer = None
             self.tables = _Tables(sys, J, N)
+            self._jkey = None
             self._build_exact()
             return
         # log-derivative ranges of the trailing l-cylinders, l < q, from the
@@ -407,10 +425,13 @@ class PressureKernel:
     def stage_steps(cls, sys: SystemDescriptor, J: PotentialVector, n: int,
                     N: int, window: Optional[int] = None) -> int:
         """State-steps of one stage recursion of the :meth:`layout` kernel:
-        (n - q + 1) * N**(q-1) at a dp window q >= 2; none at window 1 or
-        when enumerating."""
+        (n - q + 1) * max(N**(q-1), STEP_FLOOR) at a dp window q >= 2, each
+        step charged at least its fixed cost; none at window 1 or when
+        enumerating."""
         mode, q = cls.layout(sys, J, n, N, window)
-        return 0 if mode == "enumerate" or q == 1 else (n - q + 1) * N ** (q - 1)
+        if mode == "enumerate" or q == 1:
+            return 0
+        return (n - q + 1) * max(N ** (q - 1), STEP_FLOOR)
 
     # unused in the package; bench/tracing.py looks it up by name
     def with_length(self, n: int) -> "PressureKernel":
@@ -460,6 +481,17 @@ class PressureKernel:
                  + jvals.reshape(1, N ** (m - 1), N, d)).reshape(N ** L, d)
         return s
 
+    def _enum_j(self, t) -> tuple:
+        """(trailing-window bounds by length, every word's <t, J> sum), kept
+        for the last t."""
+        key = t.tobytes()
+        if self._jkey != key:
+            tab = self.tables
+            u = tab.j_dot(t)
+            trail = {l: tab.part_j_bounds(l, u) for l in self._table["tcodes"]}
+            self._jkey, self._jt = key, (trail, self._table["jsum"] @ t)
+        return self._jt
+
     def _enum_logsum(self, t, beta, which, grad):
         """Per-word reduction over the flat table: every word's exponent at
         the ``which`` point of its bracket, scaled by the largest and summed
@@ -470,9 +502,7 @@ class PressureKernel:
         'mid'), and -ld.  Column 0 is the weight itself, summed exactly as
         without ``grad``."""
         tab, tbl, d = self.tables, self._table, self.J.dim
-        u = tab.j_dot(t)
-        trail = {l: tab.part_j_bounds(l, u) for l in tbl["tcodes"]}
-        base = tbl["jsum"] @ t
+        trail, base = self._enum_j(t)
 
         def exponents(side):
             e = base + beta * _pick(tbl["ld_lo"], tbl["ld_hi"], side)
@@ -520,8 +550,16 @@ class PressureKernel:
         at the ``which`` point of their brackets, closed by the trailing
         windows.  With ``grad`` a (S, d+1) accumulator, advanced by the same
         steps as batched products, carries the t- and -beta-derivatives (J
-        and -ld) of the same weights."""
-        tab, N, q, n, d = self.tables, self.N, self.window, self.n, self.J.dim
+        and -ld) of the same weights.
+
+        The closure adds, on each state, the bounds of its l-suffixes for
+        l = 1..q-1 in that order.  It is built by recursion on l: the
+        closure of the l-suffixes is that of the (l-1)-suffixes repeated
+        over one leading symbol, plus the J bound and beta times the
+        log-derivative bound of each l-suffix, whose J bound from l = m on
+        is that of its first m symbols, repeated over the rest."""
+        tab, N, q, n, d, m = (self.tables, self.N, self.window, self.n,
+                              self.J.dim, self.J.depth)
         base, ew = self.transfer.weights(t, beta, which)
         if base == -math.inf:
             return -math.inf, None, None
@@ -558,18 +596,27 @@ class PressureKernel:
             logoff += math.log(mx) + base
         # trailing windows of lengths 1..q-1 on each state's last symbols
         u = self.transfer.j_dot(t)[0]
-        scodes = np.arange(S)
-        term = np.zeros(S)
-        dT = np.zeros((S, d + 1)) if grad else None
+        term = np.zeros(1)
+        dT = np.zeros((1, d + 1)) if grad else None
         for l in range(1, q):
-            sub = scodes % (N ** l)
-            ld = self._trail_ld[l][which]
-            jlo, jhi, clo, chi = tab.part_j_bounds(l, u)
-            term = term + _pick(jlo, jhi, which)[sub] + beta * ld[sub]
+            k = min(l, m)
+            # l-suffixes as (leading symbol, rest of the J head, the others)
+            shape = (N, N ** (k - 1), N ** (l - k))
+            if l < m:
+                jlo, jhi, clo, chi = tab.part_j_bounds(l, u)
+            else:  # the first m symbols fix the value
+                jlo = jhi = u
+            ld = self._trail_ld[l][which].reshape(shape)
+            term = (term.reshape(1, *shape[1:])
+                    + _pick(jlo, jhi, which).reshape(N, -1, 1) + beta * ld).ravel()
             if grad:
-                jl = tab.jvals[clo[sub]]  # one code where the window is exact
-                dT[:, :d] += jl if clo is chi else _pick(jl, tab.jvals[chi[sub]], which)
-                dT[:, d] -= ld[sub]
+                jl = (tab.jvals if l >= m
+                      else _pick(tab.jvals[clo], tab.jvals[chi], which))
+                prev = dT.reshape(1, *shape[1:], d + 1)
+                dT = np.empty((*shape, d + 1))
+                dT[..., :d] = prev[..., :d] + jl.reshape(N, -1, 1, d)
+                dT[..., d] = prev[..., d] - ld
+                dT = dT.reshape(-1, d + 1)
         tmax = float(term.max())
         E = np.exp(term - tmax)
         z = float((V * E).sum())

@@ -425,6 +425,30 @@ class TestConfigValidation:
                              "numerics.word_length")
         assert str(STAGE_STEP_CAP) in err
 
+    def test_word_length_past_the_step_floor(self, tmp_path, capsys):
+        """Each stage step counts at least STEP_FLOOR state-steps: on the
+        golden-mean similarity system, whose window 2 has two states, a
+        million steps would run for minutes and are refused before any
+        work, while the longest admitted length fits the cap exactly."""
+        from cgdms import potentials
+        from cgdms.kernel import STAGE_STEP_CAP, STEP_FLOOR, PressureKernel
+
+        doc = {
+            "system": {"kind": "similarity", "ratios": [0.5, 0.5],
+                       "offsets": [0.0, 0.5], "incidence": [[1, 1], [1, 0]]},
+            "numerics": {"word_length": 10 ** 6},
+            "pressure": {"beta_grid": [0.5, 1.0]},
+        }
+        err = self._rejected(tmp_path, capsys, "pressure", doc,
+                             "numerics.word_length")
+        assert str(STAGE_STEP_CAP) in err
+        sys = similarity_system([0.5, 0.5], offsets=[0.0, 0.5],
+                                incidence=[[1, 1], [1, 0]])
+        longest = STAGE_STEP_CAP // STEP_FLOOR + 1
+        J = potentials.zero(1)
+        assert PressureKernel.stage_steps(sys, J, longest, 2) == STAGE_STEP_CAP
+        assert PressureKernel.stage_steps(sys, J, longest + 1, 2) > STAGE_STEP_CAP
+
     def test_nilpotent_incidence(self, tmp_path, capsys):
         doc = {
             "system": {"kind": "similarity", "ratios": [0.5, 0.3],

@@ -19,6 +19,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
@@ -385,6 +387,122 @@ def test_transfer_step_matches_former_recursion(name):
         assert mval == val
         for got, want in zip([*jq, iq], [*rjq, riq]):
             assert abs(got - want) <= 1e-13 * abs(want), (got, want)
+
+
+# deepest window drawn per truncation, so that N**q stays at most 1024
+PROPERTY_WINDOWS = {2: 10, 3: 6, 4: 5, 5: 4}
+
+
+@st.composite
+def dp_cases(draw):
+    """A dp kernel on N in 2..5 symbols, window q >= 2 and word length
+    q+1..q+4: the full continued-fraction shift, or similarity maps on
+    the golden-mean incidence (the last symbol never repeats), with a
+    depth-1 or depth-2 table potential of random values in [0.1, 2]."""
+    N = draw(st.integers(2, 5))
+    q = draw(st.integers(2, PROPERTY_WINDOWS[N]))
+    n = draw(st.integers(q + 1, q + 4))
+    if draw(st.booleans()):
+        sys = truncated_cf_system(N)
+    else:
+        inc = np.ones((N, N), dtype=int)
+        inc[-1, -1] = 0
+        sys = similarity_system([0.9 / N] * N, incidence=inc.tolist())
+    depth, d = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    vals = draw(st.lists(st.floats(0.1, 2.0), min_size=N ** depth * d,
+                         max_size=N ** depth * d))
+    table = dict(zip(itertools.product(range(1, N + 1), repeat=depth),
+                     np.reshape(vals, (-1, d))))
+    J = potentials.depth_m(lambda w: table[tuple(w)], dim=d, depth=depth,
+                           bound=2.0)
+    t = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)))
+    return PressureKernel(sys, J, n=n, window=q), t, draw(st.floats(0.0, 2.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(dp_cases())
+def test_transfer_step_matches_former_recursion_on_random_cases(case):
+    """The contract of the fixed cases above, on drawn CF windows, Markov
+    similarity windows and depth-1 or depth-2 potentials: the dp sums are
+    the former recursion's bit for bit, the Gibbs quotients agree to 1e-13
+    relative."""
+    kern, t, beta = case
+    assert kern.mode == "dp"
+    ref = _Reference(kern)
+    lower, upper = ref.logsum(t, beta, "inf")[0], ref.logsum(t, beta, "sup")[0]
+    assert kern.value(t, beta) == ref.logsum(t, beta, "mid")[0]
+    assert kern.values(t, beta) == (lower, upper)
+    assert kern.bound(t, beta, "lower") == lower
+    assert kern.bound(t, beta, "upper") == upper
+    _, jq, iq = kern.moments(t, beta)
+    _, rjq, riq = ref.logsum(t, beta, "mid", grad=True)
+    for got, want in zip([*jq, iq], [*rjq, riq]):
+        assert abs(got - want) <= 1e-13 * abs(want), (got, want)
+
+
+def _searched_classes(transfer):
+    """The irreducible classes with a cycle, found by a strongly connected
+    component search over the (q-1)-gram state graph, as (states, Perron
+    start) pairs."""
+    N, S = transfer.N, transfer.N ** (transfer.window - 1)
+    c = np.flatnonzero(transfer.valid.reshape(N, N, -1).transpose(0, 2, 1).ravel())
+    src, dst = c // N, c % S
+    graph = csr_matrix((np.ones(c.size), (src, dst)), shape=(S, S))
+    lab = connected_components(graph, connection="strong")[1]
+    masks = [lab == k for k in np.unique(lab[src[lab[src] == lab[dst]]])]
+    return [(slice(None) if mk.all() else mk, mk.astype(float)) for mk in masks]
+
+
+def _same_classes(got, want):
+    assert len(got) == len(want)
+    for (live, v), (wlive, wv) in zip(got, want):
+        if isinstance(wlive, slice):
+            assert live == slice(None)
+        else:
+            assert np.array_equal(live, wlive)
+        assert np.array_equal(v, wv)
+
+
+@pytest.mark.parametrize("name", sorted(n for n, c in STEP_CASES.items() if c[3] != 1))
+def test_classes_match_the_component_search(name):
+    """A full shift is one class of every state without a search; the
+    Markov transfers split as the search splits them: the golden mean into
+    one class that leaves out the state 22, the upper-triangular incidence
+    into two classes."""
+    sys, J, n, window = STEP_CASES[name]
+    tr = PressureKernel(sys, J, n=n, window=window).transfer
+    assert tr.all_valid == sys.incidence.full_shift
+    _same_classes(tr._classes, _searched_classes(tr))
+    if not tr.all_valid:
+        sizes = [int(v.sum()) for _, v in tr._classes]
+        assert sizes == {"golden-mean": [3], "golden-mean-depth2": [3],
+                         "upper-triangular": [1, 1]}[name]
+
+
+MEMO_CASES = {
+    "enumerate": (truncated_cf_system(2), J2, N_WORDS, None),
+    "dp": (truncated_cf_system(3), J2, 12, 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_CASES))
+def test_per_t_memos_are_not_stale(name):
+    """Evaluated at t1, t2, t1 in turn, a kernel answers each point as a
+    freshly built kernel does, bit for bit.  (Limit bounds are left out:
+    their Perron iterates are warm starts by design.)"""
+    sys, J, n, window = MEMO_CASES[name]
+    kern = PressureKernel(sys, J, n=n, window=window)
+    assert kern.mode == name
+    t1, t2 = T, np.array([-0.3, 0.2])
+
+    def evaluations(k, t):
+        out = [k.value(t, 0.6), k.values(t, 0.6), k.bound(t, 1.3, "upper")]
+        val, jq, iq = k.moments(t, 0.6)
+        return out + [val, jq.tolist(), iq]
+
+    for t in (t1, t2, t1):
+        assert evaluations(kern, t) == evaluations(
+            PressureKernel(sys, J, n=n, window=window), t)
 
 
 def _full_certifies(transfer, t, est, half):
