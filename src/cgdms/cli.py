@@ -121,13 +121,11 @@ def cmd_dimension(rc: RunConfig, outdir: Path) -> list:
 def cmd_beta(rc: RunConfig, outdir: Path) -> list:
     d = rc.potential.dim
     t_points = rc.command_params.get("t_points") or [[0.0] * d]
+    s = multifractal.BetaSolver(rc.system, rc.potential, n=rc.word_length,
+                                N=rc.truncation, window=rc.window)
     rows = []
     for t in t_points:
         tv = tuple(float(x) for x in (t if isinstance(t, list) else [t]))
-        # one solver per t-point serves the Gibbs means and both gradients;
-        # a shared one would warm-start each limit bracket from the last
-        s = multifractal.BetaSolver(rc.system, rc.potential, n=rc.word_length,
-                                    N=rc.truncation, window=rc.window)
         bp = multifractal.solve_beta(rc.system, rc.potential, tv, rc.tolerance, solver=s)
         gr = multifractal.grad_beta(rc.system, rc.potential, tv, rc.tolerance, solver=s)
         rows.append(list(tv) + [bp.beta.lo, bp.beta.hi, bp.estimate]

@@ -7,6 +7,7 @@ any computation and reports the dotted path of the offending field.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -48,28 +49,31 @@ class RunConfig:
 
 
 def _typed(val, types) -> bool:
-    """isinstance, except that JSON true/false never counts as a number."""
-    return isinstance(val, types) and not isinstance(val, bool)
+    """isinstance, except that JSON true/false never counts as a number,
+    nor NaN or +-Infinity (which Python's json parses) as a float."""
+    return (isinstance(val, types) and not isinstance(val, bool)
+            and not (isinstance(val, float) and not math.isfinite(val)))
+
+
+def _checked(val, types, field: str):
+    """``val`` if it is one of ``types`` by :func:`_typed`, else a
+    ConfigError naming ``field``."""
+    if not _typed(val, types):
+        got = repr(val) if isinstance(val, float) else type(val).__name__
+        raise ConfigError(field, f"expected {types}, got {got}")
+    return val
 
 
 def _expect(cfg: dict, key: str, types, path: str):
     if key not in cfg:
         raise ConfigError(f"{path}.{key}", "missing required field")
-    val = cfg[key]
-    if not _typed(val, types):
-        raise ConfigError(f"{path}.{key}",
-                          f"expected {types}, got {type(val).__name__}")
-    return val
+    return _checked(cfg[key], types, f"{path}.{key}")
 
 
 def _optional(cfg: dict, key: str, types, path: str, default=None):
     if key not in cfg or cfg[key] is None:
         return default
-    val = cfg[key]
-    if not _typed(val, types):
-        raise ConfigError(f"{path}.{key}",
-                          f"expected {types}, got {type(val).__name__}")
-    return val
+    return _checked(cfg[key], types, f"{path}.{key}")
 
 
 def _numbers(val) -> bool:
@@ -80,7 +84,8 @@ def _numbers(val) -> bool:
 def _domain(cfg: dict, path: str) -> tuple:
     dom = _optional(cfg, "domain", list, path, [0.0, 1.0])
     if len(dom) != 2 or not _numbers(dom) or not dom[0] < dom[1]:
-        raise ConfigError(f"{path}.domain", "need two numbers [lo, hi] with lo < hi")
+        raise ConfigError(f"{path}.domain",
+                          "need two finite numbers [lo, hi] with lo < hi")
     return tuple(dom)
 
 
@@ -94,8 +99,9 @@ def build_system(cfg: dict, path: str = "system") -> SystemDescriptor:
             raise ConfigError(f"{path}.ratios", "ratios must lie strictly in (0,1)")
         offsets = _optional(cfg, "offsets", list, path)
         flips = _optional(cfg, "flips", list, path)
-        if flips is not None and not _numbers(flips):
-            raise ConfigError(f"{path}.flips", "need a list of numbers")
+        for key, val in (("offsets", offsets), ("flips", flips)):
+            if val is not None and not _numbers(val):
+                raise ConfigError(f"{path}.{key}", "need a list of finite numbers")
         incidence = _optional(cfg, "incidence", list, path)
         domain = _domain(cfg, path)
         try:
@@ -204,8 +210,13 @@ def validate_config(doc: dict, command: str) -> RunConfig:
     seed = merged["seed"]
     if not _typed(seed, int) or seed < 0:
         raise ConfigError("numerics.seed", "must be a nonnegative integer")
+    N = system.effective_truncation(trunc)
+    if command != "counterexample":  # every other command builds a transfer
+        try:
+            WindowTransfer.check_size(N, WindowTransfer.clamp(system, potential, 1))
+        except ValueError as exc:
+            raise ConfigError("numerics.truncation", str(exc)) from exc
     if command in ("pressure", "beta", "spectrum", "sets"):  # read the potential
-        N = system.effective_truncation(trunc)
         _check_declared(potential, N, "potential.values")
         if window is not None:
             _check_window(system, potential, wl, N, window, command == "beta")
@@ -237,7 +248,7 @@ def _validate_command(command: str, params: dict, system: SystemDescriptor,
             vec = p if isinstance(p, list) else [p]
             if len(vec) != d or not all(_typed(x, (int, float)) for x in vec):
                 raise ConfigError(f"{command}.{key}[{i}]",
-                                  f"expected a numeric vector of length {d}")
+                                  f"expected a vector of {d} finite numbers")
 
     if command == "pressure":
         check_vectors("t_points")
@@ -246,7 +257,7 @@ def _validate_command(command: str, params: dict, system: SystemDescriptor,
             raise ConfigError("pressure.beta_grid", "must be a nonempty list")
         for i, b in enumerate(grid):
             if not _typed(b, (int, float)):
-                raise ConfigError(f"pressure.beta_grid[{i}]", "must be a number")
+                raise ConfigError(f"pressure.beta_grid[{i}]", "must be a finite number")
             if b < 0:
                 raise ConfigError(f"pressure.beta_grid[{i}]",
                                   "negative exponents are rejected")
@@ -275,7 +286,8 @@ def _validate_command(command: str, params: dict, system: SystemDescriptor,
     elif command == "counterexample":
         m = params.get("M_param", 100.0)
         if not _typed(m, (int, float)) or m <= 0:
-            raise ConfigError("counterexample.M_param", "must be positive")
+            raise ConfigError("counterexample.M_param",
+                              "must be a positive finite number")
         nl = params.get("n_list", [1000, 10000, 100000])
         if (not isinstance(nl, list) or not nl
                 or not all(_typed(n, int) and n >= 2 for n in nl)):
@@ -354,7 +366,7 @@ def bernoulli_specs(params: dict, system: SystemDescriptor,
                 continue
             probs = _expect(entry, "probs", dict, path)
             if not all(_typed(p, (int, float)) for p in probs.values()):
-                raise ValueError("masses must be numbers")
+                raise ValueError("masses must be finite numbers")
             spec = BernoulliSpec.finite({int(k): float(p) for k, p in probs.items()})
             for k, p in spec.probs:
                 system.graph.check_edge(k)

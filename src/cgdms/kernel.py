@@ -19,6 +19,8 @@ bounded by Collatz-Wielandt ratios per irreducible class of states; on a
 full shift the state graph is a de Bruijn graph, whose one class of every
 state is taken without a search.  It owns the window clamps and the table
 cap, and holds none of the trailing windows that only stage sums read.
+Its Perron iterates warm-start its next call, so each certified quantity
+is bracketed on a transfer built for it.
 
 Every window, trailing and word table comes from one recursion on word
 length (:func:`_levels`): the family's per-word state of all L-words, in
@@ -62,6 +64,8 @@ STEP_FLOOR = 1 << 10
 # default weight of anchored point values: the exact per-word suprema when
 # enumerating, bracket midpoints in the transfer recursion
 _ANCHOR = {"enumerate": "sup", "dp": "mid"}
+# the point of the weight brackets that each limit bound side reads
+_SIDE = {"lower": "inf", "upper": "sup", "mid": "mid"}
 PERRON_LAZY = 0.1        # weight of v in the Perron step v <- vL + c*hi*v
 PERRON_ITER_CAP = 1000   # Perron steps per irreducible class and bracket
 _TINY = np.finfo(float).tiny  # floor of the Perron iterates
@@ -223,7 +227,9 @@ class WindowTransfer:
     (q-1)-gram states, laid out in the transfer order of :func:`_step`,
     and the Collatz-Wielandt bracket of its spectral radius, which brackets
     the limit pressure.  A dp-mode :class:`PressureKernel` runs its stage
-    recursion on one; certification builds one with :meth:`at_level`.
+    recursion on one, which never reads the Perron classes; a certified
+    quantity is bracketed on one built for it, since a limit answer depends
+    on the warm starts that earlier calls left in the classes.
 
     The window table is written in transfer order straight from level q-1
     of :func:`_levels`: the states of the (q-1)-word tails r b, read as
@@ -330,25 +336,30 @@ class WindowTransfer:
         # a class of every state is read whole, without gathers
         return [(slice(None) if m.all() else m, m.astype(float)) for m in masks]
 
+    def _walk(self, t, beta, side: str, settled=None) -> tuple:
+        """(base, brackets) at the ``side`` point of the weights: their log
+        scale and the lazy Collatz-Wielandt brackets (lo, hi) of the
+        irreducible classes in order, each stopped early by ``settled``; at
+        window 1 the one bracket is the 1x1 sum of the weights."""
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        base, ew = self.weights(t, beta, _SIDE[side])
+        if self.window == 1:
+            z = float(ew.sum())
+            return base, [(z, z)]
+        ET = ew.reshape(self.N, self.N, -1)
+        return base, (_perron_bracket(ET, live, v, settled) for live, v in self._classes)
+
     def limit_bound(self, t, beta, side: str) -> float:
         """The limit pressure of <t,J> - beta*I over the truncated system
         (beta >= 0) lies in [log rho(L_inf), log rho(L_sup)] for the window
         transfer matrix L.  'lower' and 'upper' are those endpoints, each
         radius bounded by Collatz-Wielandt ratios; 'mid' is the log of the
         midpoint ratio of the midpoint-weight matrix, the point estimate."""
-        which = {"lower": "inf", "upper": "sup", "mid": "mid"}[side]
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        base, ew = self.weights(t, beta, which)
-        if self.window == 1:
-            # no state memory: L is the 1x1 sum of the weights
-            lo = hi = float(ew.sum())
-        else:
-            ET = ew.reshape(self.N, self.N, -1)
-            brackets = [_perron_bracket(ET, live, v) for live, v in self._classes]
-            lo = max((b[0] for b in brackets), default=0.0)
-            hi = max((b[1] for b in brackets), default=0.0)
+        base, brackets = self._walk(t, beta, side)
+        # the largest ends over the classes, 0 without a class
+        lo, hi = map(max, zip(*(list(brackets) or [(0.0, 0.0)])))
         with np.errstate(divide="ignore"):
-            return base + float(np.log(_pick(lo, hi, which)))
+            return base + float(np.log(_pick(lo, hi, _SIDE[side])))
 
     def limit_sign(self, t, beta, side: str, strict: bool = True) -> bool:
         """Whether :meth:`limit_bound` is above 0 for 'lower' (at or above
@@ -358,22 +369,14 @@ class WindowTransfer:
         rises and its upper end only falls.  The lower bound is the largest
         class bound, so one settled class answers yes; the upper bound
         needs every class settled."""
-        which = "inf" if side == "lower" else "sup"
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        base, ew = self.weights(t, beta, which)
-
         def settled(lo, hi):
             with np.errstate(divide="ignore"):
                 p = base + float(np.log(lo if side == "lower" else hi))
             return p < 0.0 if side == "upper" else (p > 0.0 if strict else p >= 0.0)
 
-        if self.window == 1:
-            z = float(ew.sum())
-            return settled(z, z)
-        ET = ew.reshape(self.N, self.N, -1)
+        base, brackets = self._walk(t, beta, side, settled)
         test = any if side == "lower" else all
-        return test(settled(*_perron_bracket(ET, live, v, settled))
-                    for live, v in self._classes)
+        return test(settled(*b) for b in brackets)
 
 
 class PressureKernel:

@@ -1,13 +1,14 @@
 """The implicit pressure-zero surface beta(t), its Legendre transform, and
 the attainable value sets of Birkhoff quotients.
 
-beta(t) is the zero in beta of the pressure of <t,J> - beta*I.  Enclosures
-bracket the limit pressure with the window transfer matrix; roots,
-gradients, Hessians and Newton steps come from one :class:`BetaSolver`
-over the anchored stage-n value P, whose exact gradient is the weighted
-word-sum quotient.  The Hessian needs no root beyond the one at t: the
-implicit-function identity turns it into differences of the gradient of
-P along the tangent directions of the surface.
+beta(t) is the zero in beta of the pressure of <t,J> - beta*I.  Each
+enclosure brackets the limit pressure on a window transfer built for it;
+roots, gradients, Hessians and Newton steps come from one
+:class:`BetaSolver` over the anchored stage-n value P, whose exact
+gradient is the weighted word-sum quotient.  The Hessian needs no root
+beyond the one at t: the implicit-function identity turns it into
+differences of the gradient of P along the tangent directions of the
+surface.
 """
 
 from __future__ import annotations
@@ -123,11 +124,12 @@ def _key(t) -> tuple:
 class BetaSolver:
     """The one root/gradient/Hessian engine of the multifractal layer.
 
-    Roots, exact gradients and Hessians are memoized per t; the Hessian
-    takes the root and moment pass of the gradient at t plus 2d moment
-    passes at nearby (t, beta), and no further root.  The solver also owns
-    the window transfer that certifies beta.  Differentiation steps are
-    pinned constants so results are reproducible.
+    Roots, exact gradients and Hessians are memoized per t and depend on
+    no other t; the Hessian takes the root and moment pass of the gradient
+    at t plus 2d moment passes at nearby (t, beta), and no further root.
+    The solver keeps no limit bracket: :meth:`certifier` builds a transfer
+    for each certification.  Differentiation steps are pinned constants so
+    results are reproducible.
     """
 
     def __init__(self, sys: SystemDescriptor, J: PotentialVector, *,
@@ -135,22 +137,17 @@ class BetaSolver:
                  window: Optional[int] = None):
         self.sys, self.J, self._window = sys, J, window
         self.kern = PressureKernel(sys, J, n=n, N=N, window=window)
-        self._limit: Optional[WindowTransfer] = None
         self._cache: dict = {}
         self._grads: dict = {}
         self._hess: dict = {}
 
     def certifier(self) -> WindowTransfer:
-        """The window transfer whose bracket certifies beta, at the window
-        of :meth:`~cgdms.kernel.WindowTransfer.window_at` (``window``, or
-        the choice of refinement level n): the stage kernel's own transfer
-        when it runs dp at that window, else one built on first use."""
-        if self._limit is None:
-            kern, own = self.kern, self.kern.transfer
-            q = WindowTransfer.window_at(self.sys, self.J, kern.N, kern.n, self._window)
-            self._limit = (own if own is not None and own.window == q
-                           else WindowTransfer(self.sys, self.J, kern.N, q))
-        return self._limit
+        """A new window transfer to certify one beta, at the window of
+        :meth:`~cgdms.kernel.WindowTransfer.window_at` (``window``, or the
+        choice of level n), so no Perron warm start carries over."""
+        kern = self.kern
+        return WindowTransfer(self.sys, self.J, kern.N, WindowTransfer.window_at(
+            self.sys, self.J, kern.N, kern.n, self._window))
 
     def root(self, t) -> float:
         """beta solving the anchored stage pressure at t.
@@ -226,10 +223,11 @@ def solve_beta(sys: SystemDescriptor, J: PotentialVector, t, tol: float = 1e-8,
                solver: Optional[BetaSolver] = None) -> BetaPoint:
     """Certified enclosure (width <= tol) plus point estimate of beta(t).
 
-    Both come from the limit pressure bracketed by the window transfer
-    matrix of :meth:`BetaSolver.certifier`; the Gibbs means are read from
-    the stage-n kernel at its anchored root.  ``solver``, when given,
-    alone decides n, N and window; otherwise one is built from them.
+    Both come from the limit pressure bracketed by a window transfer
+    matrix built for this call (:meth:`BetaSolver.certifier`), so a shared
+    ``solver`` gives the same enclosure as a fresh one; the Gibbs means
+    are read from the stage-n kernel at its anchored root.  ``solver``,
+    when given, alone decides n, N and window; otherwise one is built.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if t.size != J.dim:

@@ -79,6 +79,8 @@ def from_table(values: dict, dim: Optional[int] = None) -> PotentialVector:
             raise ValueError(f"edge {k} is not a positive edge index")
         if v.size != d:
             raise ValueError(f"value of edge {k} has length {v.size}, not {d}")
+        if not np.isfinite(v).all():
+            raise ValueError(f"value of edge {k} is not finite: {v.tolist()}")
     bound = max(float(np.abs(v).max()) for v in tab.values())
     keys = np.array(sorted(tab))
     rows = np.array([tab[k] for k in keys.tolist()])

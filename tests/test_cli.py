@@ -185,6 +185,43 @@ class TestBetaCommand:
         assert len(read_body(tmp_path / "o" / "beta.csv").splitlines()) == 2
         assert builds == ["PressureKernel", "WindowTransfer"]
 
+    MOD_CF3 = {"system": {"kind": "moebius-cf", "alphabet": 3},
+               "potential": {"kind": "mod-cycle",
+                             "tables": [[-1.0, 1.0], [0.0, 1.0, -1.0]]},
+               "numerics": {"word_length": 10, "window": 6, "tolerance": 0.05}}
+
+    def test_rows_independent_of_point_order(self, tmp_path):
+        """A repeated t-point writes the same row, and reversed t-points
+        write the same rows in reverse order."""
+        t1, t2 = [0.7, -0.4], [0.1, 0.3]
+        bodies = []
+        for name, pts in (("fwd", [t1, t2, t1]), ("rev", [t1, t2, t1][::-1])):
+            cfg = write_config(tmp_path, dict(self.MOD_CF3, beta={"t_points": pts}),
+                               f"{name}.json")
+            assert main(["beta", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+            bodies.append(read_body(tmp_path / name / "beta.csv").splitlines())
+        fwd, rev = bodies
+        assert fwd[1] == fwd[3]
+        assert rev[1:] == fwd[1:][::-1]
+
+    def test_one_solver_and_a_certifier_per_t_point(self, tmp_path, monkeypatch):
+        """A dp-mode run whose stage window is the certifying one builds
+        one stage kernel, with its own transfer, for the command, and one
+        certifying transfer per t-point."""
+        from cgdms.kernel import PressureKernel, WindowTransfer
+        builds = []
+        for cls in (PressureKernel, WindowTransfer):
+            def counting_init(self, *args, _init=cls.__init__, **kwargs):
+                builds.append(type(self).__name__)
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting_init)
+        doc = dict(self.MOD_CF3, beta={"t_points": [[0.7, -0.4], [0.1, 0.3]]})
+        cfg = write_config(tmp_path, doc)
+        assert main(["beta", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert len(read_body(tmp_path / "o" / "beta.csv").splitlines()) == 3
+        assert builds == ["PressureKernel"] + ["WindowTransfer"] * 3
+
     def test_markov_window_one_is_window_two(self, tmp_path):
         """On a Markov incidence window 1 is clamped to 2 for the
         certifying transfer as for the stage kernel: same data row."""
@@ -521,6 +558,42 @@ class TestConfigValidation:
         doc = json.loads(json.dumps(SIM_CONFIG))
         doc[section] = value
         self._rejected(tmp_path, capsys, command, doc, field)
+
+    NAN, INF = float("nan"), float("inf")
+
+    @pytest.mark.parametrize("command,section,value,field", [
+        ("pressure", "pressure", {"beta_grid": [NAN, 0.5]}, "pressure.beta_grid[0]"),
+        ("pressure", "potential", {"kind": "table", "values": {"1": [NAN], "2": [1]}},
+         "potential.values"),
+        ("counterexample", "counterexample", {"M_param": NAN},
+         "counterexample.M_param"),
+        ("spectrum", "spectrum", {"alpha_grid": [[NAN]]}, "spectrum.alpha_grid[0]"),
+        ("sets", "sets", {"bernoulli": [{"probs": {"1": NAN, "2": 0.5}}]},
+         "sets.bernoulli[0].probs"),
+        ("dimension", "system", {"kind": "similarity", "ratios": [0.5, 0.5],
+                                 "domain": [0, INF]}, "system.domain"),
+        ("dimension", "system", {"kind": "similarity", "ratios": [0.5, 0.5],
+                                 "offsets": [0, NAN]}, "system.offsets"),
+        ("beta", "beta", {"t_points": [[NAN]]}, "beta.t_points[0]"),
+        ("dimension", "system", dict(CUSTOM, contraction_bound=-INF),
+         "system.contraction_bound"),
+    ], ids=["beta-grid", "table-values", "M-param", "alpha-grid", "bernoulli-probs",
+            "domain", "offsets", "t-points", "custom-number"])
+    def test_non_finite_number(self, tmp_path, capsys, command, section, value, field):
+        """JSON NaN and Infinity, which Python's json parses, are refused
+        like any other malformed number."""
+        doc = json.loads(json.dumps(SIM_CONFIG))
+        doc[section] = value
+        self._rejected(tmp_path, capsys, command, doc, field)
+
+    @pytest.mark.parametrize("command", ["pressure", "dimension"])
+    def test_truncation_over_the_table_cap(self, tmp_path, capsys, command):
+        """Even window 1 of a cf truncation of three million symbols passes
+        the table cap: refused before the potential's table is built."""
+        doc = dict(CF2_CONFIG, system={"kind": "moebius-cf"},
+                   numerics=dict(CF2_CONFIG["numerics"], truncation=3_000_000))
+        err = self._rejected(tmp_path, capsys, command, doc, "numerics.truncation")
+        assert "3000000**1" in err
 
     def test_window_table_over_the_cap(self, tmp_path, capsys):
         """cf24 at window 5 needs a 24**5 table for the certifying

@@ -73,6 +73,21 @@ class TestSolveBeta:
         assert one == solve_beta(cf3, J2, (0.2, -0.1), 0.1, n=10, window=2)
         assert one.window == 2
 
+    def test_enclosure_independent_of_earlier_points(self):
+        """One solver certifies t1, then t2, then t1 again: each enclosure
+        is bracketed on its own transfer, so both t1 results are the same
+        to the last bit, and the same as on a fresh solver."""
+        cf3 = truncated_cf_system(3)
+        t1, t2 = (0.7, -0.4), (0.1, 0.3)
+        s = BetaSolver(cf3, MOD23_J, n=10, window=6)
+        first, _, again = (solve_beta(cf3, MOD23_J, t, 0.05, solver=s)
+                           for t in (t1, t2, t1))
+        assert (first.beta.lo, first.beta.hi) == (0.8617835053909573,
+                                                  0.9117834553909572)
+        assert again == first
+        fresh = BetaSolver(cf3, MOD23_J, n=10, window=6)
+        assert solve_beta(cf3, MOD23_J, t1, 0.05, solver=fresh) == first
+
     def test_gibbs_means_reported(self):
         bp = solve_beta(SIM, J01, (0.0,), 1e-8, n=24)
         jmean, imean = bp.gibbs_means
