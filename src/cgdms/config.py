@@ -13,7 +13,7 @@ from typing import Optional
 
 from . import potentials
 from .errors import ConfigError, InvalidWordError
-from .families import Custom1DFamily
+from .families import Custom1DFamily, parse_expression
 from .kernel import STAGE_STEP_CAP, PressureKernel, WindowTransfer
 from .measures import RULE_CUTOFF, BernoulliSpec
 from .potentials import PotentialVector, cycle_birkhoff
@@ -22,6 +22,12 @@ from .system import (SystemDescriptor, TailRule, moebius_cf_system,
                      similarity_system, truncated_cf_system)
 
 TOOL_VERSION = "0.1.0"
+
+# Most points an expanded t_grid may have.  Each point costs a stage root,
+# about 75 ms on cf24 at window 4 (2 cores), so the cap is about 80 s of
+# roots; it admits every grid of the tests and the bench (the largest has
+# 21**2 = 441 points) and the default grid of 9 per axis up to dimension 3.
+T_GRID_CAP = 1024
 
 _NUMERIC_DEFAULTS = {
     "word_length": 12,
@@ -121,6 +127,11 @@ def build_system(cfg: dict, path: str = "system") -> SystemDescriptor:
         edges = _optional(cfg, "edges", int, path)
         if edges is not None and edges < 1:
             raise ConfigError(f"{path}.edges", "must be a positive integer")
+        for key in ("map_expr", "abs_deriv_expr"):  # parsed here to name the field
+            try:
+                parse_expression(_expect(cfg, key, str, path))
+            except ValueError as exc:
+                raise ConfigError(f"{path}.{key}", str(exc)) from exc
         try:
             tail = None
             if cfg.get("tail") is not None:
@@ -279,6 +290,12 @@ def _validate_command(command: str, params: dict, system: SystemDescriptor,
             pts = tg.get("points", 9)
             if not _typed(pts, int) or pts < 2:
                 raise ConfigError(f"{command}.t_grid.points", "must be an int >= 2")
+            if pts ** d > T_GRID_CAP:
+                raise ConfigError(f"{command}.t_grid.points", f"{pts}**{d} grid "
+                                  f"points pass the cap of {T_GRID_CAP}")
+        elif command != "beta" and 9 ** d > T_GRID_CAP:
+            raise ConfigError(f"{command}.t_grid", f"the default grid of 9**{d} "
+                              f"points passes the cap of {T_GRID_CAP}; give a t_grid")
         if command == "sets":
             specs = bernoulli_specs(params, system, potential)
             _check_cycles(params, system, potential)
@@ -321,11 +338,13 @@ def _check_steps(system: SystemDescriptor, potential: PotentialVector,
     """One stage recursion of the run's kernel makes at most
     ``STAGE_STEP_CAP`` state-steps, each step counting at least its fixed
     cost (:meth:`~cgdms.kernel.PressureKernel.stage_steps`), so no word
-    length runs for more than about a second per recursion."""
+    length runs for more than about a second per recursion.  A length that
+    admits no window is refused too (a given ``numerics.window`` is checked
+    by :func:`_check_window` first)."""
     try:
         steps = PressureKernel.stage_steps(system, potential, n, N, window)
-    except ValueError:
-        return  # no window fits the word; the kernel reports that itself
+    except ValueError as exc:
+        raise ConfigError("numerics.word_length", str(exc)) from exc
     if steps > STAGE_STEP_CAP:
         raise ConfigError("numerics.word_length", (
             f"one stage recursion at length {n} would make {steps} "

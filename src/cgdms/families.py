@@ -13,8 +13,10 @@ operation returns certified lower/upper pairs; tightness varies by family:
 
 from __future__ import annotations
 
+import ast
 import functools
 import math
+import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -323,129 +325,67 @@ class MoebiusCFFamily(MapFamily):
 # Expression grammar for custom families
 # ---------------------------------------------------------------------------
 #
-#   expr    := term (('+'|'-') term)*
-#   term    := factor (('*'|'/') factor)*
-#   factor  := ('-')? power
-#   power   := atom ('^' factor)?
-#   atom    := NUMBER | 'x' | 'k' | 'log' '(' expr ')' | 'exp' '(' expr ')'
-#            | '(' expr ')'
+#   expr   := term (('+'|'-') term)*
+#   term   := factor (('*'|'/') factor)*
+#   factor := '-'? power
+#   power  := atom ('^' factor)?
+#   atom   := NUMBER | 'x' | 'k' | 'log(' expr ')' | 'exp(' expr ')' | '(' expr ')'
 #
-# evaluated over intervals with outward-safe monotone rules; 'k' is the
-# edge index.  Evaluation is elementwise over numpy arrays of k and of the
-# interval endpoints, so a window table takes one evaluation per word
-# position rather than one per word.
-
-class _Tok:
-    def __init__(self, kind, value=None):
-        self.kind = kind
-        self.value = value
-
-
-def _tokenize(src: str):
-    out = []
-    i = 0
-    while i < len(src):
-        c = src[i]
-        if c.isspace():
-            i += 1
-        elif c in "+-*/^()":
-            out.append(_Tok(c))
-            i += 1
-        elif c.isdigit() or c == ".":
-            j = i
-            while j < len(src) and (src[j].isdigit() or src[j] in ".eE" or
-                                    (src[j] in "+-" and src[j - 1] in "eE")):
-                j += 1
-            out.append(_Tok("num", float(src[i:j])))
-            i = j
-        elif c.isalpha():
-            j = i
-            while j < len(src) and src[j].isalnum():
-                j += 1
-            name = src[i:j]
-            if name in ("x", "k", "log", "exp"):
-                out.append(_Tok(name))
-            else:
-                raise ValueError(f"unknown name {name!r} in expression")
-            i = j
-        else:
-            raise ValueError(f"unexpected character {c!r} in expression")
-    out.append(_Tok("end"))
-    return out
-
-
-class _Parser:
-    def __init__(self, tokens):
-        self.toks = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.toks[self.pos]
-
-    def eat(self, kind):
-        t = self.toks[self.pos]
-        if t.kind != kind:
-            raise ValueError(f"expected {kind!r}, got {t.kind!r}")
-        self.pos += 1
-        return t
-
-    def parse(self):
-        node = self.expr()
-        self.eat("end")
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek().kind in "+-":
-            op = self.eat(self.peek().kind).kind
-            node = (op, node, self.term())
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek().kind in "*/":
-            op = self.eat(self.peek().kind).kind
-            node = (op, node, self.factor())
-        return node
-
-    def factor(self):
-        if self.peek().kind == "-":
-            self.eat("-")
-            return ("neg", self.factor())
-        return self.power()
-
-    def power(self):
-        node = self.atom()
-        if self.peek().kind == "^":
-            self.eat("^")
-            return ("^", node, self.factor())
-        return node
-
-    def atom(self):
-        t = self.peek()
-        if t.kind == "num":
-            self.eat("num")
-            return ("num", t.value)
-        if t.kind in ("x", "k"):
-            self.eat(t.kind)
-            return (t.kind,)
-        if t.kind in ("log", "exp"):
-            self.eat(t.kind)
-            self.eat("(")
-            inner = self.expr()
-            self.eat(")")
-            return (t.kind, inner)
-        if t.kind == "(":
-            self.eat("(")
-            inner = self.expr()
-            self.eat(")")
-            return inner
-        raise ValueError(f"unexpected token {t.kind!r}")
+# With '^' read as '**' the grammar is a subset of Python's expressions,
+# with the same precedence, so Python's parser reads it and one walk keeps
+# the subset as the tuple tree that eval_interval evaluates over intervals
+# with outward-safe monotone rules; 'k' is the edge index.
+# MAX_DEPTH is far above any map a user writes (1/(x+k) nests 3 deep) and
+# far below the recursion limit eval_interval shares with its callers.
+# Python 3.10 builds the tree of a long expression by unguarded C
+# recursion (a 200000-term sum crashes it), hence MAX_LENGTH.
+MAX_DEPTH, MAX_LENGTH = 100, 10_000
+_CHARS = re.compile(r"[0-9A-Za-z.+\-*/^() ]*")
+_NUMBER = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
+_BINARY = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "^"}
 
 
 def parse_expression(src: str):
-    """Parse the config expression grammar into an AST."""
-    return _Parser(_tokenize(src)).parse()
+    """The tuple tree of an expression of the grammar; ValueError for any
+    string outside it or nesting deeper than ``MAX_DEPTH``."""
+    src = " ".join(src.split())
+    bad = _CHARS.match(src).end()
+    if bad < len(src):
+        raise ValueError(f"unexpected character {src[bad]!r} in expression")
+    if "**" in src:
+        raise ValueError("'**' is not an operator of the grammar; write '^'")
+    if len(src) > MAX_LENGTH:
+        raise ValueError(f"expression longer than {MAX_LENGTH} characters")
+    # float() reads the integer 007, which Python's parser refuses
+    py = re.sub(r"(?<![\w.])0+(?=\d)", "", src).replace("^", "**")
+    try:
+        tree = ast.parse(py, mode="eval")
+    except (SyntaxError, RecursionError, MemoryError) as exc:
+        why = exc.msg if isinstance(exc, SyntaxError) else f"nests deeper than {MAX_DEPTH}"
+        raise ValueError(f"invalid expression: {why}") from None
+    return _grammar_tree(tree.body, py, 1)
+
+
+def _grammar_tree(node, py: str, depth: int):
+    """The tuple tree of ``node``, a node of ``py``'s tree at ``depth``."""
+    if depth > MAX_DEPTH:
+        raise ValueError(f"invalid expression: nests deeper than {MAX_DEPTH}")
+    text = py[node.col_offset:node.end_col_offset]
+    if isinstance(node, ast.Constant) and _NUMBER.fullmatch(text):
+        return ("num", float(text))
+    if isinstance(node, ast.Name) and node.id in ("x", "k"):
+        return (node.id,)
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return ("neg", _grammar_tree(node.operand, py, depth + 1))
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        return (_BINARY[type(node.op)], _grammar_tree(node.left, py, depth + 1),
+                _grammar_tree(node.right, py, depth + 1))
+    # the function is named right where the call starts: log(x), not (log)(x)
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("log", "exp") and node.func.col_offset == node.col_offset
+            and len(node.args) == 1 and not node.keywords):
+        return (node.func.id, _grammar_tree(node.args[0], py, depth + 1))
+    raise ValueError(f"{text[:40]!r} is outside the expression grammar")
 
 
 def _iv_mul(a, b):

@@ -486,6 +486,51 @@ class TestConfigValidation:
         assert PressureKernel.stage_steps(sys, J, longest, 2) == STAGE_STEP_CAP
         assert PressureKernel.stage_steps(sys, J, longest + 1, 2) > STAGE_STEP_CAP
 
+    @pytest.mark.parametrize("window,field", [
+        (None, "numerics.word_length"), (1, "numerics.window")])
+    def test_no_window_shorter_than_the_word(self, tmp_path, capsys, window, field):
+        """200000 symbols are too many to enumerate even at length 1, and a
+        dp window must be shorter than the word: refused before any work,
+        whether or not a window is given."""
+        doc = dict(CF2_CONFIG, system={"kind": "moebius-cf"},
+                   numerics={"word_length": 1, "truncation": 200000, "window": window})
+        err = self._rejected(tmp_path, capsys, "pressure", doc, field)
+        assert "no window shorter than the word" in err
+
+    @pytest.mark.parametrize("command,t_grid,field", [
+        ("spectrum", {"min": [-1.0, -1.0], "max": [1.0, 1.0], "points": 200000},
+         "spectrum.t_grid.points"),
+        ("sets", {"min": [-1.0, -1.0], "max": [1.0, 1.0], "points": 100},
+         "sets.t_grid.points"),
+        ("spectrum", None, "spectrum.t_grid"),
+    ], ids=["2-d-200000", "sets-2-d-100", "default-6-d"])
+    def test_t_grid_over_the_cap(self, tmp_path, capsys, command, t_grid, field):
+        """An expanded t_grid costs a stage root per point: one of more than
+        T_GRID_CAP points is refused before it is built, and so is the
+        default grid of 9 points per axis at potential dim 6."""
+        from cgdms.config import T_GRID_CAP
+
+        doc = json.loads(json.dumps(self.CF_SETS))
+        if t_grid is None:
+            doc["potential"] = {"kind": "mod-cycle", "tables": [[1.0, 0.0]] * 6}
+        doc[command] = {} if t_grid is None else {"t_grid": t_grid}
+        err = self._rejected(tmp_path, capsys, command, doc, field)
+        assert str(T_GRID_CAP) in err
+
+    def test_t_grid_cap_boundary(self):
+        """The largest square grid within T_GRID_CAP points passes
+        validation, one more point per axis does not."""
+        from cgdms.config import T_GRID_CAP, validate_config
+        from cgdms.errors import ConfigError
+
+        side = math.isqrt(T_GRID_CAP)
+        doc = json.loads(json.dumps(self.CF_SETS))
+        doc["spectrum"] = {"t_grid": dict(doc["sets"]["t_grid"], points=side)}
+        validate_config(doc, "spectrum")
+        doc["spectrum"]["t_grid"]["points"] = side + 1
+        with pytest.raises(ConfigError, match="spectrum.t_grid.points"):
+            validate_config(doc, "spectrum")
+
     def test_nilpotent_incidence(self, tmp_path, capsys):
         doc = {
             "system": {"kind": "similarity", "ratios": [0.5, 0.3],

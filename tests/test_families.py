@@ -181,6 +181,66 @@ class TestExpressionGrammar:
         with pytest.raises(ValueError):
             parse_expression("foo(x)")
 
+    X, K = ("x",), ("k",)
+
+    @pytest.mark.parametrize("src,tree", [
+        ("-x^2", ("neg", ("^", X, ("num", 2.0)))),
+        ("2^-x^2", ("^", ("num", 2.0), ("neg", ("^", X, ("num", 2.0))))),
+        ("x^k^2", ("^", X, ("^", K, ("num", 2.0)))),
+        ("x-k-2", ("-", ("-", X, K), ("num", 2.0))),
+        ("x/k/2", ("/", ("/", X, K), ("num", 2.0))),
+        ("x*-1", ("*", X, ("neg", ("num", 1.0)))),
+        ("1E+2", ("num", 100.0)),
+        (".25", ("num", 0.25)),
+        ("3.", ("num", 3.0)),
+        ("007", ("num", 7.0)),
+        (" log (x)\n+ exp(-k) ", ("+", ("log", X), ("exp", ("neg", K)))),
+    ])
+    def test_precedence_associativity_and_numbers(self, src, tree):
+        assert parse_expression(src) == tree
+
+    @pytest.mark.parametrize("src", [
+        "x**2", "+x", "x%2", "x//2", "0x1f", "0xe", "0o7", "1_0", "1j", "True",
+        "log(x,k)", "log(x,)", "exp()", "(log)(x)", "2x", "foo(x)",
+    ])
+    def test_outside_the_grammar_rejected(self, src):
+        with pytest.raises(ValueError):
+            parse_expression(src)
+
+    def test_depth_bound(self):
+        """A tree of MAX_DEPTH levels parses and evaluates; one more level
+        is refused, so evaluation never recurses past that depth."""
+        from cgdms.families import MAX_DEPTH
+
+        deepest = "x" + "+x" * (MAX_DEPTH - 1)
+        assert eval_interval(parse_expression(deepest), (0.0, 1.0), 1) == (0.0, MAX_DEPTH)
+        with pytest.raises(ValueError, match=f"deeper than {MAX_DEPTH}"):
+            parse_expression(deepest + "+x")
+
+    @pytest.mark.parametrize("key,src", [
+        ("abs_deriv_expr", "(" * 3000 + "x" + ")" * 3000),
+        ("abs_deriv_expr", "-" * 3000 + "x"),
+        ("abs_deriv_expr", "+".join(["x"] * 20000)),
+        ("map_expr", "-" * 3000 + "x"),
+    ], ids=["parens", "unary-minus", "long-sum", "map-expr"])
+    def test_hostile_expression_exits_one(self, tmp_path, capsys, key, src):
+        """Expressions nested or chained past the interpreter's recursion
+        limit are a config error naming their field, not a traceback."""
+        import json
+
+        from cgdms.cli import main
+
+        system = {"kind": "custom-1d", "map_expr": "1/(x+k)",
+                  "abs_deriv_expr": "(x+k)^-2", "contraction_bound": 0.5,
+                  "contraction_prefactor": 2.0, "distortion_constant": 4.0,
+                  key: src}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"system": system,
+                                   "numerics": {"word_length": 6, "truncation": 4}}))
+        assert main(["dimension", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert f"'system.{key}'" in err and "Traceback" not in err
+
     def test_custom_family_reproduces_cf(self):
         fam = Custom1DFamily("1/(x+k)", "(x+k)^-2",
                              contraction_bound=0.5,
