@@ -132,6 +132,12 @@ def build_system(cfg: dict, path: str = "system") -> SystemDescriptor:
                 parse_expression(_expect(cfg, key, str, path))
             except ValueError as exc:
                 raise ConfigError(f"{path}.{key}", str(exc)) from exc
+        contraction = float(_expect(cfg, "contraction_bound", (int, float), path))
+        if not 0.0 < contraction < 1.0:
+            raise ConfigError(f"{path}.contraction_bound", "must lie in (0,1)")
+        distortion = float(_optional(cfg, "distortion_constant", (int, float), path, 1.0))
+        if distortion < 1.0:
+            raise ConfigError(f"{path}.distortion_constant", "must be >= 1")
         try:
             tail = None
             if cfg.get("tail") is not None:
@@ -143,10 +149,7 @@ def build_system(cfg: dict, path: str = "system") -> SystemDescriptor:
             fam = Custom1DFamily(
                 map_expr=_expect(cfg, "map_expr", str, path),
                 abs_deriv_expr=_expect(cfg, "abs_deriv_expr", str, path),
-                contraction_bound=float(_expect(cfg, "contraction_bound",
-                                                (int, float), path)),
-                distortion_constant=float(_optional(cfg, "distortion_constant",
-                                                    (int, float), path, 1.0)),
+                contraction_bound=contraction, distortion_constant=distortion,
                 contraction_prefactor=float(_optional(cfg, "contraction_prefactor",
                                                       (int, float), path, 1.0)),
                 domain=domain, n_edges=edges)

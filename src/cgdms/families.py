@@ -17,6 +17,7 @@ import ast
 import functools
 import math
 import re
+import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -359,7 +360,11 @@ def parse_expression(src: str):
     # float() reads the integer 007, which Python's parser refuses
     py = re.sub(r"(?<![\w.])0+(?=\d)", "", src).replace("^", "**")
     try:
-        tree = ast.parse(py, mode="eval")
+        # a refused string is reported by the ValueError below, not by a
+        # SyntaxWarning that the parser prints for it first ("1or x")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SyntaxWarning)
+            tree = ast.parse(py, mode="eval")
     except (SyntaxError, RecursionError, MemoryError) as exc:
         why = exc.msg if isinstance(exc, SyntaxError) else f"nests deeper than {MAX_DEPTH}"
         raise ValueError(f"invalid expression: {why}") from None

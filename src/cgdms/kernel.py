@@ -349,13 +349,18 @@ class WindowTransfer:
         ET = ew.reshape(self.N, self.N, -1)
         return base, (_perron_bracket(ET, live, v, settled) for live, v in self._classes)
 
-    def limit_bound(self, t, beta, side: str) -> float:
+    def limit_bound(self, t, beta, side: str, rtol: float = 0.0) -> float:
         """The limit pressure of <t,J> - beta*I over the truncated system
         (beta >= 0) lies in [log rho(L_inf), log rho(L_sup)] for the window
         transfer matrix L.  'lower' and 'upper' are those endpoints, each
         radius bounded by Collatz-Wielandt ratios; 'mid' is the log of the
-        midpoint ratio of the midpoint-weight matrix, the point estimate."""
-        base, brackets = self._walk(t, beta, side)
+        midpoint ratio of the midpoint-weight matrix, the point estimate.
+        With ``rtol > 0`` each class's iteration stops once its bracket
+        spread is at most ``rtol`` times its lower end, so 'mid' is within
+        ``rtol / 2`` of its converged value; 'lower' and 'upper' stay bounds
+        either way, since the running ends only close in."""
+        settled = (lambda lo, hi: hi - lo <= rtol * lo) if rtol > 0.0 else None
+        base, brackets = self._walk(t, beta, side, settled)
         # the largest ends over the classes, 0 without a class
         lo, hi = map(max, zip(*(list(brackets) or [(0.0, 0.0)])))
         with np.errstate(divide="ignore"):

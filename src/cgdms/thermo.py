@@ -20,6 +20,8 @@ from .util import Enclosure
 BETA_FLOOR = 0.0     # left edge of the bracketed exponent domain
 ROOT_HI_HINT = 1.0   # first right end tried when bracketing the root
 ROOT_XTOL = 1e-14    # brentq tolerance of the pressure roots
+# share of a certification's tolerance to which its estimate is solved
+ESTIMATE_SHARE = 2.0 ** -10
 
 
 @dataclass(frozen=True)
@@ -137,9 +139,9 @@ def estimate_theta(sys: SystemDescriptor) -> ThetaResult:
 # certified zero of the pressure in beta
 # ---------------------------------------------------------------------------
 
-def _root(f: Callable) -> float:
-    """Zero of a pressure function decreasing in beta: brentq after
-    doubling the right end from ROOT_HI_HINT until f turns negative.
+def _root(f: Callable, xtol: float = ROOT_XTOL) -> float:
+    """Zero of a pressure function decreasing in beta: brentq to ``xtol``
+    after doubling the right end from ROOT_HI_HINT until f turns negative.
     brentq reads the two bracket ends from the values already computed,
     so no bracket end is evaluated twice."""
     flo = f(BETA_FLOOR)
@@ -160,7 +162,7 @@ def _root(f: Callable) -> float:
         raise BracketBudgetError("pressure never becomes negative")
     ends = {BETA_FLOOR: flo, hi: fhi}
     return float(brentq(lambda b: ends[b] if b in ends else f(b),
-                        BETA_FLOOR, hi, xtol=ROOT_XTOL, maxiter=256))
+                        BETA_FLOOR, hi, xtol=xtol, maxiter=256))
 
 
 def anchored_pressure_root(kern: PressureKernel, t) -> float:
@@ -187,13 +189,16 @@ def certified_pressure_zero(transfer: WindowTransfer, t, tol: float) -> tuple:
     """(enclosure, estimate) of the zero in beta of the limit pressure of
     <t,J> - beta*I over the truncated system, from one window transfer: the
     estimate is the zero of the 'mid' limit bound, certified as
-    est +/- tol/2 by :func:`_certifies`.  Failing that, the half-width is
-    doubled until it certifies, and :class:`BracketBudgetError` carries
-    that enclosure as ``best`` and the window needed for ``tol`` as
-    ``required_n``.
+    est +/- tol/2 by :func:`_certifies`.  The two signs hold whatever the
+    estimate, so it is solved only to ESTIMATE_SHARE of ``tol``, on 'mid'
+    bounds whose Perron iterations stop at a matching spread.  Failing
+    that, the half-width is doubled until it certifies, and
+    :class:`BracketBudgetError` carries that enclosure as ``best`` and the
+    window needed for ``tol`` as ``required_n``.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    est = _root(lambda b: transfer.limit_bound(t, b, "mid"))
+    xtol = max(ROOT_XTOL, tol * ESTIMATE_SHARE)
+    est = _root(lambda b: transfer.limit_bound(t, b, "mid", rtol=xtol / 4), xtol)
     # shaved slightly below tol/2 so the reported width respects tol even
     # after float rounding of the endpoints
     half = 0.5 * tol * (1.0 - 1e-6)

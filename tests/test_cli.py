@@ -1,11 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from cgdms.cli import main
 from cgdms.system import similarity_system
 from cgdms.util import format_float
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 SIM_CONFIG = {
     "system": {"kind": "similarity", "ratios": [0.5, 0.5],
@@ -596,13 +602,33 @@ class TestConfigValidation:
          "sets.t_grid.min"),
         ("pressure", "potential", {"kind": "mod-cycle", "tables": [[1, 0], [0, 1]],
                                    "dim": 3}, "potential.dim"),
+        ("dimension", "system", dict(CUSTOM, contraction_bound=1.5),
+         "system.contraction_bound"),
+        ("dimension", "system", dict(CUSTOM, distortion_constant=0.5),
+         "system.distortion_constant"),
     ], ids=["dim-zero", "tables-word", "flips-word", "custom-domain-empty",
             "custom-edges-zero", "t-grid-word", "t-grid-length", "t-grid-min-word",
-            "mod-cycle-dim"])
+            "mod-cycle-dim", "custom-contraction", "custom-distortion"])
     def test_malformed_field(self, tmp_path, capsys, command, section, value, field):
         doc = json.loads(json.dumps(SIM_CONFIG))
         doc[section] = value
         self._rejected(tmp_path, capsys, command, doc, field)
+
+    def test_parser_warning_silenced(self, tmp_path):
+        """'1or x' is refused naming its field, and the command line prints
+        no SyntaxWarning of Python's parser before that message."""
+        doc = dict(SIM_CONFIG, system=dict(self.CUSTOM, map_expr="1or x"))
+        cfg = write_config(tmp_path, doc)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(SRC), os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from cgdms.cli import main; sys.exit(main(sys.argv[1:]))",
+             "dimension", "--config", cfg, "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, env=env)
+        assert run.returncode == 1
+        assert "'system.map_expr'" in run.stderr
+        assert "SyntaxWarning" not in run.stderr, run.stderr
 
     NAN, INF = float("nan"), float("inf")
 

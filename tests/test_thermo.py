@@ -14,9 +14,10 @@ from cgdms.kernel import PressureKernel, WindowTransfer
 from cgdms.system import (SystemDescriptor, TailRule, moebius_cf_system,
                           similarity_system, truncated_cf_system)
 from cgdms.thermo import (BETA_FLOOR, ROOT_HI_HINT, ROOT_XTOL, PressureQuery,
-                          _certifies, anchored_pressure_root, bowen_dimension,
-                          certified_pressure_zero, classify_regularity,
-                          estimate_theta, pressure_bracket, thermo_report)
+                          _certifies, _root, anchored_pressure_root,
+                          bowen_dimension, certified_pressure_zero,
+                          classify_regularity, estimate_theta,
+                          pressure_bracket, thermo_report)
 
 J0 = potentials.zero(1)
 SIM_HALF = similarity_system([0.5, 0.5], offsets=[0.0, 0.5])
@@ -74,6 +75,35 @@ def oracle_cf_pressure(N, n, beta, hull):
 
 def query(beta, n, N, t=(0.0,)):
     return PressureQuery(t_coeff=t, beta_coeff=beta, word_length=n, truncation=N)
+
+
+def counted_steps(monkeypatch) -> list:
+    """A one-item list that counts the transfer steps from now on."""
+    steps, step = [0], kernel._step
+
+    def counting_step(v, ET):
+        steps[0] += 1
+        return step(v, ET)
+
+    monkeypatch.setattr(kernel, "_step", counting_step)
+    return steps
+
+
+def full_precision_zero(transfer, t, tol):
+    """(enclosure, estimate, required_n) of the certification with its
+    estimate solved to ROOT_XTOL on fully converged 'mid' bounds: the first
+    est +/- (tol/2) * 2**k that certifies, and required_n None when k = 0."""
+    est = _root(lambda b: transfer.limit_bound(t, b, "mid"))
+    half = 0.5 * tol * (1.0 - 1e-6)
+    for k in range(61):
+        enc = _certifies(transfer, t, est, half * 2.0 ** k)
+        if enc is not None:
+            break
+    if k == 0:
+        return enc, est, None
+    rate = transfer.sys.family.contraction_bound
+    return enc, est, transfer.window + math.ceil(
+        math.log(enc.width / tol) / math.log(1.0 / rate))
 
 
 class TestPressureBracket:
@@ -282,14 +312,9 @@ class TestBowenDimension:
 
     def test_certification_stops_once_the_sign_is_settled(self, monkeypatch):
         """cf3 at window 10: each of the two certification brackets makes
-        at most 3 transfer steps (a full Perron bracket takes about 30)."""
-        steps, per_bracket = [0], []
-        step = kernel._step
-
-        def counting_step(v, ET):
-            steps[0] += 1
-            return step(v, ET)
-
+        at most 3 transfer steps (a full Perron bracket takes about 30), and
+        the whole solve at most 60 (141 with a full-precision estimate)."""
+        steps, per_bracket = counted_steps(monkeypatch), []
         sign = WindowTransfer.limit_sign
 
         def counting_sign(self, *args, **kwargs):
@@ -298,11 +323,11 @@ class TestBowenDimension:
             per_bracket.append(steps[0] - before)
             return result
 
-        monkeypatch.setattr(kernel, "_step", counting_step)
         monkeypatch.setattr(WindowTransfer, "limit_sign", counting_sign)
         res = bowen_dimension(truncated_cf_system(3), 10, tol=1e-3)
         assert res.window == 10 and res.enclosure.width <= 1e-3
         assert len(per_bracket) == 2 and max(per_bracket) <= 3, per_bracket
+        assert steps[0] <= 60, steps[0]
 
     def test_budget_error_carries_best(self):
         with pytest.raises(BracketBudgetError) as err:
@@ -341,15 +366,87 @@ class TestRoot:
         transfer = WindowTransfer(self.CF24, self.MOD_J, 24, 3)
         bound, mids = transfer.limit_bound, []
 
-        def counting(t, b, side):
+        def counting(t, b, side, **kwargs):
             if side == "mid":
                 mids.append(b)
-            return bound(t, b, side)
+            return bound(t, b, side, **kwargs)
 
         transfer.limit_bound = counting
         enc, est = certified_pressure_zero(transfer, self.T, 0.2)
         assert len(mids) == len(set(mids))
         assert enc.lo <= est <= enc.hi
+
+
+class TestEstimatePrecision:
+    """A certification solves its estimate only to a share of its
+    tolerance, and certifies it as a full-precision estimate is."""
+
+    CF3 = truncated_cf_system(3)
+    CF24 = truncated_cf_system(24)
+    MOD_J = potentials.mod_cycle([[0, 1], [0, 0, 1]])
+
+    def test_beta_step_budget(self, monkeypatch):
+        """cf3 at window 6 with the mod-cycle J, tol 0.05: a full-precision
+        estimate took about 130 Perron steps."""
+        transfer = WindowTransfer(self.CF3, self.MOD_J, 3, 6)
+        steps = counted_steps(monkeypatch)
+        enc, est = certified_pressure_zero(transfer, np.array([0.3, -0.2]), 0.05)
+        assert enc.width <= 0.05 and enc.lo <= est <= enc.hi
+        assert steps[0] <= 40, steps[0]
+
+    @pytest.mark.parametrize("case", [
+        (CF2, J0, 2, 10, (0.0,), 1e-4),
+        (CF2, J0, 2, 4, (0.0,), 1e-9),
+        (CF3, J0, 3, 10, (0.0,), 1e-3),
+        (CF24, MOD_J, 24, 4, (-0.5, 0.4), 3e-3),
+        (CF24, MOD_J, 24, 4, (-0.5, 0.4), 1e-3),
+        (GOLDEN, J0, 2, 2, (0.0,), 1e-9),
+    ], ids=["cf2", "cf2-budget", "cf3", "cf24", "cf24-budget", "golden"])
+    def test_matches_full_precision_solve(self, case):
+        """The estimate lies within tol/1000 of the full-precision one, and
+        the outcome, width and required window are the same."""
+        sysd, J, N, q, t, tol = case
+        t = np.asarray(t, dtype=float)
+        enc, est, needed = full_precision_zero(WindowTransfer(sysd, J, N, q), t, tol)
+        try:
+            got, got_est = certified_pressure_zero(WindowTransfer(sysd, J, N, q), t, tol)
+            got_needed = None
+        except BracketBudgetError as err:
+            got, got_est, got_needed = err.best, None, err.required_n
+        assert got_needed == needed
+        assert got.width == pytest.approx(enc.width, rel=0, abs=2 * math.ulp(enc.hi))
+        assert abs(got.mid - enc.mid) <= tol / 1000
+        if needed is None:
+            assert abs(got_est - est) <= tol / 1000
+
+    @pytest.mark.parametrize("sysd,N,level", [
+        (CF3, 3, 8),
+        (GOLDEN, 2, 6),
+        (similarity_system([0.5, 0.3, 0.4], offsets=[0.0, 0.5, 0.8],
+                           incidence=[[1, 1, 0], [1, 1, 1], [0, 0, 1]]), 3, 6),
+    ], ids=["cf3", "golden", "reducible"])
+    def test_limit_bound_rtol(self, monkeypatch, sysd, N, level):
+        """With rtol, 'mid' is within rtol (in log units) of its converged
+        value, 'lower' and 'upper' still bound theirs from outside, and
+        the iterations stop sooner."""
+        steps, rtol, t = counted_steps(monkeypatch), 1e-6, np.zeros(1)
+        full_steps = early_steps = 0
+        for beta in (0.0, 0.4, 0.9):
+            for side in ("lower", "mid", "upper"):
+                before = steps[0]
+                full = WindowTransfer.at_level(sysd, J0, N, level).limit_bound(t, beta, side)
+                full_steps += steps[0] - before
+                before = steps[0]
+                early = WindowTransfer.at_level(sysd, J0, N, level).limit_bound(
+                    t, beta, side, rtol=rtol)
+                early_steps += steps[0] - before
+                if side == "mid":
+                    assert abs(early - full) <= rtol
+                elif side == "lower":
+                    assert early <= full
+                else:
+                    assert early >= full
+        assert early_steps < full_steps
 
 
 class TestTheta:
