@@ -9,8 +9,8 @@ from .families import (CodingPoint, Custom1DFamily, DerivativeBracket,
                        approximate_pi, geometric_potential_bracket,
                        log_deriv_bracket)
 from .measures import (BernoulliSpec, GenericWordReport, MeasureSummary,
-                       PeriodicOrbitMeasure, Q_of_bernoulli, Q_of_periodic,
-                       construct_generic_word, semicontinuity_counterexample)
+                       Q_of_bernoulli, Q_of_periodic, construct_generic_word,
+                       semicontinuity_counterexample)
 from .multifractal import (BetaPoint, BetaSolver, CertificateResult,
                            GradResult, HessianResult, KLEstimate, MEstimate,
                            SpectrumPoint, estimate_KL, estimate_M, grad_beta,
@@ -18,7 +18,7 @@ from .multifractal import (BetaPoint, BetaSolver, CertificateResult,
                            solve_beta, spectrum_scan)
 from .potentials import PotentialVector, cycle_birkhoff
 from .symbolic import (IncidenceMatrix, IrreducibilityWitness, Multigraph,
-                       Word, count_words, enumerate_words,
+                       count_words, enumerate_words,
                        find_irreducibility_witness, is_admissible)
 from .system import (SystemDescriptor, TailRule, moebius_cf_system,
                      similarity_system, truncated_cf_system)

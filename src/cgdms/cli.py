@@ -21,8 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import measures, multifractal, thermo
-from .config import (TOOL_VERSION, RunConfig, expand_t_grid, load_config,
-                     validate_config)
+from .config import TOOL_VERSION, RunConfig, load_config, validate_config
 from .errors import CgdmsError, ConfigError
 from .kernel import PressureKernel
 from .symbolic import enumerate_cycles
@@ -77,16 +76,13 @@ def _tcols(dim: int, prefix: str = "t") -> list:
 
 def cmd_pressure(rc: RunConfig, outdir: Path) -> list:
     d = rc.potential.dim
-    t_points = rc.command_params.get("t_points") or [[0.0] * d]
-    beta_grid = rc.command_params.get("beta_grid", [0.0])
     # the kernel does not depend on (t, beta): one serves the whole grid
     kern = PressureKernel(rc.system, rc.potential, n=rc.word_length,
                           N=rc.truncation, window=rc.window)
     rows = []
-    for t in t_points:
-        tv = tuple(float(x) for x in (t if isinstance(t, list) else [t]))
+    for tv in rc.command_params["t_points"]:
         tt = np.asarray(tv)
-        for beta in map(float, beta_grid):
+        for beta in map(float, rc.command_params["beta_grid"]):
             lo, hi = kern.values(tt, beta)
             rows.append(list(tv) + [beta, lo, hi, kern.n, kern.N,
                                     kern.tail_weight(tt, beta)])
@@ -120,12 +116,10 @@ def cmd_dimension(rc: RunConfig, outdir: Path) -> list:
 
 def cmd_beta(rc: RunConfig, outdir: Path) -> list:
     d = rc.potential.dim
-    t_points = rc.command_params.get("t_points") or [[0.0] * d]
     s = multifractal.BetaSolver(rc.system, rc.potential, n=rc.word_length,
                                 N=rc.truncation, window=rc.window)
     rows = []
-    for t in t_points:
-        tv = tuple(float(x) for x in (t if isinstance(t, list) else [t]))
+    for tv in rc.command_params["t_points"]:
         bp = multifractal.solve_beta(rc.system, rc.potential, tv, rc.tolerance, solver=s)
         gr = multifractal.grad_beta(rc.system, rc.potential, tv, rc.tolerance, solver=s)
         rows.append(list(tv) + [bp.beta.lo, bp.beta.hi, bp.estimate]
@@ -140,13 +134,10 @@ def cmd_beta(rc: RunConfig, outdir: Path) -> list:
 
 def cmd_spectrum(rc: RunConfig, outdir: Path) -> list:
     d = rc.potential.dim
-    alphas = rc.command_params.get("alpha_grid") or []
-    alphas = [tuple(float(x) for x in (a if isinstance(a, list) else [a]))
-              for a in alphas]
-    t_grid = expand_t_grid(rc.command_params.get("t_grid"), d)
     points, surface = multifractal.spectrum_scan(
-        rc.system, rc.potential, alphas, rc.tolerance,
-        n=rc.word_length, N=rc.truncation, window=rc.window, t_grid=t_grid)
+        rc.system, rc.potential, rc.command_params["alpha_grid"], rc.tolerance,
+        n=rc.word_length, N=rc.truncation, window=rc.window,
+        t_grid=rc.command_params["t_grid"])
     rows = []
     for sp in points:
         tstar = sp.minimizer_t if sp.minimizer_t is not None else [math.nan] * d
@@ -167,8 +158,8 @@ def cmd_spectrum(rc: RunConfig, outdir: Path) -> list:
 def cmd_sets(rc: RunConfig, outdir: Path) -> list:
     d = rc.potential.dim
     sysd = rc.system
-    t_grid = expand_t_grid(rc.command_params.get("t_grid"), d)
-    mres = multifractal.estimate_M(sysd, rc.potential, t_grid, rc.tolerance,
+    mres = multifractal.estimate_M(sysd, rc.potential,
+                                   rc.command_params["t_grid"], rc.tolerance,
                                    n=rc.word_length, N=rc.truncation,
                                    window=rc.window)
     # default short cycles and simple product measures when not specified
@@ -176,7 +167,7 @@ def cmd_sets(rc: RunConfig, outdir: Path) -> list:
     cycles = rc.command_params.get("cycles")
     if cycles is None:
         cycles = [list(c) for c in enumerate_cycles(sysd.incidence, 2, N_small)]
-    specs = rc.bernoulli
+    specs = rc.command_params["bernoulli"]
     if not specs:
         specs = [measures.BernoulliSpec.finite(
             {k: 1.0 / N_small for k in range(1, N_small + 1)})]
@@ -205,9 +196,7 @@ def cmd_sets(rc: RunConfig, outdir: Path) -> list:
 
 def cmd_counterexample(rc: RunConfig, outdir: Path) -> list:
     params = rc.command_params
-    res = measures.semicontinuity_counterexample(
-        float(params.get("M_param", 100.0)),
-        params.get("n_list", [1000, 10000, 100000]))
+    res = measures.semicontinuity_counterexample(params["M_param"], params["n_list"])
     rows = [[r.n, r.c_n, r.top_mass, r.I_lower, r.I_upper,
              int(r.valid_probability)] for r in res.rows]
     p1 = outdir / "counterexample.csv"
@@ -260,10 +249,7 @@ def main(argv=None) -> int:
                 num["seed"] = args.seed
             doc["numerics"] = num
         rc = validate_config(doc, args.command)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=_sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return 1
 

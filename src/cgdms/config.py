@@ -28,6 +28,9 @@ TOOL_VERSION = "0.1.0"
 # roots; it admits every grid of the tests and the bench (the largest has
 # 21**2 = 441 points) and the default grid of 9 per axis up to dimension 3.
 T_GRID_CAP = 1024
+# points per axis of a t_grid object that gives none; with no t_grid at
+# all, spectrum and sets use such a grid on [-2, 2] on every axis
+T_GRID_POINTS = 9
 
 _NUMERIC_DEFAULTS = {
     "word_length": 12,
@@ -50,8 +53,7 @@ class RunConfig:
     tolerance: float
     workers: int
     seed: int
-    command_params: dict = field(default_factory=dict)
-    bernoulli: list = field(default_factory=list)  # validated sets.bernoulli
+    command_params: dict = field(default_factory=dict)  # validated, with defaults
 
 
 def _typed(val, types) -> bool:
@@ -238,35 +240,43 @@ def validate_config(doc: dict, command: str) -> RunConfig:
     params = doc.get(command, {})
     if not isinstance(params, dict):
         raise ConfigError(command, "command parameters must be an object")
-    specs = _validate_command(command, params, system, potential)
+    params = dict(params)  # defaults go into a copy: rc.raw stays as written
+    _validate_command(command, params, system, potential)
     return RunConfig(raw=doc, system=system, potential=potential,
                      word_length=wl, truncation=trunc, window=window,
                      tolerance=float(tol), workers=workers, seed=seed,
-                     command_params=params, bernoulli=specs)
+                     command_params=params)
 
 
 def _validate_command(command: str, params: dict, system: SystemDescriptor,
-                      potential: PotentialVector) -> list:
-    """Check the command's parameters; return the ``sets.bernoulli`` specs."""
+                      potential: PotentialVector) -> None:
+    """Check the command's parameters and fill in, in place, what the
+    command reads: vector lists as float tuples, the expanded ``t_grid``,
+    the :class:`BernoulliSpec` of each ``sets.bernoulli`` entry, and the
+    default of each field the config leaves out (the origin for
+    ``t_points``, no ``alpha_grid``, the grid of :func:`_t_grid` and the
+    literals below)."""
     d = potential.dim
 
-    def check_vectors(key, allow_empty=True):
+    def vectors(key):
+        """``params[key]``, a list of d-vectors of finite numbers (bare
+        numbers when d = 1), as float tuples; None when absent."""
         pts = params.get(key)
         if pts is None:
-            return
+            return None
         if not isinstance(pts, list):
             raise ConfigError(f"{command}.{key}", "must be a list of vectors")
-        if not allow_empty and not pts:
-            raise ConfigError(f"{command}.{key}", "must be nonempty")
         for i, p in enumerate(pts):
             vec = p if isinstance(p, list) else [p]
             if len(vec) != d or not all(_typed(x, (int, float)) for x in vec):
                 raise ConfigError(f"{command}.{key}[{i}]",
                                   f"expected a vector of {d} finite numbers")
+        return _float_tuples(pts)
 
+    if command in ("pressure", "beta", "spectrum", "sets"):
+        params["t_points"] = vectors("t_points") or [(0.0,) * d]
     if command == "pressure":
-        check_vectors("t_points")
-        grid = params.get("beta_grid", [0.0])
+        grid = params.setdefault("beta_grid", [0.0])
         if not isinstance(grid, list) or not grid:
             raise ConfigError("pressure.beta_grid", "must be a nonempty list")
         for i, b in enumerate(grid):
@@ -276,48 +286,54 @@ def _validate_command(command: str, params: dict, system: SystemDescriptor,
                 raise ConfigError(f"pressure.beta_grid[{i}]",
                                   "negative exponents are rejected")
     elif command in ("beta", "spectrum", "sets"):
-        check_vectors("t_points")
-        check_vectors("alpha_grid")
-        tg = params.get("t_grid")
-        if tg is not None and not isinstance(tg, (dict, list)):
-            raise ConfigError(f"{command}.t_grid",
-                              "must be a grid object or explicit list")
-        if isinstance(tg, list):
-            check_vectors("t_grid")
-        elif isinstance(tg, dict):
-            for key in ("min", "max"):
-                v = tg.get(key)
-                if not _numbers(v) or len(v) != d:
-                    raise ConfigError(f"{command}.t_grid.{key}",
-                                      f"need a numeric vector of length {d}")
-            pts = tg.get("points", 9)
-            if not _typed(pts, int) or pts < 2:
-                raise ConfigError(f"{command}.t_grid.points", "must be an int >= 2")
-            if pts ** d > T_GRID_CAP:
-                raise ConfigError(f"{command}.t_grid.points", f"{pts}**{d} grid "
-                                  f"points pass the cap of {T_GRID_CAP}")
-        elif command != "beta" and 9 ** d > T_GRID_CAP:
-            raise ConfigError(f"{command}.t_grid", f"the default grid of 9**{d} "
-                              f"points passes the cap of {T_GRID_CAP}; give a t_grid")
+        params["alpha_grid"] = vectors("alpha_grid") or []
+        if params.get("t_grid") is not None or command != "beta":
+            params["t_grid"] = _t_grid(command, params.get("t_grid"), d, vectors)
         if command == "sets":
-            specs = bernoulli_specs(params, system, potential)
+            params["bernoulli"] = bernoulli_specs(params, system, potential)
             _check_cycles(params, system, potential)
-            return specs
     elif command == "counterexample":
-        m = params.get("M_param", 100.0)
+        m = params.setdefault("M_param", 100.0)
         if not _typed(m, (int, float)) or m <= 0:
             raise ConfigError("counterexample.M_param",
                               "must be a positive finite number")
-        nl = params.get("n_list", [1000, 10000, 100000])
+        nl = params.setdefault("n_list", [1000, 10000, 100000])
         if (not isinstance(nl, list) or not nl
                 or not all(_typed(n, int) and n >= 2 for n in nl)):
             raise ConfigError("counterexample.n_list",
                               "must be a nonempty list of integers >= 2")
-    elif command == "dimension":
-        pass
-    else:
+    elif command != "dimension":
         raise ConfigError("", f"unknown command {command!r}")
-    return []
+
+
+def _t_grid(command: str, tg, d: int, vectors) -> list:
+    """The expanded ``t_grid`` ``tg``, by default T_GRID_POINTS per axis on
+    [-2, 2], refused naming its field when malformed or when it has more
+    than T_GRID_CAP points: a list's length, a grid object's points**d."""
+    field, hint = f"{command}.t_grid", ""
+    if isinstance(tg, list):
+        vectors("t_grid")
+        count = len(tg)
+    else:
+        if tg is None:
+            tg, hint = {"min": [-2.0] * d, "max": [2.0] * d}, "; give a t_grid"
+        elif isinstance(tg, dict):
+            for key in ("min", "max"):
+                v = tg.get(key)
+                if not _numbers(v) or len(v) != d:
+                    raise ConfigError(f"{field}.{key}",
+                                      f"need a numeric vector of length {d}")
+            field += ".points"
+        else:
+            raise ConfigError(field, "must be a grid object or explicit list")
+        pts = tg.get("points", T_GRID_POINTS)
+        if not _typed(pts, int) or pts < 2:
+            raise ConfigError(f"{command}.t_grid.points", "must be an int >= 2")
+        count = pts ** d
+    if count > T_GRID_CAP:
+        raise ConfigError(field, f"{count} grid points pass the cap of "
+                                 f"{T_GRID_CAP}{hint}")
+    return expand_t_grid(tg, d)
 
 
 def _check_window(system: SystemDescriptor, potential: PotentialVector,
@@ -416,18 +432,20 @@ def _check_cycles(params: dict, system: SystemDescriptor,
             raise ConfigError(path, str(exc)) from exc
 
 
+def _float_tuples(pts: list) -> list:
+    """Each vector of a list, or bare number, as a tuple of floats."""
+    return [tuple(float(x) for x in (p if isinstance(p, list) else [p]))
+            for p in pts]
+
+
 def expand_t_grid(tg, dim: int):
     """Expand a {min, max, points} grid spec (or pass through a list)."""
     import numpy as np
 
-    if tg is None:
-        lo, hi, pts = [-2.0] * dim, [2.0] * dim, 9
-    elif isinstance(tg, list):
-        return [tuple(float(x) for x in (p if isinstance(p, list) else [p]))
-                for p in tg]
-    else:
-        lo, hi = tg["min"], tg["max"]
-        pts = tg.get("points", 9)
+    if isinstance(tg, list):
+        return _float_tuples(tg)
+    lo, hi = tg["min"], tg["max"]
+    pts = tg.get("points", T_GRID_POINTS)
     axes = [np.linspace(lo[i], hi[i], pts) for i in range(dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
     flat = np.stack([m.ravel() for m in mesh], axis=-1)

@@ -27,8 +27,8 @@ class NotIrreducibleError(CgdmsError):
 class BracketBudgetError(CgdmsError):
     """A zero-finding run exhausted its budget before reaching tolerance.
 
-    Carries the best enclosure found and an estimate of the word length
-    that the requested tolerance would need.
+    Carries the best enclosure found and, as ``required_n``, an estimate
+    of the window that the requested tolerance would need.
     """
 
     def __init__(self, message, best=None, required_n=None):

@@ -24,14 +24,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainMismatchError, InvalidWordError
-from .symbolic import Word, is_admissible
+from .symbolic import is_admissible
 
 
 @dataclass(frozen=True)
 class DerivativeBracket:
     """Enclosure of log|phi_w'| over the terminal domain, natural log."""
 
-    word: Word
+    word: tuple
     sup_log_deriv: float
     inf_log_deriv: float
 
@@ -40,7 +40,7 @@ class DerivativeBracket:
 class CodingPoint:
     """Midpoint/radius enclosure of the coded point of a word prefix."""
 
-    word_prefix: Word
+    word_prefix: tuple
     point_estimate: float
     radius: float
 
@@ -513,26 +513,26 @@ def log_deriv_bracket(family: MapFamily, word, tail: Optional[tuple] = None,
     word's chaining is verified and a violation raises
     :class:`DomainMismatchError`.
     """
-    w = word if isinstance(word, Word) else Word(tuple(word))
-    if len(w) == 0:
+    w = tuple(int(s) for s in word)
+    if not w:
         raise InvalidWordError("word must be nonempty")
     for e in w:
         family.check_edge(e)
     if incidence is not None and not is_admissible(w, incidence):
-        raise DomainMismatchError(f"word {tuple(w)} does not chain")
+        raise DomainMismatchError(f"word {w} does not chain")
     tail = family.domain() if tail is None else tail
-    lo, hi = family.word_log_deriv_range(tuple(w), tail)
+    lo, hi = family.word_log_deriv_range(w, tail)
     return DerivativeBracket(word=w, sup_log_deriv=hi, inf_log_deriv=lo)
 
 
 def approximate_pi(family: MapFamily, word_prefix, incidence=None) -> CodingPoint:
     """Midpoint/radius enclosure of the cylinder image of a word prefix."""
-    w = word_prefix if isinstance(word_prefix, Word) else Word(tuple(word_prefix))
-    if len(w) == 0:
+    w = tuple(int(s) for s in word_prefix)
+    if not w:
         raise InvalidWordError("prefix must be nonempty")
     if incidence is not None and not is_admissible(w, incidence):
-        raise InvalidWordError(f"prefix {tuple(w)} is not admissible")
-    iv = family.word_image(tuple(w), family.domain())
+        raise InvalidWordError(f"prefix {w} is not admissible")
+    iv = family.word_image(w, family.domain())
     return CodingPoint(word_prefix=w,
                        point_estimate=0.5 * (iv[0] + iv[1]),
                        radius=0.5 * (iv[1] - iv[0]))

@@ -57,6 +57,7 @@ from .util import compensated_sum
 
 EXACT_CAP = 1 << 17      # max truncation**length for per-word enumeration
 DP_WINDOW_CAP = 1 << 19  # max truncation**window for fused-mode tables
+TABLE_CAP = DP_WINDOW_CAP * 4  # max truncation**window of any window table
 # max state-steps of one dp stage recursion, about 1 s at 8 ns a state-step
 STAGE_STEP_CAP = 1 << 27
 # state-steps charged at least per stage step: its fixed cost, about 8 us
@@ -269,8 +270,19 @@ class WindowTransfer:
     @staticmethod
     def check_size(N: int, q: int) -> None:
         """ValueError when a window table of N**q entries passes the cap."""
-        if N ** q > DP_WINDOW_CAP * 4:
+        if N ** q > TABLE_CAP:
             raise ValueError(f"window table too large: {N}**{q}")
+
+    @staticmethod
+    def deepest_window(N: int) -> Optional[int]:
+        """The deepest window whose table :meth:`check_size` admits at
+        truncation N; None at N = 1, where every window fits."""
+        if N == 1:
+            return None
+        q = 0
+        while N ** (q + 1) <= TABLE_CAP:
+            q += 1
+        return q
 
     @classmethod
     def window_at(cls, sys: SystemDescriptor, J: PotentialVector, N: int,

@@ -18,26 +18,20 @@ import numpy as np
 
 from .families import MoebiusCFFamily
 from .potentials import PotentialVector, cycle_birkhoff
-from .symbolic import (Word, closed_cycle, enumerate_cycles,
+from .symbolic import (closed_cycle, enumerate_cycles,
                        find_irreducibility_witness, is_admissible)
 from .system import SystemDescriptor
 from .util import Enclosure
 
 BASEL_SUM = math.pi ** 2 / 6.0
-
-
-@dataclass(frozen=True)
-class PeriodicOrbitMeasure:
-    """Equidistribution on one periodic orbit."""
-
-    cycle: Word
-    period: int
-    birkhoff_J: tuple
-    birkhoff_I: Enclosure
-
-    def __post_init__(self):
-        if self.birkhoff_I.lo <= 0.0:
-            raise ValueError("per-period geometric sum must be positive")
+# a cycle's coding enclosure: width at which the period map's iteration
+# stops, and most iterations
+FIX_TOL = 1e-14
+FIX_ITERS = 400
+# longest connector a generic word glues between blocks
+CONNECTOR_LEN = 2
+# terms summed exactly by the counterexample's series bounds
+SERIES_TERMS = 1000000
 
 
 @dataclass(frozen=True)
@@ -120,39 +114,32 @@ def _divide(j: Enclosure, i: Enclosure) -> Enclosure:
     """Componentwise interval quotient with positive denominator."""
     if i.lo <= 0:
         raise ValueError("geometric mean enclosure must be positive")
-    cands = []
-    for a in (j.lo, j.hi):
-        for b in (i.lo, i.hi):
-            cands.append(0.0 if math.isinf(b) else a / b)
+    cands = [0.0 if math.isinf(b) else a / b
+             for a in (j.lo, j.hi) for b in (i.lo, i.hi)]
     return Enclosure(min(cands), max(cands))
 
 
-def Q_of_periodic(sys: SystemDescriptor, J: PotentialVector, cycle,
-                  fix_tol: float = 1e-14, max_iter: int = 400) -> MeasureSummary:
-    """Quotient value of the periodic-orbit measure of a cycle.
+def Q_of_periodic(sys: SystemDescriptor, J: PotentialVector, cycle) -> MeasureSummary:
+    """Quotient value of the periodic-orbit measure (the equidistribution
+    on one periodic orbit) of a cycle.
 
     The potential sum over one period is exact; the geometric sum is
     bracketed by evaluating the period word's derivative on the cycle's
     own coding enclosure, obtained by iterating the period map until the
-    interval stabilizes."""
+    interval stabilizes, and must be positive."""
     syms = closed_cycle(cycle, sys.incidence)
     p = len(syms)
     fam = sys.family
     iv = fam.domain()
-    for _ in range(max_iter):
-        nxt = fam.word_image(syms, iv)
-        if nxt[1] - nxt[0] <= fix_tol:
-            iv = nxt
+    for _ in range(FIX_ITERS):
+        prev, iv = iv, fam.word_image(syms, iv)
+        if iv[1] - iv[0] <= FIX_TOL or iv == prev:
             break
-        if nxt == iv:
-            break
-        iv = nxt
     ld_lo, ld_hi = fam.word_log_deriv_range(syms, iv)
     birkhoff_I = Enclosure(-ld_hi, -ld_lo)
     bj = cycle_birkhoff(J, syms)
-    pom = PeriodicOrbitMeasure(cycle=Word(syms), period=p,
-                               birkhoff_J=tuple(bj.tolist()),
-                               birkhoff_I=birkhoff_I)
+    if birkhoff_I.lo <= 0.0:
+        raise ValueError("per-period geometric sum must be positive")
     I_mean = Enclosure(birkhoff_I.lo / p, birkhoff_I.hi / p)
     J_mean = tuple(Enclosure(v / p, v / p) for v in bj)
     Q = tuple(_divide(Enclosure(v, v), birkhoff_I) for v in bj)
@@ -244,7 +231,7 @@ class Checkpoint:
 
 @dataclass(frozen=True)
 class GenericWordReport:
-    prefix: Word
+    prefix: tuple
     checkpoints: tuple
     status: str            # complete | partial
     achieved: float        # best quotient error reached
@@ -254,8 +241,7 @@ def construct_generic_word(sys: SystemDescriptor, J: PotentialVector,
                            target_alpha, schedule: Sequence[float],
                            budget: int = 200000, *,
                            max_period: int = 3,
-                           truncation: Optional[int] = None,
-                           connector_len: int = 2) -> GenericWordReport:
+                           truncation: Optional[int] = None) -> GenericWordReport:
     """Assemble a word whose running Birkhoff quotient converges to the
     target by gluing growing blocks of approximating cycles.
 
@@ -263,16 +249,17 @@ def construct_generic_word(sys: SystemDescriptor, J: PotentialVector,
     at most ``budget`` of them, by period and then lexicographically;
     block lengths are chosen so that the next block's one-period sums,
     divided by the accumulated length, fall below the next accuracy
-    target.  Connectors come from an irreducibility witness, smallest
-    first.  If no cycle approximates some target accuracy the construction
-    stops and reports partial status with the accuracy achieved.
+    target.  Connectors, of length at most CONNECTOR_LEN, come from an
+    irreducibility witness, smallest first.  If no cycle approximates some
+    target accuracy the construction stops and reports partial status with
+    the accuracy achieved.
     """
     target = np.atleast_1d(np.asarray(target_alpha, dtype=float))
     N = sys.effective_truncation(truncation if truncation is not None else 6)
     eps = [float(e) for e in schedule]
     if not eps:
         raise ValueError("schedule must be nonempty")
-    witness = find_irreducibility_witness(sys.incidence, N, connector_len)
+    witness = find_irreducibility_witness(sys.incidence, N, CONNECTOR_LEN)
     fam = sys.family
 
     # candidate cycles with quotient midpoints
@@ -295,9 +282,9 @@ def construct_generic_word(sys: SystemDescriptor, J: PotentialVector,
         return best[1] if best else None
 
     def connector(prev_last, nxt_first):
-        for w in sorted(witness.connectors, key=lambda w: (len(w), tuple(w))):
-            if is_admissible((prev_last,) + tuple(w) + (nxt_first,), sys.incidence):
-                return tuple(w)
+        for w in sorted(witness.connectors, key=lambda w: (len(w), w)):
+            if is_admissible((prev_last, *w, nxt_first), sys.incidence):
+                return w
         return None
 
     log_s = math.log(sys.family.contraction_bound)
@@ -334,7 +321,7 @@ def construct_generic_word(sys: SystemDescriptor, J: PotentialVector,
         checkpoints.append(Checkpoint(index=k, position=len(prefix),
                                       quotient=tuple(quot.tolist()),
                                       error=err, epsilon=eps_k))
-    return GenericWordReport(prefix=Word(tuple(prefix)),
+    return GenericWordReport(prefix=tuple(prefix),
                              checkpoints=tuple(checkpoints),
                              status=status, achieved=achieved)
 
@@ -361,8 +348,8 @@ class CounterexampleResult:
     M_param: float
 
 
-def semicontinuity_counterexample(M_param: float, n_list: Sequence[int],
-                                  cutoff: int = 1000000) -> CounterexampleResult:
+def semicontinuity_counterexample(M_param: float,
+                                  n_list: Sequence[int]) -> CounterexampleResult:
     """Table demonstrating that geometric means need not converge along a
     weakly convergent sequence of Bernoulli measures.
 
@@ -384,7 +371,7 @@ def semicontinuity_counterexample(M_param: float, n_list: Sequence[int],
         if n < 2:
             raise ValueError("each n must be >= 2")
         c_n = 1.0 - M_param / math.log(n)
-        if n - 1 <= cutoff:
+        if n - 1 <= SERIES_TERMS:
             ks = np.arange(1, n, dtype=float)
             part_sq = math.fsum((ks ** -2.0).tolist())
             part_lo = math.fsum((2.0 * np.log(ks) / ks ** 2).tolist())
@@ -408,10 +395,6 @@ def semicontinuity_counterexample(M_param: float, n_list: Sequence[int],
     verdict = "strict-gap" if ok else "inconclusive"
     return CounterexampleResult(rows=tuple(rows), limit_I=limit,
                                 verdict=verdict, M_param=float(M_param))
-
-
-# terms summed exactly by the counterexample's series bounds
-SERIES_TERMS = 1000000
 
 
 @functools.lru_cache(maxsize=None)

@@ -34,6 +34,8 @@ FD_HESS_STEP = 5e-3
 DEFAULT_STAGES = 128
 PD_TOL = 1e-8          # smallest Hessian eigenvalue counted as positive
 ESCAPE_NORM = 256.0    # |t| past which a stalled objective is a boundary limit
+NEWTON_ITERS = 80      # most Newton steps of one Legendre point
+HULL_PAD = 1e-6        # slack of the L hull in the inclusion report
 # independence certificate: relative rank cutoff, and the short cycles a
 # dependence witness must annihilate to within VERIFY_TOL
 RANK_TOL = 1e-9
@@ -76,11 +78,6 @@ class GradResult:
     flagged: bool
     beta_estimate: float
     gibbs_means: tuple
-
-    @property
-    def gibbs(self) -> tuple:
-        """The Gibbs-quotient gradient: another name for ``primary``."""
-        return self.primary
 
 
 @dataclass(frozen=True)
@@ -398,7 +395,7 @@ def _descends_along_ray(solver: BetaSolver, alpha, t, gval) -> bool:
 
 def legendre(sys: SystemDescriptor, J: PotentialVector, alpha, tol: float = 1e-6,
              *, n: int = DEFAULT_STAGES, N: Optional[int] = None,
-             window: Optional[int] = None, max_iter: int = 80,
+             window: Optional[int] = None, max_iter: int = NEWTON_ITERS,
              solver: Optional[BetaSolver] = None) -> SpectrumPoint:
     """Evaluate the concave conjugate at alpha by minimizing
     beta(t) - <t, alpha>, starting from t = 0.
@@ -446,32 +443,24 @@ def spectrum_scan(sys: SystemDescriptor, J: PotentialVector,
     """
     solver = BetaSolver(sys, J, n=n, N=N, window=window)
     points = [legendre(sys, J, a, tol, solver=solver) for a in alphas]
-    surface = []
-    if t_grid is not None:
-        for t in t_grid:
-            tv = np.atleast_1d(np.asarray(t, dtype=float))
-            surface.append((tuple(tv.tolist()), solver.root(tv)))
-    return points, surface
+    grid = () if t_grid is None else t_grid
+    return points, [(_key(t), solver.root(t)) for t in grid]
 
 
 def estimate_M(sys: SystemDescriptor, J: PotentialVector, t_grid: Sequence,
                tol: float = 1e-4, *, n: int = DEFAULT_STAGES,
-               N: Optional[int] = None, window: Optional[int] = None,
-               max_iter: int = 80) -> MEstimate:
+               N: Optional[int] = None, window: Optional[int] = None) -> MEstimate:
     """Sample the gradient range of beta and decide whether 0 belongs to
     it by locating an interior minimizer of beta (:func:`legendre` at 0)."""
     solver = BetaSolver(sys, J, n=n, N=N, window=window)
-    pts = []
-    for t in t_grid:
-        tv = np.atleast_1d(np.asarray(t, dtype=float))
-        pts.append((tuple(tv.tolist()), tuple(solver.grad(tv).tolist())))
+    pts = [(_key(t), tuple(solver.grad(t).tolist())) for t in t_grid]
     grads = np.array([g for _, g in pts]) if pts else np.zeros((0, J.dim))
     degenerate = bool(pts) and bool(np.ptp(grads, axis=0).max(initial=0.0) < 1e-10)
     notes = []
     if degenerate:
         notes.append("gradient cloud collapsed to a point; components are "
                      "not independent and the range is degenerate")
-    sp = legendre(sys, J, np.zeros(J.dim), tol, solver=solver, max_iter=max_iter)
+    sp = legendre(sys, J, np.zeros(J.dim), tol, solver=solver)
     if "left-solver-domain" in sp.flags:
         notes.append("minimizer search left the solver domain")
     zero_in = sp.status == "interior" and sp.grad_error <= tol
@@ -483,13 +472,13 @@ def estimate_M(sys: SystemDescriptor, J: PotentialVector, t_grid: Sequence,
 
 def estimate_KL(sys: SystemDescriptor, J: PotentialVector, *,
                 bernoulli_specs: Sequence = (), cycles: Sequence = (),
-                m_points: Sequence = (), hull_pad: float = 1e-6) -> KLEstimate:
+                m_points: Sequence = ()) -> KLEstimate:
     """Point clouds for the attainable-value sets.
 
     L is sampled through the measure functional on the supplied Bernoulli
     and periodic-orbit measures, K through periodic Birkhoff quotients;
     the inclusion report checks that supplied gradient samples and every K
-    point fall inside the padded hull of the L cloud.
+    point fall inside the L cloud's hull, padded by HULL_PAD.
     """
     from . import measures  # late import; measures sits below this module
 
@@ -504,7 +493,7 @@ def estimate_KL(sys: SystemDescriptor, J: PotentialVector, *,
         K_pts.append(q)
         L_pts.append(q)  # periodic-orbit measures are invariant measures
     inclusion = _inclusion_report(L_pts, K_pts, [tuple(p) for p in m_points],
-                                  hull_pad, J.dim)
+                                  HULL_PAD, J.dim)
     return KLEstimate(L_points=tuple(L_pts), K_points=tuple(K_pts),
                       inclusion=inclusion)
 

@@ -1,13 +1,13 @@
 """Directed multigraphs, incidence matrices, admissible words, connectors.
 
-Edges are identified with positive integers.  Infinite edge sets are never
+Edges are identified with positive integers, and a word is a tuple of
+them (the empty word is ``()``).  Infinite edge sets are never
 materialized: every operation takes an explicit truncation bound N and only
 touches edges 1..N.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
@@ -124,31 +124,6 @@ class IncidenceMatrix:
         return self._dense[:N, :N].astype(np.int8)
 
 
-@dataclass(frozen=True)
-class Word:
-    """A finite sequence of edge indices; the empty word is allowed."""
-
-    symbols: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "symbols", tuple(int(s) for s in self.symbols))
-
-    def __len__(self):
-        return len(self.symbols)
-
-    def __iter__(self):
-        return iter(self.symbols)
-
-    def __getitem__(self, i):
-        return self.symbols[i]
-
-    def concat(self, other: "Word") -> "Word":
-        return Word(self.symbols + tuple(other))
-
-    def __repr__(self):
-        return f"Word{self.symbols}"
-
-
 def is_admissible(word, A: IncidenceMatrix) -> bool:
     """True iff every consecutive pair of the word satisfies ``entry == 1``.
 
@@ -180,16 +155,16 @@ def closed_cycle(word, A: IncidenceMatrix) -> tuple:
     return syms
 
 
-def enumerate_words(A: IncidenceMatrix, n: int, N: int) -> Iterator[Word]:
-    """Yield the admissible words of length n over edges 1..N, in
-    lexicographic order, each exactly once."""
+def enumerate_words(A: IncidenceMatrix, n: int, N: int) -> Iterator[tuple]:
+    """Yield the admissible words of length n over edges 1..N, as tuples
+    in lexicographic order, each exactly once."""
     if n < 1 or N < 1:
         raise ValueError("word length and truncation must be >= 1")
     succ = {u: A.successors(u, N) for u in range(1, N + 1)}
 
     def rec(prefix):
         if len(prefix) == n:
-            yield Word(prefix)
+            yield prefix
             return
         choices = succ[prefix[-1]] if prefix else range(1, N + 1)
         for v in choices:
@@ -206,7 +181,7 @@ def enumerate_cycles(A: IncidenceMatrix, max_period: int,
     for p in range(1, max_period + 1):
         for w in enumerate_words(A, p, N):
             if A.entry(w[-1], w[0]):
-                yield tuple(w)
+                yield w
 
 
 def count_words(A: IncidenceMatrix, n: int, N: int) -> int:
@@ -229,11 +204,8 @@ class IrreducibilityWitness:
 
     def verify(self, A: IncidenceMatrix, N: Optional[int] = None) -> bool:
         N = self.truncation if N is None else N
-        for u in range(1, N + 1):
-            for v in range(1, N + 1):
-                if not any(is_admissible((u, *w, v), A) for w in self.connectors):
-                    return False
-        return True
+        return all(any(is_admissible((u, *w, v), A) for w in self.connectors)
+                   for u in range(1, N + 1) for v in range(1, N + 1))
 
 
 def find_irreducibility_witness(A: IncidenceMatrix, N: int, max_len: int,
@@ -242,36 +214,22 @@ def find_irreducibility_witness(A: IncidenceMatrix, N: int, max_len: int,
     <= max_len.
 
     Pairs are walked in lexicographic order; a pair first tries connectors
-    already chosen, then adds the lexicographically smallest shortest new
-    one.  The empty word is considered unless ``allow_empty`` is False.
-    Raises :class:`NotIrreducibleError` naming the first pair with no
-    connector in range.
+    already chosen, then adds the first connector in order of length and
+    then of :func:`enumerate_words`, so the lexicographically smallest
+    shortest one.  The empty word is considered unless ``allow_empty`` is
+    False.  Raises :class:`NotIrreducibleError` naming the first pair with
+    no connector in range.
     """
     if N < 1 or max_len < 0:
         raise ValueError("need N >= 1 and max_len >= 0")
-    chosen: list[Word] = []
+    chosen: list[tuple] = []
 
     def shortest_connector(u, v):
-        lengths = range(0 if allow_empty else 1, max_len + 1)
-        for length in lengths:
-            if length == 0:
-                if A.entry(u, v):
-                    return Word(())
-                continue
-            # breadth-first in lexicographic order over words of this length
-            queue = deque([()])
-            for depth in range(length):
-                nxt = deque()
-                while queue:
-                    prefix = queue.popleft()
-                    prev = prefix[-1] if prefix else u
-                    for s in range(1, N + 1):
-                        if A.entry(prev, s):
-                            nxt.append(prefix + (s,))
-                queue = nxt
-            for cand in queue:
-                if A.entry(cand[-1], v):
-                    return Word(cand)
+        for length in range(0 if allow_empty else 1, max_len + 1):
+            words = enumerate_words(A, length, N) if length else [()]
+            for w in words:
+                if is_admissible((u, *w, v), A):
+                    return w
         return None
 
     for u in range(1, N + 1):

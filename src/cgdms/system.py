@@ -75,10 +75,6 @@ class SystemDescriptor:
     def is_finite(self) -> bool:
         return self.graph.n_edges is not None
 
-    @property
-    def is_full_shift(self) -> bool:
-        return self.incidence.full_shift
-
     def effective_truncation(self, N: Optional[int]) -> int:
         if self.is_finite:
             return self.graph.n_edges if N is None else min(N, self.graph.n_edges)
@@ -98,7 +94,7 @@ class SystemDescriptor:
         if key in self._hull_cache:
             return self._hull_cache[key]
         dom = self.family.domain()
-        if not self.is_full_shift or len(self.graph.vertices) != 1:
+        if not self.incidence.full_shift or len(self.graph.vertices) != 1:
             self._hull_cache[key] = dom
             return dom
         a, b = dom

@@ -194,7 +194,8 @@ def certified_pressure_zero(transfer: WindowTransfer, t, tol: float) -> tuple:
     bounds whose Perron iterations stop at a matching spread.  Failing
     that, the half-width is doubled until it certifies, and
     :class:`BracketBudgetError` carries that enclosure as ``best`` and the
-    window needed for ``tol`` as ``required_n``.
+    window needed for ``tol`` as ``required_n``; its message says when
+    that window passes the table cap.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     xtol = max(ROOT_XTOL, tol * ESTIMATE_SHARE)
@@ -210,10 +211,16 @@ def certified_pressure_zero(transfer: WindowTransfer, t, tol: float) -> tuple:
             rate = transfer.sys.family.contraction_bound
             needed = transfer.window + math.ceil(
                 math.log(best.width / tol) / math.log(1.0 / rate))
+            advice = f"roughly window {needed} would be needed"
+            deepest = WindowTransfer.deepest_window(transfer.N)
+            if deepest is not None and needed > deepest:
+                advice += (f", past window {deepest}, the deepest that the "
+                           f"table cap admits at truncation {transfer.N}: by "
+                           "this estimate, this tolerance is out of reach at "
+                           "this truncation")
             raise BracketBudgetError(
                 f"could not certify width {tol} at window {transfer.window}; "
-                f"roughly window {needed} would be needed",
-                best=best, required_n=needed)
+                + advice, best=best, required_n=needed)
     raise BracketBudgetError(
         f"pressure zero could not be certified at all at window {transfer.window}",
         best=None, required_n=None)

@@ -80,13 +80,10 @@ def compensated_sum(x: np.ndarray):
     return s[..., 0] + (0.0 if c is None else c[..., 0])
 
 
-def stable_json(obj) -> str:
-    """Canonical JSON used for config hashing."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def config_hash(obj) -> str:
-    return hashlib.sha256(stable_json(obj).encode("utf-8")).hexdigest()
+    """SHA-256 of the canonical JSON (sorted keys, no spaces) of ``obj``."""
+    canonical = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def format_float(x: float) -> str:

@@ -103,7 +103,7 @@ def test_criterion_05_gradient_consistency():
     ok = True
     for t in T_POINTS_5:
         gr = grad_beta(cf24, MOD23_J, t, 1e-4, n=10, N=24)
-        for g, f in zip(gr.gibbs, gr.finite_diff):
+        for g, f in zip(gr.primary, gr.finite_diff):
             ok &= abs(g - f) <= 1e-3
         ok &= not gr.flagged
     _report(5, "gradient estimator consistency", ok,

@@ -158,6 +158,26 @@ class TestDimensionCommand:
         assert rep["theta"]["lo"] <= 0.5 <= rep["theta"]["hi"]
         assert rep["regularity"] == "co-finitely-regular"
 
+    @pytest.mark.parametrize("system,numerics,needed,deepest,N", [
+        ({"kind": "moebius-cf", "alphabet": 2},
+         {"word_length": 16, "tolerance": 1e-11}, 25, 21, 2),
+        ({"kind": "custom-1d", "map_expr": "1/(x+k)", "abs_deriv_expr": "(x+k)^-2",
+          "contraction_bound": 0.5, "contraction_prefactor": 2.0},
+         {"truncation": 4, "tolerance": 1e-6}, 12, 10, 4),
+    ], ids=["cf2", "custom-1d"])
+    def test_window_past_the_table_cap(self, tmp_path, capsys, system, numerics,
+                                       needed, deepest, N):
+        """A failed certification whose estimated window passes the table
+        cap says that the tolerance is out of reach and names the deepest
+        window the cap admits."""
+        cfg = write_config(tmp_path, {"system": system, "numerics": numerics})
+        assert main(["dimension", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert (f"roughly window {needed} would be needed, past window {deepest}, "
+                f"the deepest that the table cap admits at truncation {N}: by this "
+                "estimate, this tolerance is out of reach at this truncation") in err
+        assert "Traceback" not in err
+
 
 class TestBetaCommand:
     def test_closed_form_row(self, tmp_path):
@@ -536,6 +556,20 @@ class TestConfigValidation:
         doc["spectrum"]["t_grid"]["points"] = side + 1
         with pytest.raises(ConfigError, match="spectrum.t_grid.points"):
             validate_config(doc, "spectrum")
+
+    @pytest.mark.parametrize("command", ["spectrum", "sets"])
+    def test_listed_t_grid_cap(self, command):
+        """A t_grid written as a list is held to T_GRID_CAP points too."""
+        from cgdms.config import T_GRID_CAP, validate_config
+        from cgdms.errors import ConfigError
+
+        doc = json.loads(json.dumps(self.CF_SETS))
+        points = [[0.001 * i, -0.001 * i] for i in range(T_GRID_CAP + 1)]
+        doc[command] = {"t_grid": points[:T_GRID_CAP]}
+        assert len(validate_config(doc, command).command_params["t_grid"]) == T_GRID_CAP
+        doc[command] = {"t_grid": points}
+        with pytest.raises(ConfigError, match=f"'{command}.t_grid'.*{T_GRID_CAP}"):
+            validate_config(doc, command)
 
     def test_nilpotent_incidence(self, tmp_path, capsys):
         doc = {

@@ -1,6 +1,7 @@
 """Static import rules for the package: no command uses threads or
-processes, ``src`` never imports the benchmark harness, and the layers
-above ``kernel`` see only its two classes."""
+processes, ``src`` never imports the benchmark harness or a package of
+the ``test`` extra, and the layers above ``kernel`` see only its two
+classes."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,8 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "cgdms"
 FORBIDDEN = ("threading", "concurrent", "multiprocessing", "bench")
+# the ``test`` extra of pyproject.toml, which a plain install lacks
+TEST_EXTRA = ("pytest", "hypothesis", "mpmath")
 
 
 def _imported(source: str) -> set:
@@ -40,6 +43,18 @@ def test_the_rule_sees_each_forbidden_import():
            "import multiprocessing.pool\nfrom bench import tracing\n"
            "from .kernel import PressureKernel\n")
     assert _imported(src) == set(FORBIDDEN)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_test_extra_at_run_time(path):
+    bad = _imported(path.read_text(encoding="utf-8")) & set(TEST_EXTRA)
+    assert not bad, f"{path.name} imports {sorted(bad)}"
+
+
+def test_the_rule_sees_each_test_extra_import():
+    src = ("import pytest\nfrom hypothesis import strategies as st\n"
+           "def f():\n    import mpmath.libmp\n")
+    assert _imported(src) == set(TEST_EXTRA)
 
 
 # the names ``thermo`` and ``multifractal`` may take from ``kernel``: window

@@ -108,7 +108,7 @@ class TestGradBeta:
 
     def test_estimators_cross_check(self):
         gr = grad_beta(CF24, MOD23_J, (0.0, 0.0), 1e-4, n=10)
-        for g, f in zip(gr.gibbs, gr.finite_diff):
+        for g, f in zip(gr.primary, gr.finite_diff):
             assert abs(g - f) < 1e-6
 
     def test_symmetric_system_zero_gradient(self):
@@ -124,7 +124,7 @@ class TestGradBeta:
     def test_depth_two_potential_not_flagged(self, sys, n, window):
         # the Gibbs quotient differentiates the trailing windows too
         gr = grad_beta(sys, J2, (0.7, -0.4), 1e-6, n=n, window=window)
-        assert not gr.flagged, (gr.gibbs, gr.finite_diff)
+        assert not gr.flagged, (gr.primary, gr.finite_diff)
 
 
 class TestHessianBeta:
@@ -418,7 +418,7 @@ class TestEstimateKL:
         res = estimate_KL(CF24, MOD23_J,
                           bernoulli_specs=[measures.BernoulliSpec.finite(
                               {k: 1 / 6 for k in range(1, 7)})],
-                          cycles=cycles, m_points=m_pts, hull_pad=1e-6)
+                          cycles=cycles, m_points=m_pts)
         assert res.inclusion["M_inside"]
         assert res.inclusion["K_inside"]
 

@@ -1,4 +1,5 @@
 import itertools
+from collections import deque
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cgdms.errors import InvalidWordError, NotIrreducibleError
-from cgdms.symbolic import (IncidenceMatrix, Multigraph, Word, count_words,
+from cgdms.symbolic import (IncidenceMatrix, Multigraph, count_words,
                             enumerate_cycles, enumerate_words,
                             find_irreducibility_witness, is_admissible)
 
@@ -25,23 +26,23 @@ def brute_force_words(matrix, n, N):
 
 class TestIsAdmissible:
     def test_full_shift_admits_everything(self):
-        assert is_admissible(Word((1, 2, 1)), FULL)
+        assert is_admissible((1, 2, 1), FULL)
 
     def test_empty_word_vacuous(self):
-        assert is_admissible(Word(()), FULL)
-        assert is_admissible(Word(()), FLIP)
+        assert is_admissible((), FULL)
+        assert is_admissible((), FLIP)
 
     def test_forbidden_pair(self):
-        assert not is_admissible(Word((1, 1)), FLIP)
-        assert is_admissible(Word((1, 2)), FLIP)
+        assert not is_admissible((1, 1), FLIP)
+        assert is_admissible((1, 2), FLIP)
 
     def test_unknown_edge_rejected(self):
         g = Multigraph.single_vertex(n_edges=2)
         A = IncidenceMatrix.full(g)
         with pytest.raises(InvalidWordError):
-            is_admissible(Word((1, 3)), A)
+            is_admissible((1, 3), A)
         with pytest.raises(InvalidWordError):
-            is_admissible(Word((0,)), A)
+            is_admissible((0,), A)
 
 
 class TestEnumerateWords:
@@ -174,7 +175,7 @@ class TestIncidenceQuestions:
 class TestIrreducibilityWitness:
     def test_full_shift_empty_connector(self):
         w = find_irreducibility_witness(FULL, 3, 2)
-        assert w.connectors == (Word(()),)
+        assert w.connectors == ((),)
         assert w.verify(FULL)
 
     def test_alternating_cover(self):
@@ -204,10 +205,55 @@ class TestIrreducibilityWitness:
         assert all(len(c) >= 1 for c in w.connectors)
         assert w.verify(FULL)
 
+    @settings(derandomize=True, max_examples=250, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda N: st.lists(
+               st.lists(st.integers(0, 1), min_size=N, max_size=N),
+               min_size=N, max_size=N)),
+           st.integers(0, 3), st.booleans())
+    def test_matches_breadth_first_search(self, rows, max_len, allow_empty):
+        """The connectors, or the pair named by NotIrreducibleError, equal
+        those of a greedy cover whose shortest connectors come from a
+        breadth-first search in lexicographic order."""
+        A = IncidenceMatrix.from_dense(rows)
+        N = len(rows)
+        try:
+            got = find_irreducibility_witness(A, N, max_len, allow_empty).connectors
+        except NotIrreducibleError as exc:
+            got = exc.pair
+        assert got == _bfs_witness(A, N, max_len, allow_empty)
 
-class TestWord:
-    def test_empty_word_allowed(self):
-        assert len(Word(())) == 0
 
-    def test_concat(self):
-        assert tuple(Word((1, 2)).concat(Word((3,)))) == (1, 2, 3)
+def _bfs_witness(A, N, max_len, allow_empty):
+    """Oracle: the greedy cover with a breadth-first connector search;
+    the connectors, or the first pair that none joins."""
+    def shortest(u, v):
+        for length in range(0 if allow_empty else 1, max_len + 1):
+            if length == 0:
+                if A.entry(u, v):
+                    return ()
+                continue
+            queue = deque([()])
+            for _ in range(length):
+                nxt = deque()
+                while queue:
+                    prefix = queue.popleft()
+                    prev = prefix[-1] if prefix else u
+                    nxt.extend(prefix + (s,) for s in range(1, N + 1)
+                               if A.entry(prev, s))
+                queue = nxt
+            for cand in queue:
+                if A.entry(cand[-1], v):
+                    return cand
+        return None
+
+    chosen = []
+    for u in range(1, N + 1):
+        for v in range(1, N + 1):
+            if any(is_admissible((u, *w, v), A) for w in chosen):
+                continue
+            w = shortest(u, v)
+            if w is None:
+                return (u, v)
+            chosen.append(w)
+    return tuple(chosen)
+

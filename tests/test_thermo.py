@@ -336,6 +336,15 @@ class TestBowenDimension:
         assert 0.5313 in err.value.best.padded(5e-3)
         assert err.value.required_n is not None
 
+    def test_budget_advice_under_the_table_cap(self):
+        """A needed window that the table cap admits is advised as it is."""
+        with pytest.raises(BracketBudgetError) as err:
+            bowen_dimension(CF2, 4, tol=1e-6)
+        needed = err.value.required_n
+        assert needed <= WindowTransfer.deepest_window(2) == 21
+        assert str(err.value) == ("could not certify width 1e-06 at window 4; "
+                                  f"roughly window {needed} would be needed")
+
 
 class TestRoot:
     """Each root solve evaluates the pressure at most once per beta."""
