@@ -254,7 +254,12 @@ def main(argv=None) -> int:
         return 1
 
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, or no permission
+        print(f"config error: --out {args.out!r}: cannot create the output "
+              f"directory ({exc.strerror or exc})", file=_sys.stderr)
+        return 1
     try:
         paths = _COMMANDS[args.command](rc, outdir)
     except (CgdmsError, ValueError, ArithmeticError) as exc:

@@ -13,6 +13,12 @@ lower using per-cylinder infima and upper using suprema):
   transfer recursion over (q-1)-gram states on the kernel's
   :class:`WindowTransfer`; its interval contains the enumerate-mode one.
 
+A distortion-free (similarity) family's brackets are already exact at the
+clamped window (the potential depth, and 2 on a Markov incidence), so by
+default it runs dp there and enumerates only when asked for a window equal
+to the word length, or when that clamp is the word length
+(:meth:`PressureKernel.layout`).
+
 :class:`WindowTransfer` is the only limit-bracket object:
 log rho(L_inf) <= P <= log rho(L_sup) for its window matrix L, each radius
 bounded by Collatz-Wielandt ratios per irreducible class of states; on a
@@ -48,8 +54,6 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .potentials import PotentialVector
 from .system import SystemDescriptor
@@ -274,15 +278,28 @@ class WindowTransfer:
             raise ValueError(f"window table too large: {N}**{q}")
 
     @staticmethod
-    def deepest_window(N: int) -> Optional[int]:
-        """The deepest window whose table :meth:`check_size` admits at
-        truncation N; None at N = 1, where every window fits."""
+    def deepest_window(N: int, cap: int = TABLE_CAP) -> Optional[int]:
+        """The deepest window whose table of N**q entries stays within
+        ``cap`` at truncation N, by default the deepest that
+        :meth:`check_size` admits; None at N = 1, where every window fits."""
         if N == 1:
             return None
         q = 0
-        while N ** (q + 1) <= TABLE_CAP:
+        while N ** (q + 1) <= cap:
             q += 1
         return q
+
+    @classmethod
+    def deepest_chosen(cls, sys: SystemDescriptor, J: PotentialVector,
+                       N: int) -> Optional[int]:
+        """The deepest window that :meth:`window_at` picks at any level
+        absent an explicit window: the clamp on a distortion-free family,
+        else the clamped deepest window within DP_WINDOW_CAP; None at
+        N = 1."""
+        if N == 1:
+            return None
+        return cls.clamp(sys, J, 1 if sys.family.distortion_free
+                         else cls.deepest_window(N, DP_WINDOW_CAP))
 
     @classmethod
     def window_at(cls, sys: SystemDescriptor, J: PotentialVector, N: int,
@@ -295,9 +312,8 @@ class WindowTransfer:
         if window is None:
             window = 1
             if not sys.family.distortion_free:
-                window = level if N ** min(level, 40) <= EXACT_CAP else 1
-                while N ** (window + 1) <= DP_WINDOW_CAP and window + 1 < level:
-                    window += 1
+                window = (level if N ** min(level, 40) <= EXACT_CAP else max(
+                    1, min(level - 1, cls.deepest_window(N, DP_WINDOW_CAP))))
         return cls.clamp(sys, J, window)
 
     @classmethod
@@ -340,6 +356,9 @@ class WindowTransfer:
         S = self.N ** (self.window - 1)
         if self.all_valid:
             return [(slice(None), np.ones(S))]
+        # imported here: only a Markov incidence's classes need a search
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import connected_components
         c = _transfer_order(self.N, self.window)[self.valid]
         src, dst = c // self.N, c % S  # window code -> (state, next state)
         graph = csr_matrix((np.ones(c.size), (src, dst)), shape=(S, S))
@@ -425,8 +444,18 @@ class PressureKernel:
                window: Optional[int] = None) -> tuple:
         """(mode, window) of the stage-n kernel over edges <= N: ``window``,
         else n while the words fit or the window of level n, clamped but no
-        longer than the word; a dp window must be shorter than the word."""
-        if window is None and N ** min(n, 40) <= EXACT_CAP:
+        longer than the word; a dp window must be shorter than the word.
+
+        A distortion-free family has exact brackets at the clamped window
+        (:meth:`WindowTransfer.clamp`), so absent ``window`` it takes the
+        dp recursion there, in (n-q+1)*N**q work, and enumerates only when
+        that clamp is the word length; an explicit ``window`` equal to the
+        word length still enumerates when the words fit.  Depth-1 stage
+        sums are those of enumeration up to rounding; at depth >= 2 the
+        anchored value reads the midpoint of the trailing-window J bounds
+        where enumeration reads their sup, and ``values`` is unchanged."""
+        if (window is None and not sys.family.distortion_free
+                and N ** min(n, 40) <= EXACT_CAP):
             window = n
         window = min(WindowTransfer.window_at(sys, J, N, n, window),
                      max(n, J.depth))
@@ -668,7 +697,8 @@ class PressureKernel:
 
     def value(self, t, beta) -> float:
         """Anchored point value: sup weights in enumerate mode (the exact
-        per-word suprema), bracket midpoints in dp mode."""
+        per-word suprema), bracket midpoints in dp mode, which a
+        distortion-free family takes by default (:meth:`layout`)."""
         return self._logsum(t, beta, _ANCHOR[self.mode])[0]
 
     def moments(self, t, beta):

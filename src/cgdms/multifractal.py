@@ -232,7 +232,8 @@ def solve_beta(sys: SystemDescriptor, J: PotentialVector, t, tol: float = 1e-8,
     if solver is None:
         solver = BetaSolver(sys, J, n=n, N=N, window=window)
     limit = solver.certifier()
-    enc, est = certified_pressure_zero(limit, t, tol)
+    enc, est = certified_pressure_zero(limit, t, tol,
+                                       chosen=solver._window is None)
     _, _, (jq, iq) = solver.grad_with_means(t)
     flags = []
     theta = estimate_theta(sys)

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import potentials
 from .errors import BracketBudgetError
@@ -144,6 +143,7 @@ def _root(f: Callable, xtol: float = ROOT_XTOL) -> float:
     after doubling the right end from ROOT_HI_HINT until f turns negative.
     brentq reads the two bracket ends from the values already computed,
     so no bracket end is evaluated twice."""
+    from scipy.optimize import brentq
     flo = f(BETA_FLOOR)
     if flo == 0.0:
         return BETA_FLOOR
@@ -185,7 +185,8 @@ def _certifies(transfer: WindowTransfer, t, est: float,
     return None
 
 
-def certified_pressure_zero(transfer: WindowTransfer, t, tol: float) -> tuple:
+def certified_pressure_zero(transfer: WindowTransfer, t, tol: float, *,
+                            chosen: bool = False) -> tuple:
     """(enclosure, estimate) of the zero in beta of the limit pressure of
     <t,J> - beta*I over the truncated system, from one window transfer: the
     estimate is the zero of the 'mid' limit bound, certified as
@@ -195,7 +196,10 @@ def certified_pressure_zero(transfer: WindowTransfer, t, tol: float) -> tuple:
     that, the half-width is doubled until it certifies, and
     :class:`BracketBudgetError` carries that enclosure as ``best`` and the
     window needed for ``tol`` as ``required_n``; its message says when
-    that window passes the table cap.
+    that window is past the deepest that the caller can build: the table
+    cap's, or with ``chosen`` (a transfer from
+    :meth:`~cgdms.kernel.WindowTransfer.window_at` without an explicit
+    window) the deepest that choice reaches.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     xtol = max(ROOT_XTOL, tol * ESTIMATE_SHARE)
@@ -212,12 +216,17 @@ def certified_pressure_zero(transfer: WindowTransfer, t, tol: float) -> tuple:
             needed = transfer.window + math.ceil(
                 math.log(best.width / tol) / math.log(1.0 / rate))
             advice = f"roughly window {needed} would be needed"
-            deepest = WindowTransfer.deepest_window(transfer.N)
+            if chosen:
+                deepest = WindowTransfer.deepest_chosen(
+                    transfer.sys, transfer.J, transfer.N)
+                reach = "the automatic window choice reaches"
+            else:
+                deepest = WindowTransfer.deepest_window(transfer.N)
+                reach = "the table cap admits"
             if deepest is not None and needed > deepest:
-                advice += (f", past window {deepest}, the deepest that the "
-                           f"table cap admits at truncation {transfer.N}: by "
-                           "this estimate, this tolerance is out of reach at "
-                           "this truncation")
+                advice += (f", past window {deepest}, the deepest that {reach} "
+                           f"at truncation {transfer.N}: by this estimate, "
+                           "this tolerance is out of reach at this truncation")
             raise BracketBudgetError(
                 f"could not certify width {tol} at window {transfer.window}; "
                 + advice, best=best, required_n=needed)
@@ -244,7 +253,7 @@ def bowen_dimension(sys: SystemDescriptor, n: int, N: Optional[int] = None,
                            truncation=transfer.N, critical=True,
                            notes=("pressure certified negative on the whole "
                                   "parameter range; reporting its left edge",))
-    enc, est = certified_pressure_zero(transfer, t, tol)
+    enc, est = certified_pressure_zero(transfer, t, tol, chosen=True)
     return BowenResult(enclosure=enc, estimate=est, stages=n,
                        window=transfer.window, truncation=transfer.N)
 

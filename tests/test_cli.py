@@ -111,6 +111,24 @@ class TestPressureCommand:
         assert main(["pressure", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
         assert "line" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("out", ["file", "file/sub"],
+                             ids=["existing-file", "under-a-file"])
+    def test_out_that_cannot_be_created(self, tmp_path, capsys, monkeypatch, out):
+        """An --out that is a file, or lies under one, exits 1 with one line
+        naming --out before any kernel is built."""
+        from cgdms.kernel import PressureKernel
+
+        def no_build(self, *args, **kwargs):
+            raise AssertionError("a kernel was built")
+
+        monkeypatch.setattr(PressureKernel, "__init__", no_build)
+        (tmp_path / "file").write_text("")
+        cfg = write_config(tmp_path, SIM_CONFIG)
+        assert main(["pressure", "--config", cfg, "--out", str(tmp_path / out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "--out" in err[0], err
+        assert (tmp_path / "file").read_text() == ""
+
 
 class TestDimensionCommand:
     def test_similarity_third_report(self, tmp_path):
@@ -160,22 +178,24 @@ class TestDimensionCommand:
 
     @pytest.mark.parametrize("system,numerics,needed,deepest,N", [
         ({"kind": "moebius-cf", "alphabet": 2},
-         {"word_length": 16, "tolerance": 1e-11}, 25, 21, 2),
+         {"word_length": 16, "tolerance": 1e-11}, 25, 19, 2),
         ({"kind": "custom-1d", "map_expr": "1/(x+k)", "abs_deriv_expr": "(x+k)^-2",
           "contraction_bound": 0.5, "contraction_prefactor": 2.0},
-         {"truncation": 4, "tolerance": 1e-6}, 12, 10, 4),
+         {"truncation": 4, "tolerance": 1e-6}, 12, 9, 4),
     ], ids=["cf2", "custom-1d"])
     def test_window_past_the_table_cap(self, tmp_path, capsys, system, numerics,
                                        needed, deepest, N):
-        """A failed certification whose estimated window passes the table
-        cap says that the tolerance is out of reach and names the deepest
-        window the cap admits."""
+        """A failed certification whose estimated window passes the deepest
+        window that ``dimension`` can build says that the tolerance is out
+        of reach and names that window: the automatic choice's, which stops
+        below the table cap (21 and 10 here)."""
         cfg = write_config(tmp_path, {"system": system, "numerics": numerics})
         assert main(["dimension", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert (f"roughly window {needed} would be needed, past window {deepest}, "
-                f"the deepest that the table cap admits at truncation {N}: by this "
-                "estimate, this tolerance is out of reach at this truncation") in err
+                "the deepest that the automatic window choice reaches at truncation "
+                f"{N}: by this estimate, this tolerance is out of reach at this "
+                "truncation") in err
         assert "Traceback" not in err
 
 
@@ -192,9 +212,10 @@ class TestBetaCommand:
         assert est1 == pytest.approx(math.log(1 + math.e) / math.log(2), abs=1e-9)
 
     def test_one_stage_kernel_per_t_point(self, tmp_path, monkeypatch):
-        """solve_beta and grad_beta share the stage kernel, which enumerates
-        here; the only other build is the window transfer that certifies
-        the limit enclosure."""
+        """solve_beta and grad_beta share the stage kernel, which runs the
+        dp recursion on its own window transfer here (a similarity system);
+        the only other build is the window transfer that certifies the
+        limit enclosure."""
         from cgdms.kernel import PressureKernel, WindowTransfer
         builds = []
         for cls in (PressureKernel, WindowTransfer):
@@ -209,7 +230,7 @@ class TestBetaCommand:
         cfg = write_config(tmp_path, doc)
         assert main(["beta", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         assert len(read_body(tmp_path / "o" / "beta.csv").splitlines()) == 2
-        assert builds == ["PressureKernel", "WindowTransfer"]
+        assert builds == ["PressureKernel", "WindowTransfer", "WindowTransfer"]
 
     MOD_CF3 = {"system": {"kind": "moebius-cf", "alphabet": 3},
                "potential": {"kind": "mod-cycle",

@@ -1,9 +1,12 @@
-"""Static import rules for the package: no command uses threads or
-processes, ``src`` never imports the benchmark harness or a package of
-the ``test`` extra, and the layers above ``kernel`` see only its two
-classes."""
+"""Import rules for the package: no command uses threads or processes,
+``src`` never imports the benchmark harness or a package of the ``test``
+extra, the layers above ``kernel`` see only its two classes, and scipy
+stays off the import path of the CLI."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -88,3 +91,42 @@ def test_the_kernel_rule_sees_helpers():
            "from .kernel import EXACT_CAP as cap\nfrom . import kernel\n")
     assert _from_kernel(src) == {"PressureKernel", "dp_window", "EXACT_CAP",
                                  "kernel"}
+
+
+# imports the CLI and runs ``pressure`` on each config given as a path,
+# failing if any scipy module is loaded after either step
+NO_SCIPY = """
+import sys
+import cgdms.cli
+
+def loaded():  # the first few scipy modules loaded, if any
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")[:3]
+
+assert not loaded(), loaded()
+out = sys.argv[1]
+for cfg in sys.argv[2:]:
+    assert cgdms.cli.main(["pressure", "--config", cfg, "--out", out]) == 0
+    assert not loaded(), (cfg, loaded())
+"""
+
+
+def test_scipy_stays_off_the_import_path(tmp_path):
+    """scipy loads only where a run needs it (Markov Perron classes, root
+    solves, hulls): importing the CLI and a ``pressure`` run on cf3 and on
+    a two-map similarity system at word length 16 load none of it."""
+    configs = {
+        "cf3": '{"system": {"kind": "moebius-cf", "alphabet": 3}, '
+               '"numerics": {"word_length": 10}}',
+        "sim": '{"system": {"kind": "similarity", "ratios": [0.4, 0.3]}, '
+               '"numerics": {"word_length": 16}}',
+    }
+    paths = []
+    for name, doc in configs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(doc)
+        paths.append(str(path))
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY, str(tmp_path / "o"), *paths],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["pressure.csv"]

@@ -19,14 +19,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from cgdms import potentials
-from cgdms.kernel import (PERRON_ITER_CAP, PERRON_LAZY, PressureKernel,
-                          WindowTransfer, _pick, _words)
+from cgdms.kernel import (EXACT_CAP, PERRON_ITER_CAP, PERRON_LAZY,
+                          PressureKernel, WindowTransfer, _pick, _words)
 from cgdms.system import similarity_system, truncated_cf_system
 from cgdms.thermo import BETA_FLOOR, _certifies, _root
 
@@ -123,7 +123,7 @@ BRUTE_CASES.update({f"{name}-depth3": (name, J3) for name in CASES})
 def test_enumerate_bracket_contains_brute_force(name):
     case, J = BRUTE_CASES[name]
     sys, maps, admissible = CASES[case]
-    kern = PressureKernel(sys, J, n=N_WORDS)
+    kern = PressureKernel(sys, J, n=N_WORDS, window=N_WORDS)
     assert kern.mode == "enumerate"
     for beta in BETAS:
         lo, hi = kern.values(T, beta)
@@ -136,7 +136,8 @@ def test_enumerate_bracket_contains_brute_force(name):
 @pytest.mark.parametrize("window", (2, 3))
 def test_dp_brackets_contain_enumerate(name, window):
     sys = CASES[name][0]
-    enum = PressureKernel(sys, J2, n=N_WORDS)
+    enum = PressureKernel(sys, J2, n=N_WORDS, window=N_WORDS)
+    assert enum.mode == "enumerate"
     dp = PressureKernel(sys, J2, n=N_WORDS, window=window)
     assert dp.mode == "dp" and dp.window == window
     for beta in BETAS:
@@ -146,7 +147,7 @@ def test_dp_brackets_contain_enumerate(name, window):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-@pytest.mark.parametrize("window", (None, 2, 3))
+@pytest.mark.parametrize("window", (None, 2, 3, N_WORDS))
 def test_values_are_the_two_bounds(name, window):
     kern = PressureKernel(CASES[name][0], J2, n=N_WORDS, window=window)
     for beta in BETAS:
@@ -192,7 +193,7 @@ def test_enumerate_value_matches_fsum_oracle(J):
     trailing window, the largest completion, plus beta times the upper end
     of its log-derivative bracket in the flat table."""
     sys, _, admissible = CASES["golden-mean"]
-    kern = PressureKernel(sys, J, n=N_WORDS)
+    kern = PressureKernel(sys, J, n=N_WORDS, window=N_WORDS)
     assert kern.mode == "enumerate"
     m = J.depth
 
@@ -537,3 +538,68 @@ def test_sign_certification_matches_full_limit_bounds(name):
                 assert got == _full_certifies(fresh(), t, est, half), (t, est, half)
                 seen.add(got)
     assert seen == {True, False}
+
+
+# -- distortion-free systems stage their sums by the window transfer -------
+
+def test_distortion_free_layout():
+    """A similarity system takes the dp recursion at its clamped window
+    (1 on the full shift, 2 on the golden-mean incidence) where its words
+    would fit; a window equal to the word length still enumerates."""
+    sim = similarity_system([0.4, 0.3])
+    golden = CASES["golden-mean"][0]
+    for sys, q in ((sim, 1), (golden, 2)):
+        kern = PressureKernel(sys, MOD23_J, n=16)
+        assert (kern.mode, kern.window) == ("dp", q)
+        assert PressureKernel(sys, MOD23_J, n=16, window=16).mode == "enumerate"
+    # the clamp is the word length: enumerate, as before
+    assert PressureKernel(golden, MOD23_J, n=2).mode == "enumerate"
+
+
+@st.composite
+def distortion_free_cases(draw):
+    """A similarity system on N in 2..4 maps, on the full shift or an
+    irreducible Markov incidence, a depth-1 table potential of dim 1..2,
+    and a word length n past the clamped window with N**n <= EXACT_CAP."""
+    N = draw(st.integers(2, 4))
+    ratios = draw(st.lists(st.floats(0.05, 0.9 / N), min_size=N, max_size=N))
+    if draw(st.booleans()):
+        sys = similarity_system(ratios)
+    else:
+        rows = draw(st.lists(st.lists(st.integers(0, 1), min_size=N, max_size=N),
+                             min_size=N, max_size=N))
+        reach = np.linalg.matrix_power(np.eye(N, dtype=int) + rows, N - 1)
+        assume((reach > 0).all())  # irreducible
+        sys = similarity_system(ratios, incidence=rows)
+    d = draw(st.integers(1, 2))
+    vals = draw(st.lists(st.floats(-2.0, 2.0), min_size=N * d, max_size=N * d))
+    J = potentials.from_table({k + 1: vals[k * d:(k + 1) * d] for k in range(N)})
+    q = WindowTransfer.clamp(sys, J, 1)
+    top = max(L for L in range(1, 18) if N ** L <= EXACT_CAP)
+    n = draw(st.integers(q + 1, top))
+    t = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)))
+    return sys, J, n, q, t, draw(st.floats(0.0, 2.0))
+
+
+def _close(got, want):
+    return abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+
+@settings(max_examples=60, deadline=None)
+@given(distortion_free_cases())
+def test_distortion_free_dp_matches_enumeration(case):
+    """The automatic kernel of a distortion-free system runs dp at the
+    clamped window, and its bounds, anchored value and Gibbs quotients are
+    those of enumeration (``window=n``) within 1e-13 relative."""
+    sys, J, n, q, t, beta = case
+    kern = PressureKernel(sys, J, n=n)
+    enum = PressureKernel(sys, J, n=n, window=n)
+    assert (kern.mode, kern.window) == ("dp", q)
+    assert enum.mode == "enumerate"
+    for got, want in zip(kern.values(t, beta), enum.values(t, beta)):
+        assert _close(got, want), (got, want)
+    assert _close(kern.value(t, beta), enum.value(t, beta))
+    val, jq, iq = kern.moments(t, beta)
+    eval_, ejq, eiq = enum.moments(t, beta)
+    for got, want in zip([val, *jq, iq], [eval_, *ejq, eiq]):
+        assert _close(got, want), (got, want)

@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import brentq
 
 from cgdms import measures, multifractal, potentials
+from cgdms.errors import BracketBudgetError
 from cgdms.multifractal import (FD_HESS_STEP, BetaSolver, estimate_KL, estimate_M,
                                 grad_beta, hessian_beta,
                                 independence_certificate, legendre,
@@ -55,6 +56,21 @@ class TestSolveBeta:
         assert abs(bp.estimate - exact) < 1e-10
         assert exact in bp.beta
         assert bp.beta.width <= 1e-8
+
+    @pytest.mark.parametrize("window,deepest,reach", [
+        (None, 19, "the automatic window choice reaches"),
+        (4, 21, "the table cap admits"),
+    ], ids=["automatic", "explicit"])
+    def test_budget_advice_names_the_deepest_buildable_window(self, window,
+                                                             deepest, reach):
+        """A failed certification compares the window it needs with the
+        deepest one its run can build: the automatic choice's, or with an
+        explicit window the table cap's."""
+        with pytest.raises(BracketBudgetError) as err:
+            solve_beta(CF2, potentials.zero(1), (0.0,), 1e-13, n=8, window=window)
+        assert (f", past window {deepest}, the deepest that {reach} at "
+                "truncation 2: by this estimate, this tolerance is out of "
+                "reach at this truncation") in str(err.value)
 
     def test_solver_decides_the_certification_window(self):
         """With a solver, n and window of the call are not read: the

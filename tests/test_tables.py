@@ -196,7 +196,7 @@ def test_enumerate_table_is_the_grid_construction(name):
     system, J, n = ENUM_CASES[name]
     sysd = SYSTEMS[system]
     N = sysd.effective_truncation(None)
-    kern = PressureKernel(sysd, J, n=n, N=N)
+    kern = PressureKernel(sysd, J, n=n, N=N, window=n)
     assert kern.mode == "enumerate"
     syms = _grid(N, n)
     codes = np.flatnonzero(sysd.incidence.admits(syms))

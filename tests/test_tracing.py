@@ -69,7 +69,7 @@ def test_kernel_attrs_read_the_kernel():
     golden = similarity_system([0.5, 0.5], offsets=[0.0, 0.5],
                                incidence=[[1, 1], [1, 0]])
     J = potentials.zero(1)
-    enum = PressureKernel(golden, J, n=8)
+    enum = PressureKernel(golden, J, n=8, window=8)
     dp = PressureKernel(golden, J, n=8, window=3)
     assert tracing._kernel_attrs((enum,), None) == {
         "mode": "enumerate", "n": 8, "window": 8, "N": 2,
