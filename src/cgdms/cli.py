@@ -95,7 +95,7 @@ def cmd_pressure(rc: RunConfig, outdir: Path) -> list:
 
 def cmd_dimension(rc: RunConfig, outdir: Path) -> list:
     report = thermo.thermo_report(rc.system, rc.word_length, rc.truncation,
-                                  rc.tolerance)
+                                  rc.tolerance, window=rc.window)
     th = report.theta
     rows = [[th.lo if th else math.nan, th.hi if th else math.nan,
              report.hausdorff_dim.lo, report.hausdorff_dim.hi,

@@ -232,11 +232,17 @@ def validate_config(doc: dict, command: str) -> RunConfig:
             WindowTransfer.check_size(N, WindowTransfer.clamp(system, potential, 1))
         except ValueError as exc:
             raise ConfigError("numerics.truncation", str(exc)) from exc
+        if not system.incidence.has_infinite_word(N):
+            raise ConfigError("numerics.truncation", (
+                f"the incidence over edges 1..{N} admits no infinite word, "
+                "so the truncated system is empty"))
     if command in ("pressure", "beta", "spectrum", "sets"):  # read the potential
         _check_declared(potential, N, "potential.values")
         if window is not None:
-            _check_window(system, potential, wl, N, window, command == "beta")
+            _check_window(system, potential, wl, N, window, command)
         _check_steps(system, potential, wl, N, window)
+    elif command == "dimension" and window is not None:  # of a zero potential
+        _check_window(system, potentials.zero(1), wl, N, window, command)
     params = doc.get(command, {})
     if not isinstance(params, dict):
         raise ConfigError(command, "command parameters must be an object")
@@ -255,8 +261,17 @@ def _validate_command(command: str, params: dict, system: SystemDescriptor,
     the :class:`BernoulliSpec` of each ``sets.bernoulli`` entry, and the
     default of each field the config leaves out (the origin for
     ``t_points``, no ``alpha_grid``, the grid of :func:`_t_grid` and the
-    literals below)."""
+    literals below).  A field that the command does not read is refused."""
     d = potential.dim
+    fields = {"pressure": ("t_points", "beta_grid"), "beta": ("t_points",),
+              "spectrum": ("alpha_grid", "t_grid"),
+              "sets": ("t_grid", "cycles", "bernoulli"),
+              "counterexample": ("M_param", "n_list"), "dimension": ()}
+    if command not in fields:
+        raise ConfigError("", f"unknown command {command!r}")
+    for key in params:
+        if key not in fields[command]:
+            raise ConfigError(f"{command}.{key}", "unknown field")
 
     def vectors(key):
         """``params[key]``, a list of d-vectors of finite numbers (bare
@@ -273,8 +288,11 @@ def _validate_command(command: str, params: dict, system: SystemDescriptor,
                                   f"expected a vector of {d} finite numbers")
         return _float_tuples(pts)
 
-    if command in ("pressure", "beta", "spectrum", "sets"):
-        params["t_points"] = vectors("t_points") or [(0.0,) * d]
+    if command in ("pressure", "beta"):
+        pts = vectors("t_points")
+        if pts == []:
+            raise ConfigError(f"{command}.t_points", "must be a nonempty list")
+        params["t_points"] = pts or [(0.0,) * d]
     if command == "pressure":
         grid = params.setdefault("beta_grid", [0.0])
         if not isinstance(grid, list) or not grid:
@@ -285,10 +303,10 @@ def _validate_command(command: str, params: dict, system: SystemDescriptor,
             if b < 0:
                 raise ConfigError(f"pressure.beta_grid[{i}]",
                                   "negative exponents are rejected")
-    elif command in ("beta", "spectrum", "sets"):
-        params["alpha_grid"] = vectors("alpha_grid") or []
-        if params.get("t_grid") is not None or command != "beta":
-            params["t_grid"] = _t_grid(command, params.get("t_grid"), d, vectors)
+    elif command in ("spectrum", "sets"):
+        if command == "spectrum":
+            params["alpha_grid"] = vectors("alpha_grid") or []
+        params["t_grid"] = _t_grid(command, params.get("t_grid"), d, vectors)
         if command == "sets":
             params["bernoulli"] = bernoulli_specs(params, system, potential)
             _check_cycles(params, system, potential)
@@ -302,8 +320,6 @@ def _validate_command(command: str, params: dict, system: SystemDescriptor,
                 or not all(_typed(n, int) and n >= 2 for n in nl)):
             raise ConfigError("counterexample.n_list",
                               "must be a nonempty list of integers >= 2")
-    elif command != "dimension":
-        raise ConfigError("", f"unknown command {command!r}")
 
 
 def _t_grid(command: str, tg, d: int, vectors) -> list:
@@ -337,15 +353,17 @@ def _t_grid(command: str, tg, d: int, vectors) -> list:
 
 
 def _check_window(system: SystemDescriptor, potential: PotentialVector,
-                  n: int, N: int, window: int, certify: bool) -> None:
-    """The window tables built from ``numerics.window`` fit the kernel's
-    cap: the stage kernel's when it runs dp and, with ``certify`` (the
-    ``beta`` command), the certifying transfer's."""
+                  n: int, N: int, window: int, command: str) -> None:
+    """The window tables that ``command`` builds from ``numerics.window``
+    fit the table cap: the stage kernel's when it runs dp (every command
+    but ``dimension``), and the certifying transfer's for ``beta`` and
+    ``dimension``."""
     try:
-        mode, q = PressureKernel.layout(system, potential, n, N, window)
-        if mode == "dp":
-            WindowTransfer.check_size(N, q)
-        if certify:
+        if command != "dimension":
+            mode, q = PressureKernel.layout(system, potential, n, N, window)
+            if mode == "dp":
+                WindowTransfer.check_size(N, q)
+        if command in ("beta", "dimension"):
             WindowTransfer.check_size(
                 N, WindowTransfer.window_at(system, potential, N, n, window))
     except ValueError as exc:

@@ -25,8 +25,9 @@ bounded by Collatz-Wielandt ratios per irreducible class of states; on a
 full shift the state graph is a de Bruijn graph, whose one class of every
 state is taken without a search.  It owns the window clamps and the table
 cap, and holds none of the trailing windows that only stage sums read.
-Its Perron iterates warm-start its next call, so each certified quantity
-is bracketed on a transfer built for it.
+A table is immutable once built, its caches aside: a limit call
+warm-starts from the Perron iterates its caller passes
+(:meth:`WindowTransfer.start`), so one table serves a whole command.
 
 Every window, trailing and word table comes from one recursion on word
 length (:func:`_levels`): the family's per-word state of all L-words, in
@@ -232,9 +233,8 @@ class WindowTransfer:
     (q-1)-gram states, laid out in the transfer order of :func:`_step`,
     and the Collatz-Wielandt bracket of its spectral radius, which brackets
     the limit pressure.  A dp-mode :class:`PressureKernel` runs its stage
-    recursion on one, which never reads the Perron classes; a certified
-    quantity is bracketed on one built for it, since a limit answer depends
-    on the warm starts that earlier calls left in the classes.
+    recursion on one, which never reads the Perron classes; each certified
+    quantity is bracketed on it from a Perron start of its own.
 
     The window table is written in transfer order straight from level q-1
     of :func:`_levels`: the states of the (q-1)-word tails r b, read as
@@ -290,18 +290,6 @@ class WindowTransfer:
         return q
 
     @classmethod
-    def deepest_chosen(cls, sys: SystemDescriptor, J: PotentialVector,
-                       N: int) -> Optional[int]:
-        """The deepest window that :meth:`window_at` picks at any level
-        absent an explicit window: the clamp on a distortion-free family,
-        else the clamped deepest window within DP_WINDOW_CAP; None at
-        N = 1."""
-        if N == 1:
-            return None
-        return cls.clamp(sys, J, 1 if sys.family.distortion_free
-                         else cls.deepest_window(N, DP_WINDOW_CAP))
-
-    @classmethod
     def window_at(cls, sys: SystemDescriptor, J: PotentialVector, N: int,
                   level: int, window: Optional[int] = None) -> int:
         """The clamped ``window``, or absent one the window of refinement
@@ -318,9 +306,9 @@ class WindowTransfer:
 
     @classmethod
     def at_level(cls, sys: SystemDescriptor, J: PotentialVector, N: int,
-                 level: int) -> "WindowTransfer":
+                 level: int, window: Optional[int] = None) -> "WindowTransfer":
         """The transfer at the :meth:`window_at` choice of ``level``."""
-        return cls(sys, J, N, cls.window_at(sys, J, N, level))
+        return cls(sys, J, N, cls.window_at(sys, J, N, level, window))
 
     def j_dot(self, t) -> tuple:
         """(<t, J> on depth-m words, its values on the windows), kept for
@@ -348,14 +336,14 @@ class WindowTransfer:
 
     @cached_property
     def _classes(self) -> list:
-        """(states, Perron iterate) of each irreducible class of (q-1)-gram
-        states with a cycle: rho of the transfer matrix is the largest of
-        their radii, whatever its transient states.  With every window
-        admissible the state graph is a de Bruijn graph, which is strongly
-        connected, so its one class is every state and no search runs."""
-        S = self.N ** (self.window - 1)
+        """The states (a mask, or every state) of each irreducible class of
+        (q-1)-gram states with a cycle: rho is the largest of their radii,
+        whatever the transient states.  With every window admissible the
+        state graph is a de Bruijn graph, strongly connected, so its one
+        class is every state and no search runs."""
         if self.all_valid:
-            return [(slice(None), np.ones(S))]
+            return [slice(None)]
+        S = self.N ** (self.window - 1)
         # imported here: only a Markov incidence's classes need a search
         from scipy.sparse import csr_matrix
         from scipy.sparse.csgraph import connected_components
@@ -365,22 +353,31 @@ class WindowTransfer:
         lab = connected_components(graph, connection="strong")[1]
         masks = [lab == k for k in np.unique(lab[src[lab[src] == lab[dst]]])]
         # a class of every state is read whole, without gathers
-        return [(slice(None) if m.all() else m, m.astype(float)) for m in masks]
+        return [slice(None) if m.all() else m for m in masks]
 
-    def _walk(self, t, beta, side: str, settled=None) -> tuple:
+    def start(self) -> list:
+        """Fresh Perron iterates of the classes, 1 on their states: the
+        ``start`` that limit calls warm-start from and update in place."""
+        S = self.N ** (self.window - 1)
+        return [np.ones(S) if isinstance(live, slice) else live.astype(float)
+                for live in self._classes]
+
+    def _walk(self, t, beta, side: str, settled, start) -> tuple:
         """(base, brackets) at the ``side`` point of the weights: their log
         scale and the lazy Collatz-Wielandt brackets (lo, hi) of the
-        irreducible classes in order, each stopped early by ``settled``; at
-        window 1 the one bracket is the 1x1 sum of the weights."""
+        classes in order, from ``start`` (fresh when None), each stopped
+        early by ``settled``; at window 1 the one bracket is the weights' sum."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         base, ew = self.weights(t, beta, _SIDE[side])
         if self.window == 1:
             z = float(ew.sum())
             return base, [(z, z)]
         ET = ew.reshape(self.N, self.N, -1)
-        return base, (_perron_bracket(ET, live, v, settled) for live, v in self._classes)
+        return base, (_perron_bracket(ET, live, v, settled) for live, v in
+                      zip(self._classes, self.start() if start is None else start))
 
-    def limit_bound(self, t, beta, side: str, rtol: float = 0.0) -> float:
+    def limit_bound(self, t, beta, side: str, rtol: float = 0.0,
+                    start: Optional[list] = None) -> float:
         """The limit pressure of <t,J> - beta*I over the truncated system
         (beta >= 0) lies in [log rho(L_inf), log rho(L_sup)] for the window
         transfer matrix L.  'lower' and 'upper' are those endpoints, each
@@ -391,13 +388,14 @@ class WindowTransfer:
         ``rtol / 2`` of its converged value; 'lower' and 'upper' stay bounds
         either way, since the running ends only close in."""
         settled = (lambda lo, hi: hi - lo <= rtol * lo) if rtol > 0.0 else None
-        base, brackets = self._walk(t, beta, side, settled)
+        base, brackets = self._walk(t, beta, side, settled, start)
         # the largest ends over the classes, 0 without a class
         lo, hi = map(max, zip(*(list(brackets) or [(0.0, 0.0)])))
         with np.errstate(divide="ignore"):
             return base + float(np.log(_pick(lo, hi, _SIDE[side])))
 
-    def limit_sign(self, t, beta, side: str, strict: bool = True) -> bool:
+    def limit_sign(self, t, beta, side: str, strict: bool = True,
+                   start: Optional[list] = None) -> bool:
         """Whether :meth:`limit_bound` is above 0 for 'lower' (at or above
         0 unless ``strict``) or below 0 for 'upper', with the answer of full
         convergence: a class's Perron iteration ends as soon as its running
@@ -410,7 +408,7 @@ class WindowTransfer:
                 p = base + float(np.log(lo if side == "lower" else hi))
             return p < 0.0 if side == "upper" else (p > 0.0 if strict else p >= 0.0)
 
-        base, brackets = self._walk(t, beta, side, settled)
+        base, brackets = self._walk(t, beta, side, settled, start)
         test = any if side == "lower" else all
         return test(settled(*b) for b in brackets)
 
@@ -454,9 +452,6 @@ class PressureKernel:
         sums are those of enumeration up to rounding; at depth >= 2 the
         anchored value reads the midpoint of the trailing-window J bounds
         where enumeration reads their sup, and ``values`` is unchanged."""
-        if (window is None and not sys.family.distortion_free
-                and N ** min(n, 40) <= EXACT_CAP):
-            window = n
         window = min(WindowTransfer.window_at(sys, J, N, n, window),
                      max(n, J.depth))
         if window == n and N ** n <= EXACT_CAP:

@@ -2,7 +2,7 @@
 the attainable value sets of Birkhoff quotients.
 
 beta(t) is the zero in beta of the pressure of <t,J> - beta*I.  Each
-enclosure brackets the limit pressure on a window transfer built for it;
+enclosure brackets the limit pressure on one window transfer per solver;
 roots, gradients, Hessians and Newton steps come from one
 :class:`BetaSolver` over the anchored stage-n value P, whose exact
 gradient is the weighted word-sum quotient.  The Hessian needs no root
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -124,9 +125,9 @@ class BetaSolver:
     Roots, exact gradients and Hessians are memoized per t and depend on
     no other t; the Hessian takes the root and moment pass of the gradient
     at t plus 2d moment passes at nearby (t, beta), and no further root.
-    The solver keeps no limit bracket: :meth:`certifier` builds a transfer
-    for each certification.  Differentiation steps are pinned constants so
-    results are reproducible.
+    Every beta is certified on one window transfer (:attr:`transfer`), each
+    from a Perron start of its own.  Differentiation steps are pinned
+    constants so results are reproducible.
     """
 
     def __init__(self, sys: SystemDescriptor, J: PotentialVector, *,
@@ -138,13 +139,17 @@ class BetaSolver:
         self._grads: dict = {}
         self._hess: dict = {}
 
-    def certifier(self) -> WindowTransfer:
-        """A new window transfer to certify one beta, at the window of
+    @cached_property
+    def transfer(self) -> WindowTransfer:
+        """The window transfer that certifies every beta, at the window of
         :meth:`~cgdms.kernel.WindowTransfer.window_at` (``window``, or the
-        choice of level n), so no Perron warm start carries over."""
+        choice of level n): the stage kernel's own when it runs the window
+        recursion there, else one built on first use."""
         kern = self.kern
-        return WindowTransfer(self.sys, self.J, kern.N, WindowTransfer.window_at(
-            self.sys, self.J, kern.N, kern.n, self._window))
+        q = WindowTransfer.window_at(self.sys, self.J, kern.N, kern.n, self._window)
+        if kern.transfer is not None and kern.window == q:
+            return kern.transfer
+        return WindowTransfer(self.sys, self.J, kern.N, q)
 
     def root(self, t) -> float:
         """beta solving the anchored stage pressure at t.
@@ -220,10 +225,10 @@ def solve_beta(sys: SystemDescriptor, J: PotentialVector, t, tol: float = 1e-8,
                solver: Optional[BetaSolver] = None) -> BetaPoint:
     """Certified enclosure (width <= tol) plus point estimate of beta(t).
 
-    Both come from the limit pressure bracketed by a window transfer
-    matrix built for this call (:meth:`BetaSolver.certifier`), so a shared
-    ``solver`` gives the same enclosure as a fresh one; the Gibbs means
-    are read from the stage-n kernel at its anchored root.  ``solver``,
+    Both come from the limit pressure bracketed by the solver's window
+    transfer (:attr:`BetaSolver.transfer`) from a fresh Perron start, so a
+    shared ``solver`` gives the same enclosure as a fresh one; the Gibbs
+    means are read from the stage-n kernel at its anchored root.  ``solver``,
     when given, alone decides n, N and window; otherwise one is built.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -231,9 +236,7 @@ def solve_beta(sys: SystemDescriptor, J: PotentialVector, t, tol: float = 1e-8,
         raise ValueError(f"t has dim {t.size}, potential dim {J.dim}")
     if solver is None:
         solver = BetaSolver(sys, J, n=n, N=N, window=window)
-    limit = solver.certifier()
-    enc, est = certified_pressure_zero(limit, t, tol,
-                                       chosen=solver._window is None)
+    enc, est = certified_pressure_zero(solver.transfer, t, tol)
     _, _, (jq, iq) = solver.grad_with_means(t)
     flags = []
     theta = estimate_theta(sys)
@@ -242,8 +245,8 @@ def solve_beta(sys: SystemDescriptor, J: PotentialVector, t, tol: float = 1e-8,
             flags.append("enclosure reaches the finiteness threshold")
     return BetaPoint(t=tuple(t.tolist()), beta=enc, estimate=est,
                      gibbs_means=(tuple(jq.tolist()), float(iq)),
-                     stages=solver.kern.n, window=limit.window,
-                     truncation=limit.N, flags=tuple(flags))
+                     stages=solver.kern.n, window=solver.transfer.window,
+                     truncation=solver.transfer.N, flags=tuple(flags))
 
 
 def grad_beta(sys: SystemDescriptor, J: PotentialVector, t, tol: float = 1e-6,

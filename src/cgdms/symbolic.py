@@ -113,6 +113,12 @@ class IncidenceMatrix:
             return np.ones(N * ok.size, dtype=bool)
         return (self._dense[:N, :N, None] & ok.reshape(1, N, -1)).ravel()
 
+    def has_infinite_word(self, N: int) -> bool:
+        """Whether an infinite word over 1..N is admissible: whether the
+        boolean power B**N of the N x N block B is nonzero."""
+        return self.full_shift or bool(
+            np.linalg.matrix_power(self._dense[:N, :N], N).any())
+
     def successors(self, u: int, N: int) -> tuple:
         return tuple(v for v in range(1, N + 1) if self.entry(u, v))
 

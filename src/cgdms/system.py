@@ -6,8 +6,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .families import MapFamily, MoebiusCFFamily, SimilarityFamily
 from .symbolic import IncidenceMatrix, Multigraph
 
@@ -128,8 +126,7 @@ def similarity_system(ratios, offsets=None, flips=None, incidence=None,
         inc = IncidenceMatrix.full(graph)
     else:
         inc = IncidenceMatrix.from_dense(incidence, graph)
-        # no infinite word is admissible iff the boolean power A**n is 0
-        if not np.linalg.matrix_power(np.asarray(incidence, dtype=bool), len(incidence)).any():
+        if not inc.has_infinite_word(len(incidence)):
             raise ValueError("incidence is nilpotent: no infinite word is admissible")
     return SystemDescriptor(graph, inc, fam, tail_rule=None, name=name)
 

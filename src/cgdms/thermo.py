@@ -171,44 +171,43 @@ def anchored_pressure_root(kern: PressureKernel, t) -> float:
     return _root(lambda b: kern.value(t, b))
 
 
-def _certifies(transfer: WindowTransfer, t, est: float,
-               half: float) -> Optional[Enclosure]:
+def _certifies(transfer: WindowTransfer, t, est: float, half: float,
+               start: Optional[list] = None) -> Optional[Enclosure]:
     """The enclosure [est - half, est + half], clipped at the floor, if the
     lower limit bound is positive on its left end (nonnegative at the
     floor) and the upper limit bound negative on its right end; else None.
     Only the two signs are asked for (:meth:`WindowTransfer.limit_sign`),
     so each Perron iteration stops once its sign is settled."""
     left = max(est - half, BETA_FLOOR)
-    if (transfer.limit_sign(t, left, "lower", strict=left > BETA_FLOOR)
-            and transfer.limit_sign(t, est + half, "upper")):
+    if (transfer.limit_sign(t, left, "lower", strict=left > BETA_FLOOR, start=start)
+            and transfer.limit_sign(t, est + half, "upper", start=start)):
         return Enclosure(left, est + half)
     return None
 
 
-def certified_pressure_zero(transfer: WindowTransfer, t, tol: float, *,
-                            chosen: bool = False) -> tuple:
+def certified_pressure_zero(transfer: WindowTransfer, t, tol: float) -> tuple:
     """(enclosure, estimate) of the zero in beta of the limit pressure of
     <t,J> - beta*I over the truncated system, from one window transfer: the
     estimate is the zero of the 'mid' limit bound, certified as
     est +/- tol/2 by :func:`_certifies`.  The two signs hold whatever the
     estimate, so it is solved only to ESTIMATE_SHARE of ``tol``, on 'mid'
-    bounds whose Perron iterations stop at a matching spread.  Failing
-    that, the half-width is doubled until it certifies, and
-    :class:`BracketBudgetError` carries that enclosure as ``best`` and the
-    window needed for ``tol`` as ``required_n``; its message says when
-    that window is past the deepest that the caller can build: the table
-    cap's, or with ``chosen`` (a transfer from
-    :meth:`~cgdms.kernel.WindowTransfer.window_at` without an explicit
-    window) the deepest that choice reaches.
+    bounds whose Perron iterations stop at a matching spread.  Both run
+    from one fresh Perron start, whatever was asked of the transfer
+    before.  Failing that, the half-width is doubled until it certifies,
+    and :class:`BracketBudgetError` carries that enclosure as ``best`` and
+    the window needed for ``tol`` as ``required_n``, saying when that
+    window is past the deepest that the table cap admits.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
+    start = transfer.start()
     xtol = max(ROOT_XTOL, tol * ESTIMATE_SHARE)
-    est = _root(lambda b: transfer.limit_bound(t, b, "mid", rtol=xtol / 4), xtol)
+    est = _root(lambda b: transfer.limit_bound(t, b, "mid", rtol=xtol / 4,
+                                               start=start), xtol)
     # shaved slightly below tol/2 so the reported width respects tol even
     # after float rounding of the endpoints
     half = 0.5 * tol * (1.0 - 1e-6)
     for k in range(61):
-        best = _certifies(transfer, t, est, half * 2.0 ** k)
+        best = _certifies(transfer, t, est, half * 2.0 ** k, start)
         if best is not None and k == 0:
             return best, est
         if best is not None:
@@ -216,16 +215,10 @@ def certified_pressure_zero(transfer: WindowTransfer, t, tol: float, *,
             needed = transfer.window + math.ceil(
                 math.log(best.width / tol) / math.log(1.0 / rate))
             advice = f"roughly window {needed} would be needed"
-            if chosen:
-                deepest = WindowTransfer.deepest_chosen(
-                    transfer.sys, transfer.J, transfer.N)
-                reach = "the automatic window choice reaches"
-            else:
-                deepest = WindowTransfer.deepest_window(transfer.N)
-                reach = "the table cap admits"
+            deepest = WindowTransfer.deepest_window(transfer.N)
             if deepest is not None and needed > deepest:
-                advice += (f", past window {deepest}, the deepest that {reach} "
-                           f"at truncation {transfer.N}: by this estimate, "
+                advice += (f", past window {deepest}, the deepest that the table cap "
+                           f"admits at truncation {transfer.N}: by this estimate, "
                            "this tolerance is out of reach at this truncation")
             raise BracketBudgetError(
                 f"could not certify width {tol} at window {transfer.window}; "
@@ -236,15 +229,16 @@ def certified_pressure_zero(transfer: WindowTransfer, t, tol: float, *,
 
 
 def bowen_dimension(sys: SystemDescriptor, n: int, N: Optional[int] = None,
-                    tol: float = 1e-9, *, workers: int = 1) -> BowenResult:
+                    tol: float = 1e-9, *, window: Optional[int] = None,
+                    workers: int = 1) -> BowenResult:
     """Enclosure of the zero of the one-parameter limit pressure, bracketed
-    by the window transfer matrix of refinement level ``n``
+    by the window transfer matrix of ``window`` or level ``n``
     (:meth:`~cgdms.kernel.WindowTransfer.at_level`).  ``workers`` is
     accepted for compatibility and ignored: the kernel runs single-threaded.
     """
     t = np.zeros(1)
     transfer = WindowTransfer.at_level(sys, potentials.zero(1),
-                                       sys.effective_truncation(N), n)
+                                       sys.effective_truncation(N), n, window)
     if transfer.limit_bound(t, 0.0, "upper") < 0.0:
         # pressure already negative at the domain edge: the zero-crossing
         # formulation degenerates and the critical exponent is the edge
@@ -253,7 +247,7 @@ def bowen_dimension(sys: SystemDescriptor, n: int, N: Optional[int] = None,
                            truncation=transfer.N, critical=True,
                            notes=("pressure certified negative on the whole "
                                   "parameter range; reporting its left edge",))
-    enc, est = certified_pressure_zero(transfer, t, tol, chosen=True)
+    enc, est = certified_pressure_zero(transfer, t, tol)
     return BowenResult(enclosure=enc, estimate=est, stages=n,
                        window=transfer.window, truncation=transfer.N)
 
@@ -294,10 +288,10 @@ def classify_regularity(sys: SystemDescriptor, *,
 
 
 def thermo_report(sys: SystemDescriptor, n: int, N: Optional[int] = None,
-                  tol: float = 1e-6) -> ThermoReport:
+                  tol: float = 1e-6, *, window: Optional[int] = None) -> ThermoReport:
     """Threshold, dimension enclosure, and regularity in one record."""
     theta = estimate_theta(sys)
-    bowen = bowen_dimension(sys, n, N, tol)
+    bowen = bowen_dimension(sys, n, N, tol, window=window)
     label, notes = classify_regularity(sys, N=N)
     if theta.enclosure is not None and bowen.enclosure.hi < theta.enclosure.lo:
         notes = notes + ("warning: dimension enclosure fell below the threshold",)

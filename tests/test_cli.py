@@ -178,25 +178,46 @@ class TestDimensionCommand:
 
     @pytest.mark.parametrize("system,numerics,needed,deepest,N", [
         ({"kind": "moebius-cf", "alphabet": 2},
-         {"word_length": 16, "tolerance": 1e-11}, 25, 19, 2),
+         {"word_length": 16, "tolerance": 1e-11}, 25, 21, 2),
         ({"kind": "custom-1d", "map_expr": "1/(x+k)", "abs_deriv_expr": "(x+k)^-2",
           "contraction_bound": 0.5, "contraction_prefactor": 2.0},
-         {"truncation": 4, "tolerance": 1e-6}, 12, 9, 4),
+         {"truncation": 4, "tolerance": 1e-6}, 12, 10, 4),
     ], ids=["cf2", "custom-1d"])
     def test_window_past_the_table_cap(self, tmp_path, capsys, system, numerics,
                                        needed, deepest, N):
         """A failed certification whose estimated window passes the deepest
-        window that ``dimension`` can build says that the tolerance is out
-        of reach and names that window: the automatic choice's, which stops
-        below the table cap (21 and 10 here)."""
+        window that the table cap admits says that the tolerance is out of
+        reach and names that window."""
         cfg = write_config(tmp_path, {"system": system, "numerics": numerics})
         assert main(["dimension", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert (f"roughly window {needed} would be needed, past window {deepest}, "
-                "the deepest that the automatic window choice reaches at truncation "
-                f"{N}: by this estimate, this tolerance is out of reach at this "
+                f"the deepest that the table cap admits at truncation {N}: by "
+                "this estimate, this tolerance is out of reach at this "
                 "truncation") in err
         assert "Traceback" not in err
+
+    def test_explicit_window_certifies_past_the_automatic_choice(self, tmp_path,
+                                                                capsys):
+        """cf2 at tol 5e-11: the automatic window 19 fails and advises
+        window 21, which the table cap admits, so the tolerance is not
+        called out of reach; ``numerics.window`` 20 certifies it around
+        dim E_2 = 0.531280506277205 (Jenkinson-Pollicott)."""
+        doc = {"system": {"kind": "moebius-cf", "alphabet": 2},
+               "numerics": {"word_length": 20, "truncation": 2,
+                            "tolerance": 5e-11}}
+        cfg = write_config(tmp_path, doc, "auto.json")
+        assert main(["dimension", "--config", cfg, "--out", str(tmp_path / "a")]) == 2
+        err = capsys.readouterr().err
+        assert "at window 19; roughly window 21 would be needed\n" in err
+        assert "out of reach" not in err
+        doc["numerics"]["window"] = 20
+        cfg = write_config(tmp_path, doc, "w20.json")
+        assert main(["dimension", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        dim = json.loads((tmp_path / "o" / "dimension.json").read_text())["hausdorff_dim"]
+        assert dim["lo"] <= 0.531280506277205 <= dim["hi"]
+        # the endpoints est -/+ tol/2 are rounded to floats, an ulp apart
+        assert dim["hi"] - dim["lo"] <= 5e-11 + math.ulp(dim["hi"])
 
 
 class TestBetaCommand:
@@ -211,11 +232,10 @@ class TestBetaCommand:
         assert est0 == pytest.approx(1.0, abs=1e-9)
         assert est1 == pytest.approx(math.log(1 + math.e) / math.log(2), abs=1e-9)
 
-    def test_one_stage_kernel_per_t_point(self, tmp_path, monkeypatch):
-        """solve_beta and grad_beta share the stage kernel, which runs the
-        dp recursion on its own window transfer here (a similarity system);
-        the only other build is the window transfer that certifies the
-        limit enclosure."""
+    @staticmethod
+    def _count_builds(monkeypatch) -> list:
+        """The class names of the stage kernels and window transfers built
+        from now on, in order."""
         from cgdms.kernel import PressureKernel, WindowTransfer
         builds = []
         for cls in (PressureKernel, WindowTransfer):
@@ -224,13 +244,21 @@ class TestBetaCommand:
                 _init(self, *args, **kwargs)
 
             monkeypatch.setattr(cls, "__init__", counting_init)
+        return builds
+
+    def test_one_stage_kernel_per_t_point(self, tmp_path, monkeypatch):
+        """solve_beta and grad_beta share the stage kernel, which runs the
+        dp recursion on its own window transfer here (a similarity system)
+        at the certifying window, so that transfer also certifies the limit
+        enclosure and no other is built."""
+        builds = self._count_builds(monkeypatch)
         doc = dict(SIM_CONFIG)
         doc["numerics"] = dict(doc["numerics"], word_length=16)
         doc["beta"] = {"t_points": [[0.5]]}
         cfg = write_config(tmp_path, doc)
         assert main(["beta", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         assert len(read_body(tmp_path / "o" / "beta.csv").splitlines()) == 2
-        assert builds == ["PressureKernel", "WindowTransfer", "WindowTransfer"]
+        assert builds == ["PressureKernel", "WindowTransfer"]
 
     MOD_CF3 = {"system": {"kind": "moebius-cf", "alphabet": 3},
                "potential": {"kind": "mod-cycle",
@@ -251,23 +279,31 @@ class TestBetaCommand:
         assert fwd[1] == fwd[3]
         assert rev[1:] == fwd[1:][::-1]
 
-    def test_one_solver_and_a_certifier_per_t_point(self, tmp_path, monkeypatch):
+    def test_certifies_on_the_stage_kernel_table(self, tmp_path, monkeypatch):
         """A dp-mode run whose stage window is the certifying one builds
-        one stage kernel, with its own transfer, for the command, and one
-        certifying transfer per t-point."""
-        from cgdms.kernel import PressureKernel, WindowTransfer
-        builds = []
-        for cls in (PressureKernel, WindowTransfer):
-            def counting_init(self, *args, _init=cls.__init__, **kwargs):
-                builds.append(type(self).__name__)
-                _init(self, *args, **kwargs)
-
-            monkeypatch.setattr(cls, "__init__", counting_init)
+        one stage kernel, with its own transfer, and certifies every
+        t-point on that transfer."""
+        builds = self._count_builds(monkeypatch)
         doc = dict(self.MOD_CF3, beta={"t_points": [[0.7, -0.4], [0.1, 0.3]]})
         cfg = write_config(tmp_path, doc)
         assert main(["beta", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         assert len(read_body(tmp_path / "o" / "beta.csv").splitlines()) == 3
-        assert builds == ["PressureKernel"] + ["WindowTransfer"] * 3
+        assert builds == ["PressureKernel", "WindowTransfer"]
+
+    def test_one_certifying_table_for_three_t_points(self, tmp_path, monkeypatch):
+        """A stage kernel that enumerates (cf3 at word length 8) has no
+        transfer, so the run builds one certifying transfer, at window 8,
+        and certifies all three t-points on it; the repeated point writes
+        the same row."""
+        builds = self._count_builds(monkeypatch)
+        t1, t2 = [0.7, -0.4], [0.1, 0.3]
+        doc = dict(self.MOD_CF3, numerics={"word_length": 8, "tolerance": 0.05},
+                   beta={"t_points": [t1, t2, t1]})
+        cfg = write_config(tmp_path, doc)
+        assert main(["beta", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        rows = read_body(tmp_path / "o" / "beta.csv").splitlines()
+        assert len(rows) == 4 and rows[1] == rows[3]
+        assert builds == ["PressureKernel", "WindowTransfer"]
 
     def test_markov_window_one_is_window_two(self, tmp_path):
         """On a Markov incidence window 1 is clamped to 2 for the
@@ -600,6 +636,50 @@ class TestConfigValidation:
         }
         err = self._rejected(tmp_path, capsys, "dimension", doc, "system")
         assert "nilpotent" in err
+
+    @pytest.mark.parametrize("command", ["dimension", "beta", "pressure"])
+    def test_dead_truncation(self, tmp_path, capsys, command):
+        """Two maps that must alternate, truncated to the first: the
+        incidence block [[0]] admits no infinite word, so the truncated
+        system is empty and every command that builds a transfer refuses
+        it, where ``dimension`` reported [0, 0] as regular."""
+        doc = {"system": {"kind": "similarity", "ratios": [0.5, 0.4],
+                          "incidence": [[0, 1], [1, 0]]},
+               "numerics": {"word_length": 6, "truncation": 1}}
+        err = self._rejected(tmp_path, capsys, command, doc, "numerics.truncation")
+        assert "no infinite word" in err
+        doc["numerics"]["truncation"] = 2
+        assert main([command, "--config", write_config(tmp_path, doc, "two.json"),
+                     "--out", str(tmp_path / "ok")]) == 0
+
+    @pytest.mark.parametrize("command,field", [
+        ("pressure", "beta_grids"), ("pressure", "alpha_grid"),
+        ("beta", "alpha_grid"), ("beta", "t_grid"), ("spectrum", "t_points"),
+        ("sets", "t_points"), ("sets", "alpha_grid"),
+        ("counterexample", "t_points"), ("dimension", "t_points"),
+    ])
+    def test_unknown_command_field(self, tmp_path, capsys, command, field):
+        """A command object holds only the fields its command reads; a
+        misspelt ``beta_grids`` no longer runs beta = 0 alone."""
+        doc = json.loads(json.dumps(self.CF_SETS))
+        doc[command] = dict(doc["sets"] if command == "sets" else {},
+                            **{field: [[0.0, 0.0]]})
+        self._rejected(tmp_path, capsys, command, doc, f"{command}.{field}")
+
+    @pytest.mark.parametrize("command", ["pressure", "beta"])
+    def test_empty_t_points(self, tmp_path, capsys, command):
+        """An empty ``t_points`` is refused, as an empty ``beta_grid`` is,
+        rather than read as the origin."""
+        doc = dict(CF2_CONFIG, **{command: {"t_points": []}})
+        err = self._rejected(tmp_path, capsys, command, doc, f"{command}.t_points")
+        assert "nonempty" in err
+
+    def test_dimension_window_over_the_cap(self, tmp_path, capsys):
+        """``dimension`` reads ``numerics.window``: a window whose table
+        passes the cap is refused naming it, as for ``beta``."""
+        doc = dict(CF2_CONFIG, numerics=dict(CF2_CONFIG["numerics"], window=22))
+        err = self._rejected(tmp_path, capsys, "dimension", doc, "numerics.window")
+        assert "2**22" in err
 
     @pytest.mark.parametrize("ratios,incidence,why", [
         ([0.3, 0.3, 0.3], [[1, 1], [1, 0]], "3 edges"),

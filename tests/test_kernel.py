@@ -232,8 +232,9 @@ def _advance(T, N):
 class _Reference:
     """The dp recursion as written before the transfer-order step: window
     tables in natural code order, one (S, N) product per step, a stacked
-    (S, N, d+1) gradient accumulator, and Perron brackets with their own
-    warm starts.  It reads only the potential tables of ``kern``."""
+    (S, N, d+1) gradient accumulator, and Perron brackets from fresh
+    iterates on each call, or with ``warm`` from the iterates its last warm
+    call left.  It reads only the potential tables of ``kern``."""
 
     def __init__(self, kern):
         tab, N, q, m = kern.tables, kern.N, kern.window, kern.J.depth
@@ -254,6 +255,7 @@ class _Reference:
         masks = [lab == k for k in np.unique(lab[src[lab[src] == lab[dst]]])]
         self.classes = [(slice(None) if mk.all() else mk, mk.astype(float))
                         for mk in masks]
+        self.warm = [(live, v.copy()) for live, v in self.classes]
 
     def weights(self, t, beta, which):
         w = self.tab.j_dot(t)[self.jcode] + beta * _pick(*self.ld, which)
@@ -333,13 +335,14 @@ class _Reference:
             v[live] = np.maximum(u / u.max(), np.finfo(float).tiny)
         return lo, hi
 
-    def limit_bound(self, t, beta, side):
+    def limit_bound(self, t, beta, side, warm=False):
         which = {"lower": "inf", "upper": "sup", "mid": "mid"}[side]
         base, eW = self.weights(t, beta, which)
         if self.kern.window == 1:
             lo = hi = float(eW.sum())
         else:
-            brackets = [self.perron(eW, live, v) for live, v in self.classes]
+            brackets = [self.perron(eW, live, v if warm else v.copy())
+                        for live, v in (self.warm if warm else self.classes)]
             lo = max((b[0] for b in brackets), default=0.0)
             hi = max((b[1] for b in brackets), default=0.0)
         with np.errstate(divide="ignore"):
@@ -368,12 +371,14 @@ STEP_POINTS = ((T, 0.0), (T, 0.8), (np.array([-0.3, 0.2]), 1.3))
 @pytest.mark.parametrize("name", sorted(STEP_CASES))
 def test_transfer_step_matches_former_recursion(name):
     """Stage values, both bounds and all three limit brackets are the
-    former recursion's bit for bit; the Gibbs quotients, which the
-    batched accumulator reassociates, agree to 1e-13 relative."""
+    former recursion's bit for bit, from fresh Perron iterates and from one
+    start warmed through every call; the Gibbs quotients, which the batched
+    accumulator reassociates, agree to 1e-13 relative."""
     sys, J, n, window = STEP_CASES[name]
     kern = PressureKernel(sys, J, n=n, window=window)
     assert kern.mode == "dp"
     ref = _Reference(kern)
+    start = kern.transfer.start()
     for t, beta in STEP_POINTS:
         val = kern.value(t, beta)
         assert val == ref.logsum(t, beta, "mid")[0]
@@ -383,6 +388,8 @@ def test_transfer_step_matches_former_recursion(name):
         assert kern.bound(t, beta, "upper") == ref.logsum(t, beta, "sup")[0]
         for side in ("lower", "upper", "mid"):
             assert kern.transfer.limit_bound(t, beta, side) == ref.limit_bound(t, beta, side)
+            assert (kern.transfer.limit_bound(t, beta, side, start=start)
+                    == ref.limit_bound(t, beta, side, warm=True))
         mval, jq, iq = kern.moments(t, beta)
         _, rjq, riq = ref.logsum(t, beta, "mid", grad=True)
         assert mval == val
@@ -454,7 +461,10 @@ def _searched_classes(transfer):
     return [(slice(None) if mk.all() else mk, mk.astype(float)) for mk in masks]
 
 
-def _same_classes(got, want):
+def _same_classes(transfer, want):
+    """The classes of ``transfer`` are the states of ``want``, and its
+    fresh Perron iterates are their starts."""
+    got = list(zip(transfer._classes, transfer.start()))
     assert len(got) == len(want)
     for (live, v), (wlive, wv) in zip(got, want):
         if isinstance(wlive, slice):
@@ -473,9 +483,9 @@ def test_classes_match_the_component_search(name):
     sys, J, n, window = STEP_CASES[name]
     tr = PressureKernel(sys, J, n=n, window=window).transfer
     assert tr.all_valid == sys.incidence.full_shift
-    _same_classes(tr._classes, _searched_classes(tr))
+    _same_classes(tr, _searched_classes(tr))
     if not tr.all_valid:
-        sizes = [int(v.sum()) for _, v in tr._classes]
+        sizes = [int(v.sum()) for v in tr.start()]
         assert sizes == {"golden-mean": [3], "golden-mean-depth2": [3],
                          "upper-triangular": [1, 1]}[name]
 
@@ -489,8 +499,8 @@ MEMO_CASES = {
 @pytest.mark.parametrize("name", sorted(MEMO_CASES))
 def test_per_t_memos_are_not_stale(name):
     """Evaluated at t1, t2, t1 in turn, a kernel answers each point as a
-    freshly built kernel does, bit for bit.  (Limit bounds are left out:
-    their Perron iterates are warm starts by design.)"""
+    freshly built kernel does, bit for bit.  (Limit bounds have their own
+    test below.)"""
     sys, J, n, window = MEMO_CASES[name]
     kern = PressureKernel(sys, J, n=n, window=window)
     assert kern.mode == name
@@ -504,6 +514,39 @@ def test_per_t_memos_are_not_stale(name):
     for t in (t1, t2, t1):
         assert evaluations(kern, t) == evaluations(
             PressureKernel(sys, J, n=n, window=window), t)
+
+
+LIMIT_CALLS = {
+    "lower": lambda tr, t: tr.limit_bound(t, 0.6, "lower"),
+    "upper": lambda tr, t: tr.limit_bound(t, 0.6, "upper"),
+    "mid": lambda tr, t: tr.limit_bound(t, 0.6, "mid", rtol=1e-9),
+    "sign-lower": lambda tr, t: tr.limit_sign(t, 0.6, "lower"),
+    "sign-upper": lambda tr, t: tr.limit_sign(t, 0.6, "upper"),
+}
+
+
+def test_limit_answers_do_not_depend_on_earlier_calls():
+    """A window transfer answers each limit call as a freshly built one
+    does, bit for bit, whatever was asked of it before: cf3 at window 4
+    with the depth-2 J2, where an 'upper' bound warmed by a 'lower' call
+    read 0.43375495292600813.  A start passed in carries the warm start
+    instead, and leaves the transfer's own answers alone."""
+    sys = truncated_cf_system(3)
+
+    def fresh():
+        return WindowTransfer(sys, J2, 3, 4)
+
+    want = {name: call(fresh(), T) for name, call in LIMIT_CALLS.items()}
+    assert want["upper"] == 0.43375495292600835
+    tr, other = fresh(), np.array([-0.3, 0.2])
+    for order in (list(LIMIT_CALLS), list(LIMIT_CALLS)[::-1]):
+        for name in order:
+            assert LIMIT_CALLS[name](tr, T) == want[name], name
+            tr.limit_bound(other, 1.3, "mid")
+    start = tr.start()
+    tr.limit_bound(T, 0.6, "lower", start=start)
+    assert tr.limit_bound(T, 0.6, "upper", start=start) == 0.43375495292600813
+    assert tr.limit_bound(T, 0.6, "upper") == want["upper"]
 
 
 def _full_certifies(transfer, t, est, half):

@@ -58,14 +58,14 @@ class TestSolveBeta:
         assert bp.beta.width <= 1e-8
 
     @pytest.mark.parametrize("window,deepest,reach", [
-        (None, 19, "the automatic window choice reaches"),
+        (None, 21, "the table cap admits"),
         (4, 21, "the table cap admits"),
     ], ids=["automatic", "explicit"])
     def test_budget_advice_names_the_deepest_buildable_window(self, window,
                                                              deepest, reach):
         """A failed certification compares the window it needs with the
-        deepest one its run can build: the automatic choice's, or with an
-        explicit window the table cap's."""
+        deepest one that the table cap admits, which a run can build with
+        an explicit window whether or not it chose its window itself."""
         with pytest.raises(BracketBudgetError) as err:
             solve_beta(CF2, potentials.zero(1), (0.0,), 1e-13, n=8, window=window)
         assert (f", past window {deepest}, the deepest that {reach} at "
@@ -74,12 +74,13 @@ class TestSolveBeta:
 
     def test_solver_decides_the_certification_window(self):
         """With a solver, n and window of the call are not read: the
-        enclosure comes from the solver's certifying kernel."""
+        enclosure comes from the solver's certifying transfer, which is its
+        dp stage kernel's own at the same window."""
         cf3 = truncated_cf_system(3)
         s = BetaSolver(cf3, MOD23_J, n=10, window=3)
         bp = solve_beta(cf3, MOD23_J, (0.0, 0.0), 0.05, n=24, window=5, solver=s)
         assert (bp.window, bp.stages, bp.truncation) == (3, 10, 3)
-        assert s.certifier().window == 3
+        assert s.transfer is s.kern.transfer and s.transfer.window == 3
 
     def test_depth_two_window_one_is_window_two(self):
         """The certifying transfer clamps window 1 up to the potential
@@ -91,8 +92,8 @@ class TestSolveBeta:
 
     def test_enclosure_independent_of_earlier_points(self):
         """One solver certifies t1, then t2, then t1 again: each enclosure
-        is bracketed on its own transfer, so both t1 results are the same
-        to the last bit, and the same as on a fresh solver."""
+        is bracketed from its own Perron start, so both t1 results are the
+        same to the last bit, and the same as on a fresh solver."""
         cf3 = truncated_cf_system(3)
         t1, t2 = (0.7, -0.4), (0.1, 0.3)
         s = BetaSolver(cf3, MOD23_J, n=10, window=6)

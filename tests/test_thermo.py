@@ -345,18 +345,15 @@ class TestBowenDimension:
         assert str(err.value) == ("could not certify width 1e-06 at window 4; "
                                   f"roughly window {needed} would be needed")
 
-    def test_budget_advice_past_the_automatic_choice(self):
+    def test_budget_advice_against_the_table_cap(self):
         """At truncation 2 the automatic window choice stops at window 19,
-        below the table cap's 21, so a needed window 21 is out of reach
-        for the dimension, which cannot take an explicit window."""
+        below the table cap's 21; a needed window 21 is advised as it is,
+        since an explicit window can reach it."""
         with pytest.raises(BracketBudgetError) as err:
             bowen_dimension(CF2, 20, tol=3e-11)
         assert err.value.required_n == 21
-        assert str(err.value) == (
-            "could not certify width 3e-11 at window 19; roughly window 21 "
-            "would be needed, past window 19, the deepest that the automatic "
-            "window choice reaches at truncation 2: by this estimate, this "
-            "tolerance is out of reach at this truncation")
+        assert str(err.value) == ("could not certify width 3e-11 at window 19; "
+                                  "roughly window 21 would be needed")
 
 
 class TestRoot:
