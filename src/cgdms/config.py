@@ -355,14 +355,13 @@ def _t_grid(command: str, tg, d: int, vectors) -> list:
 def _check_window(system: SystemDescriptor, potential: PotentialVector,
                   n: int, N: int, window: int, command: str) -> None:
     """The window tables that ``command`` builds from ``numerics.window``
-    fit the table cap: the stage kernel's when it runs dp (every command
-    but ``dimension``), and the certifying transfer's for ``beta`` and
-    ``dimension``."""
+    fit the table cap: the stage kernel's (every command but
+    ``dimension``), at its :meth:`~cgdms.kernel.PressureKernel.layout`
+    window, and the certifying transfer's for ``beta`` and ``dimension``."""
     try:
         if command != "dimension":
-            mode, q = PressureKernel.layout(system, potential, n, N, window)
-            if mode == "dp":
-                WindowTransfer.check_size(N, q)
+            WindowTransfer.check_size(
+                N, PressureKernel.layout(system, potential, n, N, window))
         if command in ("beta", "dimension"):
             WindowTransfer.check_size(
                 N, WindowTransfer.window_at(system, potential, N, n, window))
@@ -375,9 +374,10 @@ def _check_steps(system: SystemDescriptor, potential: PotentialVector,
     """One stage recursion of the run's kernel makes at most
     ``STAGE_STEP_CAP`` state-steps, each step counting at least its fixed
     cost (:meth:`~cgdms.kernel.PressureKernel.stage_steps`), so no word
-    length runs for more than about a second per recursion.  A length that
-    admits no window is refused too (a given ``numerics.window`` is checked
-    by :func:`_check_window` first)."""
+    length runs for more than about a second per recursion.  A length
+    shorter than its clamped window (the potential depth, or 2 on a Markov
+    incidence) is refused too (a given ``numerics.window`` is checked by
+    :func:`_check_window` first)."""
     try:
         steps = PressureKernel.stage_steps(system, potential, n, N, window)
     except ValueError as exc:

@@ -1,23 +1,16 @@
 """Cylinder-weighted pressure sums: stage-n word sums, and the window
 transfer matrix that brackets the limit pressure.
 
-:class:`PressureKernel` evaluates stage-n sums in one of two modes with one
-result contract ((1/n)-normalized log sums over admissible length-n words,
-lower using per-cylinder infima and upper using suprema):
-
-* ``enumerate``: every word is visited once with an exact per-word bracket;
-  feasible while truncation**length stays below a cap.  One flat table
-  holds every admissible word, reduced by one vectorized compensated sum.
-
-* ``dp``: brackets are refined only to a window depth q, and the sum is a
-  transfer recursion over (q-1)-gram states on the kernel's
-  :class:`WindowTransfer`; its interval contains the enumerate-mode one.
-
-A distortion-free (similarity) family's brackets are already exact at the
-clamped window (the potential depth, and 2 on a Markov incidence), so by
-default it runs dp there and enumerates only when asked for a window equal
-to the word length, or when that clamp is the word length
-(:meth:`PressureKernel.layout`).
+:class:`PressureKernel` evaluates stage-n sums, (1/n)-normalized log sums
+over admissible length-n words, lower using per-cylinder infima and upper
+using suprema.  Its brackets are refined only to a window depth q,
+shorter than the word unless the window clamp equals it, and the sum is a
+transfer recursion over (q-1)-gram states on the kernel's own
+:class:`WindowTransfer`, so its interval contains the one of exact
+per-word brackets.  A distortion-free (similarity) family's
+brackets are already exact at the clamped window (the potential depth,
+and 2 on a Markov incidence), where the two intervals agree up to
+rounding (:meth:`PressureKernel.layout`).
 
 :class:`WindowTransfer` is the only limit-bracket object:
 log rho(L_inf) <= P <= log rho(L_sup) for its window matrix L, each radius
@@ -29,13 +22,13 @@ A table is immutable once built, its caches aside: a limit call
 warm-starts from the Perron iterates its caller passes
 (:meth:`WindowTransfer.start`), so one table serves a whole command.
 
-Every window, trailing and word table comes from one recursion on word
-length (:func:`_levels`): the family's per-word state of all L-words, in
-natural code order, is extended to all (L+1)-words by one leading symbol,
-and :class:`~cgdms.symbolic.IncidenceMatrix` extends their admissibility
-the same way, so no table builds a grid of symbols.
+Every window and trailing table comes from one recursion on word length
+(:func:`_levels`): the family's per-word state of all L-words, in natural
+code order, is extended to all (L+1)-words by one leading symbol, and
+:class:`~cgdms.symbolic.IncidenceMatrix` extends their admissibility the
+same way, so no table builds a grid of symbols.
 
-The dp closure over the trailing windows comes from the same kind of
+The closure over the trailing windows comes from the same kind of
 recursion on suffix length: the closure of the l-suffixes is that of the
 (l-1)-suffixes, repeated over one leading symbol, plus the bounds of the
 l-suffixes.  No stage sum gathers by suffix codes.
@@ -43,9 +36,8 @@ l-suffixes.  No stage sum gathers by suffix codes.
 Each reduction takes its weights at the infimum, supremum or midpoint of
 their brackets and, on request, carries their t- and beta-derivatives,
 which gives the Gibbs moments as exact derivatives of the anchored value.
-The <t, J> tables, and in enumerate mode every word's <t, J> sum, are
-kept for the last t, since a root solve or a pressure grid evaluates one
-t at many beta.
+The <t, J> tables are kept for the last t, since a root solve or a
+pressure grid evaluates one t at many beta.
 """
 
 from __future__ import annotations
@@ -58,18 +50,16 @@ import numpy as np
 
 from .potentials import PotentialVector
 from .system import SystemDescriptor
-from .util import compensated_sum
 
-EXACT_CAP = 1 << 17      # max truncation**length for per-word enumeration
-DP_WINDOW_CAP = 1 << 19  # max truncation**window for fused-mode tables
+# max truncation**level at which the window of a refinement level is the
+# level itself (:meth:`WindowTransfer.window_at`)
+EXACT_CAP = 1 << 17
+DP_WINDOW_CAP = 1 << 19  # max truncation**window of an automatic window
 TABLE_CAP = DP_WINDOW_CAP * 4  # max truncation**window of any window table
 # max state-steps of one dp stage recursion, about 1 s at 8 ns a state-step
 STAGE_STEP_CAP = 1 << 27
 # state-steps charged at least per stage step: its fixed cost, about 8 us
 STEP_FLOOR = 1 << 10
-# default weight of anchored point values: the exact per-word suprema when
-# enumerating, bracket midpoints in the transfer recursion
-_ANCHOR = {"enumerate": "sup", "dp": "mid"}
 # the point of the weight brackets that each limit bound side reads
 _SIDE = {"lower": "inf", "upper": "sup", "mid": "mid"}
 PERRON_LAZY = 0.1        # weight of v in the Perron step v <- vL + c*hi*v
@@ -88,30 +78,21 @@ def _words(N: int, length: int) -> np.ndarray:
     return syms
 
 
-def _levels(sys: SystemDescriptor, N: int, hull: tuple, top: int, *,
-            whole: bool = False):
+def _levels(sys: SystemDescriptor, N: int, hull: tuple, top: int):
     """The tables of the L-words over 1..N for L = 0, 1, ..., top, by one
     recursion on word length.  Yields (ok, state) per level: ``ok`` the
     admissibility of every L-word in natural code order (first symbol most
     significant) and ``state`` the family's per-word arrays over ``hull``
     (:meth:`~cgdms.families.MapFamily.word_step`) in the same order, for
-    every word, or with ``whole`` for the admissible words only and
-    carrying their whole-word log-derivative sums.  Level L+1 extends each
-    word of level L by one leading symbol."""
+    every word.  Level L+1 extends each word of level L by one leading
+    symbol."""
     fam, inc = sys.family, sys.incidence
-    ok, state = np.ones(1, dtype=bool), fam.word_start(hull, sums=whole)
+    ok, state = np.ones(1, dtype=bool), fam.word_start(hull)
     yield ok, state
     for L in range(1, top + 1):
         nxt = np.ones(N, dtype=bool) if L == 1 else inc.extend_admits(ok, N)
-        if whole and not nxt.all():  # pruned to the admissible words
-            codes = np.flatnonzero(nxt)
-            tails = (np.cumsum(ok) - 1)[codes % ok.size]  # ranks of the tails
-            state = fam.word_step(codes // ok.size + 1, tuple(s[tails] for s in state))
-            shape = codes.shape
-        else:
-            state = fam.word_step(np.arange(1, N + 1)[:, None], state)
-            shape = (N, ok.size)
-        state = tuple(np.broadcast_to(s, shape).ravel() for s in state)
+        state = fam.word_step(np.arange(1, N + 1)[:, None], state)
+        state = tuple(np.broadcast_to(s, (N, ok.size)).ravel() for s in state)
         ok = nxt
         yield ok, state
 
@@ -201,8 +182,11 @@ class _Tables:
                 jvals[code] = J.value(tuple(msyms[:, code]))
 
     def j_dot(self, t: np.ndarray) -> np.ndarray:
-        """<t, J> on admissible depth-m words; -inf marks inadmissible."""
-        u = self.jvals @ t
+        """<t, J> on admissible depth-m words; -inf marks inadmissible.  A
+        value that overflows to +-inf or NaN is left to
+        :meth:`WindowTransfer.weights` to report."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = self.jvals @ t
         u[~self.mvalid] = -math.inf
         return u
 
@@ -232,7 +216,7 @@ class WindowTransfer:
     and window q: the weights of the admissible q-symbol windows over
     (q-1)-gram states, laid out in the transfer order of :func:`_step`,
     and the Collatz-Wielandt bracket of its spectral radius, which brackets
-    the limit pressure.  A dp-mode :class:`PressureKernel` runs its stage
+    the limit pressure.  A :class:`PressureKernel` runs its stage
     recursion on one, which never reads the Perron classes; each certified
     quantity is bracketed on it from a Perron start of its own.
 
@@ -294,9 +278,9 @@ class WindowTransfer:
                   level: int, window: Optional[int] = None) -> int:
         """The clamped ``window``, or absent one the window of refinement
         ``level``: exact (distortion-free) brackets need only potential
-        depth and Markov memory; otherwise it is ``level`` while its words
-        could be enumerated, else the deepest window below ``level`` whose
-        table fits."""
+        depth and Markov memory; otherwise it is ``level`` while
+        N**level stays within EXACT_CAP, else the deepest window below
+        ``level`` whose table fits."""
         if window is None:
             window = 1
             if not sys.family.distortion_free:
@@ -322,16 +306,19 @@ class WindowTransfer:
     def weights(self, t, beta, which):
         """(base, ew): window weights exp(w - base) at the ``which`` point
         of their brackets, in transfer order, base being the largest
-        admissible log weight w."""
+        admissible log weight w (-inf, with zero weights, when every w is
+        -inf).  ArithmeticError when an admissible w is +inf or NaN, which
+        no weight scale represents."""
         w = self.j_dot(t)[1] + beta * self.ld[which]
         if not self.all_valid:
             w[~self.valid] = -math.inf
         base = float(w.max())
-        if not math.isfinite(base):  # no admissible window, or +-inf/nan
-            finite = w[np.isfinite(w)]
-            if finite.size == 0:
-                return -math.inf, np.zeros(w.size)
-            base = float(finite.max())
+        if not base < math.inf:
+            raise ArithmeticError(
+                f"a log weight <t, J> + beta*log|phi'| is +inf or NaN at "
+                f"t={t.tolist()}, beta={beta}")
+        if base == -math.inf:
+            return base, np.zeros(w.size)
         return base, np.exp(w - base)
 
     @cached_property
@@ -415,7 +402,11 @@ class WindowTransfer:
 
 class PressureKernel:
     """Evaluates bracketed and anchored stage-n pressure sums for one
-    system, potential, truncation, word length, and window depth."""
+    system, potential, truncation, word length, and window depth, by the
+    transfer recursion on its own :class:`WindowTransfer`."""
+
+    # the one evaluation mode, the window recursion; bench/tracing.py reads it
+    mode = "dp"
 
     def __init__(self, sys: SystemDescriptor, J: PotentialVector, *,
                  n: int, N: Optional[int] = None, window: Optional[int] = None):
@@ -423,14 +414,8 @@ class PressureKernel:
             raise ValueError("word length must be >= 1")
         N = sys.effective_truncation(N)
         self.sys, self.J, self.n, self.N = sys, J, n, N
-        self.mode, self.window = self.layout(sys, J, n, N, window)
+        self.window = self.layout(sys, J, n, N, window)
         self._derivs: dict = {}
-        if self.mode == "enumerate":
-            self.transfer = None
-            self.tables = _Tables(sys, J, N)
-            self._jkey = None
-            self._build_exact()
-            return
         # log-derivative ranges of the trailing l-cylinders, l < q, from the
         # transfer's own recursion
         self._trail_ld: dict = {}
@@ -439,143 +424,46 @@ class PressureKernel:
 
     @staticmethod
     def layout(sys: SystemDescriptor, J: PotentialVector, n: int, N: int,
-               window: Optional[int] = None) -> tuple:
-        """(mode, window) of the stage-n kernel over edges <= N: ``window``,
-        else n while the words fit or the window of level n, clamped but no
-        longer than the word; a dp window must be shorter than the word.
+               window: Optional[int] = None) -> int:
+        """The window of the stage-n kernel over edges <= N: ``window``,
+        else the window of level n (:meth:`WindowTransfer.window_at`),
+        clamped.  A window that reaches the word length falls back to the
+        clamp of n-1, which may equal n (one transfer step); ValueError
+        when even that clamp is past n.
 
         A distortion-free family has exact brackets at the clamped window
         (:meth:`WindowTransfer.clamp`), so absent ``window`` it takes the
-        dp recursion there, in (n-q+1)*N**q work, and enumerates only when
-        that clamp is the word length; an explicit ``window`` equal to the
-        word length still enumerates when the words fit.  Depth-1 stage
-        sums are those of enumeration up to rounding; at depth >= 2 the
-        anchored value reads the midpoint of the trailing-window J bounds
-        where enumeration reads their sup, and ``values`` is unchanged."""
-        window = min(WindowTransfer.window_at(sys, J, N, n, window),
-                     max(n, J.depth))
-        if window == n and N ** n <= EXACT_CAP:
-            return "enumerate", window
+        recursion there, in (n-q+1)*N**q work, and its sums are those of
+        exact per-word brackets up to rounding.  Any other family takes
+        window n-1 while N**n stays within EXACT_CAP; its brackets contain
+        the exact per-word ones."""
+        window = WindowTransfer.window_at(sys, J, N, n, window)
         if window >= n:
             window = WindowTransfer.clamp(sys, J, max(1, n - 1))
-            if window >= n:
+            if window > n:
                 raise ValueError(
-                    f"words of length {n} with potential depth {J.depth} admit "
-                    "no window shorter than the word; raise the length or "
-                    "shrink the truncation")
-        return "dp", window
+                    f"words of length {n} are shorter than its clamped window "
+                    f"{window} (the potential depth {J.depth}, and 2 on a Markov "
+                    "incidence); raise the length")
+        return window
 
     @classmethod
     def stage_steps(cls, sys: SystemDescriptor, J: PotentialVector, n: int,
                     N: int, window: Optional[int] = None) -> int:
         """State-steps of one stage recursion of the :meth:`layout` kernel:
-        (n - q + 1) * max(N**(q-1), STEP_FLOOR) at a dp window q >= 2, each
-        step charged at least its fixed cost; none at window 1 or when
-        enumerating."""
-        mode, q = cls.layout(sys, J, n, N, window)
-        if mode == "enumerate" or q == 1:
-            return 0
-        return (n - q + 1) * max(N ** (q - 1), STEP_FLOOR)
+        (n - q + 1) * max(N**(q-1), STEP_FLOOR) at a window q >= 2, each
+        step charged at least its fixed cost; none at window 1."""
+        q = cls.layout(sys, J, n, N, window)
+        return 0 if q == 1 else (n - q + 1) * max(N ** (q - 1), STEP_FLOOR)
 
     # unused in the package; bench/tracing.py looks it up by name
     def with_length(self, n: int) -> "PressureKernel":
-        """Same tables, longer words; only meaningful in dp mode."""
+        """Same tables, longer words."""
         clone = object.__new__(PressureKernel)
         clone.__dict__.update(self.__dict__)
         clone.n = n
-        if clone.mode == "enumerate" and n != self.n:
-            raise ValueError("cannot change length of an enumerate-mode kernel")
         return clone
 
-    # -- enumerate mode ---------------------------------------------------
-    def _build_exact(self):
-        """The flat word table: per admissible word, in natural
-        (lexicographic) code order, its log-derivative bracket, exact
-        potential sum and the codes of its trailing windows.  The brackets
-        are level n of :func:`_levels`, pruned to admissible words at every
-        level and carrying the log-derivative sums."""
-        N, n, hull = self.N, self.n, self.tables.hull
-        for ok, state in _levels(self.sys, N, hull, n, whole=True):
-            pass
-        ld_lo, ld_hi = self.sys.family.word_bracket(state, hull)
-        del state
-        codes = np.flatnonzero(ok)
-        jsum = self._word_jsums()
-        self._table = {
-            "ld_lo": ld_lo, "ld_hi": ld_hi,
-            "jsum": jsum if codes.size == ok.size else jsum[codes],
-            # trailing windows: the codes of the suffixes of length l < m
-            "tcodes": {l: codes % N ** l for l in range(1, self.J.depth)},
-        }
-        # a one-element list read only by bench/tracing.py, which counts
-        # the enumerated words over its entries
-        self._parts = [self._table]
-
-    def _word_jsums(self) -> np.ndarray:
-        """Exact potential sums of every length-n word, indexed by word
-        code: its windows i = 0..n-m, window i covering symbols i..i+m-1,
-        added left to right.  A word of length L is its (L-1)-symbol head
-        plus one symbol, and its last window is its last m symbols, so each
-        length takes one broadcast addition; inadmissible m-grams read 0."""
-        N, n, m, d = self.N, self.n, self.J.depth, self.J.dim
-        jvals = self.tables.jvals
-        s = jvals
-        for L in range(m + 1, n + 1):
-            s = (s.reshape(N ** (L - m), N ** (m - 1), 1, d)
-                 + jvals.reshape(1, N ** (m - 1), N, d)).reshape(N ** L, d)
-        return s
-
-    def _enum_j(self, t) -> tuple:
-        """(trailing-window bounds by length, every word's <t, J> sum), kept
-        for the last t."""
-        key = t.tobytes()
-        if self._jkey != key:
-            tab = self.tables
-            u = tab.j_dot(t)
-            trail = {l: tab.part_j_bounds(l, u) for l in self._table["tcodes"]}
-            self._jkey, self._jt = key, (trail, self._table["jsum"] @ t)
-        return self._jt
-
-    def _enum_logsum(self, t, beta, which, grad):
-        """Per-word reduction over the flat table: every word's exponent at
-        the ``which`` point of its bracket, scaled by the largest and summed
-        in one compensated sum.  With ``grad`` the same sum carries the same
-        weights times the t- and -beta-derivatives of their exponents, as
-        the columns of one (M, d+2) array: the word's J sum plus the J of
-        the trailing completions attaining the picked bound (their mean at
-        'mid'), and -ld.  Column 0 is the weight itself, summed exactly as
-        without ``grad``."""
-        tab, tbl, d = self.tables, self._table, self.J.dim
-        trail, base = self._enum_j(t)
-
-        def exponents(side):
-            e = base + beta * _pick(tbl["ld_lo"], tbl["ld_hi"], side)
-            for l, code in tbl["tcodes"].items():
-                e = e + _pick(trail[l][0], trail[l][1], side)[code]
-            return e
-
-        w = (_pick(exponents("inf"), exponents("sup"), which) if which == "mid"
-             else exponents(which))
-        mx = float(w.max(initial=-math.inf))
-        if mx == -math.inf:
-            return -math.inf, None, None
-        wts = np.exp(w - mx)
-        if not grad:
-            return (mx + math.log(compensated_sum(wts))) / self.n, None, None
-        dj = tbl["jsum"]
-        for l, code in tbl["tcodes"].items():
-            _, _, clo, chi = trail[l]
-            dj = dj + _pick(tab.jvals[clo], tab.jvals[chi], which)[code]
-        cols = np.empty((wts.size, d + 2), order="F")
-        cols[:, 0] = wts
-        np.multiply(wts[:, None], dj, out=cols[:, 1:d + 1])
-        np.multiply(wts, -_pick(tbl["ld_lo"], tbl["ld_hi"], which), out=cols[:, d + 1])
-        sums = compensated_sum(cols)
-        scale = sums[0] * self.n
-        return ((mx + math.log(sums[0])) / self.n, sums[1:d + 1] / scale,
-                float(sums[d + 1] / scale))
-
-    # -- dp mode ----------------------------------------------------------
     def _window_derivs(self, which) -> np.ndarray:
         """(N**q, d+1): the t- and -beta-derivatives (J and -ld) of the
         window log weights at ``which``, in natural window order; kept per
@@ -589,8 +477,13 @@ class PressureKernel:
             self._derivs[which] = dW
         return self._derivs[which]
 
-    def _dp_logsum(self, t, beta, which, grad):
-        """Transfer recursion over (q-1)-gram states with the window weights
+    def _logsum(self, t, beta, which: str, grad: bool = False) -> tuple:
+        """(value, J quotient, I quotient): the stage-n normalized log sum
+        with every weight taken at the 'inf', 'sup' or 'mid' point of its
+        bracket, and with ``grad`` its derivatives in t and -beta (None
+        without).
+
+        A transfer recursion over (q-1)-gram states with the window weights
         at the ``which`` point of their brackets, closed by the trailing
         windows.  With ``grad`` a (S, d+1) accumulator, advanced by the same
         steps as batched products, carries the t- and -beta-derivatives (J
@@ -602,6 +495,7 @@ class PressureKernel:
         over one leading symbol, plus the J bound and beta times the
         log-derivative bound of each l-suffix, whose J bound from l = m on
         is that of its first m symbols, repeated over the rest."""
+        t = np.atleast_1d(np.asarray(t, dtype=float))
         tab, N, q, n, d, m = (self.tables, self.N, self.window, self.n,
                               self.J.dim, self.J.depth)
         base, ew = self.transfer.weights(t, beta, which)
@@ -672,15 +566,6 @@ class PressureKernel:
         return value, jq, float((A[:, d] * E).sum()) / z / n
 
     # -- public evaluations -----------------------------------------------
-    def _logsum(self, t, beta, which: str, grad: bool = False) -> tuple:
-        """(value, J quotient, I quotient): the stage-n normalized log sum
-        with every weight taken at the 'inf', 'sup' or 'mid' point of its
-        bracket, and with ``grad`` its derivatives in t and -beta (None
-        without)."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        reduce = self._dp_logsum if self.mode == "dp" else self._enum_logsum
-        return reduce(t, beta, which, grad)
-
     def values(self, t, beta) -> tuple:
         """Certified (lower, upper) of the stage-n normalized log sum."""
         return (self._logsum(t, beta, "inf")[0], self._logsum(t, beta, "sup")[0])
@@ -691,24 +576,21 @@ class PressureKernel:
         return self._logsum(t, beta, "inf" if side == "lower" else "sup")[0]
 
     def value(self, t, beta) -> float:
-        """Anchored point value: sup weights in enumerate mode (the exact
-        per-word suprema), bracket midpoints in dp mode, which a
-        distortion-free family takes by default (:meth:`layout`)."""
-        return self._logsum(t, beta, _ANCHOR[self.mode])[0]
+        """Anchored point value: every weight at the midpoint of its
+        bracket."""
+        return self._logsum(t, beta, "mid")[0]
 
     def moments(self, t, beta):
         """(value, J quotient, I quotient) under the anchored weights.
 
-        One reduction yields all three, so the value is :meth:`value`
-        bit for bit (in enumerate mode the weights are column 0 of the one
-        compensated sum, which reduces every column independently) and the
-        quotients are the exact partial derivatives of it with respect to
-        t and -beta, at every potential depth: a trailing window
-        contributes the J of the completion its anchored bound picks.
-        Finite differences of the anchored root and these quotients agree
-        up to differencing error by construction.
+        One reduction yields all three, so the value is :meth:`value` bit
+        for bit and the quotients are the exact partial derivatives of it
+        with respect to t and -beta, at every potential depth: a trailing
+        window contributes the J of the completion its anchored bound
+        picks.  Finite differences of the anchored root and these
+        quotients agree up to differencing error by construction.
         """
-        return self._logsum(t, beta, _ANCHOR[self.mode], grad=True)
+        return self._logsum(t, beta, "mid", grad=True)
 
     def tail_weight(self, t, beta) -> float:
         """Per-step weight neglected beyond the truncation: 0 once the

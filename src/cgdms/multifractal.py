@@ -143,11 +143,11 @@ class BetaSolver:
     def transfer(self) -> WindowTransfer:
         """The window transfer that certifies every beta, at the window of
         :meth:`~cgdms.kernel.WindowTransfer.window_at` (``window``, or the
-        choice of level n): the stage kernel's own when it runs the window
-        recursion there, else one built on first use."""
+        choice of level n): the stage kernel's own when its window is that
+        one, else one built on first use."""
         kern = self.kern
         q = WindowTransfer.window_at(self.sys, self.J, kern.N, kern.n, self._window)
-        if kern.transfer is not None and kern.window == q:
+        if kern.window == q:
             return kern.transfer
         return WindowTransfer(self.sys, self.J, kern.N, q)
 

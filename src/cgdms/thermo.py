@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
@@ -59,7 +60,6 @@ class PressureBracket:
     N: int
     tail_bound: float
     window: int
-    method: str
 
     @property
     def enclosure(self) -> Enclosure:
@@ -98,9 +98,10 @@ def pressure_bracket(sys: SystemDescriptor, J: Optional[PotentialVector],
     """Bracket the stage-n pressure sum of <t,J> - beta*I over edges <= N.
 
     The lower endpoint uses per-cylinder infima, the upper endpoint
-    suprema; in the fused (dp) mode the returned interval contains the
-    per-word interval for the same stage.  ``workers`` is accepted for
-    compatibility and ignored: the kernel runs single-threaded.
+    suprema, both refined to the kernel's window, so the returned interval
+    contains the one of exact per-word brackets for the same stage.
+    ``workers`` is accepted for compatibility and ignored: the kernel runs
+    single-threaded.
     """
     if J is None:
         J = potentials.zero(max(1, len(query.t_coeff)))
@@ -111,7 +112,7 @@ def pressure_bracket(sys: SystemDescriptor, J: Optional[PotentialVector],
     lo, hi = kern.values(np.asarray(query.t_coeff), query.beta_coeff)
     tail = kern.tail_weight(np.asarray(query.t_coeff), query.beta_coeff)
     return PressureBracket(lower=lo, upper=hi, n=kern.n, N=kern.N,
-                           tail_bound=tail, window=kern.window, method=kern.mode)
+                           tail_bound=tail, window=kern.window)
 
 
 def estimate_theta(sys: SystemDescriptor) -> ThetaResult:
@@ -171,17 +172,30 @@ def anchored_pressure_root(kern: PressureKernel, t) -> float:
     return _root(lambda b: kern.value(t, b))
 
 
+def _ends(est: float, half: float) -> tuple:
+    """(lo, hi) of an enclosure of ``est`` no wider than 2*half: est -/+
+    half shaved by 1e-6 relative and rounded to floats, lo clipped at the
+    floor, and hi pulled in by ulps until hi - lo <= 2*half holds exactly.
+    From about half 5e-10 up the shave spans a few ulps, so no end is
+    pulled."""
+    shaved = half * (1.0 - 1e-6)
+    lo, hi = max(est - shaved, BETA_FLOOR), est + shaved
+    while Fraction(hi) - Fraction(lo) > 2 * Fraction(half):
+        hi = math.nextafter(hi, -math.inf)
+    return lo, hi
+
+
 def _certifies(transfer: WindowTransfer, t, est: float, half: float,
                start: Optional[list] = None) -> Optional[Enclosure]:
-    """The enclosure [est - half, est + half], clipped at the floor, if the
-    lower limit bound is positive on its left end (nonnegative at the
-    floor) and the upper limit bound negative on its right end; else None.
+    """The enclosure between the :func:`_ends` of est +/- half if the
+    lower limit bound is positive at its left end (nonnegative at the
+    floor) and the upper limit bound negative at its right end; else None.
     Only the two signs are asked for (:meth:`WindowTransfer.limit_sign`),
     so each Perron iteration stops once its sign is settled."""
-    left = max(est - half, BETA_FLOOR)
-    if (transfer.limit_sign(t, left, "lower", strict=left > BETA_FLOOR, start=start)
-            and transfer.limit_sign(t, est + half, "upper", start=start)):
-        return Enclosure(left, est + half)
+    lo, hi = _ends(est, half)
+    if (transfer.limit_sign(t, lo, "lower", strict=lo > BETA_FLOOR, start=start)
+            and transfer.limit_sign(t, hi, "upper", start=start)):
+        return Enclosure(lo, hi)
     return None
 
 
@@ -189,23 +203,22 @@ def certified_pressure_zero(transfer: WindowTransfer, t, tol: float) -> tuple:
     """(enclosure, estimate) of the zero in beta of the limit pressure of
     <t,J> - beta*I over the truncated system, from one window transfer: the
     estimate is the zero of the 'mid' limit bound, certified as
-    est +/- tol/2 by :func:`_certifies`.  The two signs hold whatever the
-    estimate, so it is solved only to ESTIMATE_SHARE of ``tol``, on 'mid'
-    bounds whose Perron iterations stop at a matching spread.  Both run
-    from one fresh Perron start, whatever was asked of the transfer
-    before.  Failing that, the half-width is doubled until it certifies,
-    and :class:`BracketBudgetError` carries that enclosure as ``best`` and
-    the window needed for ``tol`` as ``required_n``, saying when that
-    window is past the deepest that the table cap admits.
+    est +/- tol/2 by :func:`_certifies`, in an enclosure no wider than
+    ``tol``.  The two signs hold whatever the estimate, so it is solved
+    only to ESTIMATE_SHARE of ``tol``, on 'mid' bounds whose Perron
+    iterations stop at a matching spread.  Both run from one fresh Perron
+    start, whatever was asked of the transfer before.  Failing that, the
+    half-width is doubled until it certifies, and
+    :class:`BracketBudgetError` carries that enclosure as ``best`` and the
+    window needed for ``tol`` as ``required_n``, saying when that window
+    is past the deepest that the table cap admits.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     start = transfer.start()
     xtol = max(ROOT_XTOL, tol * ESTIMATE_SHARE)
     est = _root(lambda b: transfer.limit_bound(t, b, "mid", rtol=xtol / 4,
                                                start=start), xtol)
-    # shaved slightly below tol/2 so the reported width respects tol even
-    # after float rounding of the endpoints
-    half = 0.5 * tol * (1.0 - 1e-6)
+    half = 0.5 * tol
     for k in range(61):
         best = _certifies(transfer, t, est, half * 2.0 ** k, start)
         if best is not None and k == 0:

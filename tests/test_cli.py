@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -83,6 +84,20 @@ class TestPressureCommand:
         rows = read_body(tmp_path / "o" / "pressure.csv").splitlines()[1:]
         assert len(rows) == 6
         assert len(builds) == 1
+
+    def test_overflowing_weights_exit_two(self, tmp_path, capsys):
+        """A log weight that overflows to +inf (1e300 times t = 1e10) is no
+        bracket: exit 2 with one line naming t and beta, and no row."""
+        doc = {"system": {"kind": "moebius-cf", "alphabet": 3},
+               "potential": {"kind": "table",
+                             "values": {"1": [1e300], "2": [0], "3": [0]}},
+               "numerics": {"word_length": 10},
+               "pressure": {"t_points": [[1e10]], "beta_grid": [0.5]}}
+        cfg = write_config(tmp_path, doc)
+        assert main(["pressure", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "t=[10000000000.0], beta=0.5" in err[0], err
+        assert not (tmp_path / "o" / "pressure.csv").exists()
 
     def test_malformed_negative_beta_exit_one(self, tmp_path, capsys):
         doc = dict(CF2_CONFIG)
@@ -200,24 +215,24 @@ class TestDimensionCommand:
     def test_explicit_window_certifies_past_the_automatic_choice(self, tmp_path,
                                                                 capsys):
         """cf2 at tol 5e-11: the automatic window 19 fails and advises
-        window 21, which the table cap admits, so the tolerance is not
-        called out of reach; ``numerics.window`` 20 certifies it around
-        dim E_2 = 0.531280506277205 (Jenkinson-Pollicott)."""
+        window 20, from a best enclosure at most twice tol wide, which the
+        table cap admits, so the tolerance is not called out of reach;
+        ``numerics.window`` 20 certifies it around dim E_2 =
+        0.531280506277205 (Jenkinson-Pollicott), at most tol wide."""
         doc = {"system": {"kind": "moebius-cf", "alphabet": 2},
                "numerics": {"word_length": 20, "truncation": 2,
                             "tolerance": 5e-11}}
         cfg = write_config(tmp_path, doc, "auto.json")
         assert main(["dimension", "--config", cfg, "--out", str(tmp_path / "a")]) == 2
         err = capsys.readouterr().err
-        assert "at window 19; roughly window 21 would be needed\n" in err
+        assert "at window 19; roughly window 20 would be needed\n" in err
         assert "out of reach" not in err
         doc["numerics"]["window"] = 20
         cfg = write_config(tmp_path, doc, "w20.json")
         assert main(["dimension", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         dim = json.loads((tmp_path / "o" / "dimension.json").read_text())["hausdorff_dim"]
         assert dim["lo"] <= 0.531280506277205 <= dim["hi"]
-        # the endpoints est -/+ tol/2 are rounded to floats, an ulp apart
-        assert dim["hi"] - dim["lo"] <= 5e-11 + math.ulp(dim["hi"])
+        assert Fraction(dim["hi"]) - Fraction(dim["lo"]) <= Fraction(5e-11)
 
 
 class TestBetaCommand:
@@ -291,10 +306,10 @@ class TestBetaCommand:
         assert builds == ["PressureKernel", "WindowTransfer"]
 
     def test_one_certifying_table_for_three_t_points(self, tmp_path, monkeypatch):
-        """A stage kernel that enumerates (cf3 at word length 8) has no
-        transfer, so the run builds one certifying transfer, at window 8,
-        and certifies all three t-points on it; the repeated point writes
-        the same row."""
+        """A stage kernel whose window is shorter than the certifying one
+        (cf3 at word length 8: stage window 7, certifying window 8) leaves
+        the run to build one certifying transfer, at window 8, and certify
+        all three t-points on it; the repeated point writes the same row."""
         builds = self._count_builds(monkeypatch)
         t1, t2 = [0.7, -0.4], [0.1, 0.3]
         doc = dict(self.MOD_CF3, numerics={"word_length": 8, "tolerance": 0.05},
@@ -303,7 +318,7 @@ class TestBetaCommand:
         assert main(["beta", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         rows = read_body(tmp_path / "o" / "beta.csv").splitlines()
         assert len(rows) == 4 and rows[1] == rows[3]
-        assert builds == ["PressureKernel", "WindowTransfer"]
+        assert builds == ["PressureKernel", "WindowTransfer", "WindowTransfer"]
 
     def test_markov_window_one_is_window_two(self, tmp_path):
         """On a Markov incidence window 1 is clamped to 2 for the
@@ -572,13 +587,26 @@ class TestConfigValidation:
     @pytest.mark.parametrize("window,field", [
         (None, "numerics.word_length"), (1, "numerics.window")])
     def test_no_window_shorter_than_the_word(self, tmp_path, capsys, window, field):
-        """200000 symbols are too many to enumerate even at length 1, and a
-        dp window must be shorter than the word: refused before any work,
-        whether or not a window is given."""
-        doc = dict(CF2_CONFIG, system={"kind": "moebius-cf"},
-                   numerics={"word_length": 1, "truncation": 200000, "window": window})
+        """A Markov incidence clamps every window to 2, past word length 1:
+        refused before any work, whether or not a window is given."""
+        doc = {"system": {"kind": "similarity", "ratios": [0.5, 0.5],
+                          "offsets": [0.0, 0.5], "incidence": [[1, 1], [1, 0]]},
+               "numerics": {"word_length": 1, "window": window},
+               "pressure": {"beta_grid": [0.5]}}
         err = self._rejected(tmp_path, capsys, "pressure", doc, field)
-        assert "no window shorter than the word" in err
+        assert "shorter than its clamped window 2" in err
+
+    def test_word_length_one_at_a_large_truncation(self, tmp_path):
+        """Words of one symbol over 200000 take window 1, the clamp of the
+        full shift, in one transfer step."""
+        doc = dict(CF2_CONFIG, system={"kind": "moebius-cf"},
+                   numerics={"word_length": 1, "truncation": 200000},
+                   pressure={"beta_grid": [1.0]})
+        cfg = write_config(tmp_path, doc)
+        assert main(["pressure", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        row = read_body(tmp_path / "o" / "pressure.csv").splitlines()[1].split(",")
+        lower, upper, n, N = float(row[2]), float(row[3]), row[4], row[5]
+        assert (n, N) == ("1", "200000") and lower < upper
 
     @pytest.mark.parametrize("command,t_grid,field", [
         ("spectrum", {"min": [-1.0, -1.0], "max": [1.0, 1.0], "points": 200000},
@@ -813,8 +841,9 @@ class TestConfigValidation:
         assert "24**5" in err
 
     def test_certifier_alone_over_the_cap(self, tmp_path, capsys):
-        """At word length 3 the cf24 stage kernel enumerates (24**3 words),
-        so only the certifying transfer at window 5 passes the cap."""
+        """At word length 3 the cf24 stage kernel runs at window 2 (24**2
+        entries), so only the certifying transfer at window 5 passes the
+        cap."""
         doc = {"system": {"kind": "moebius-cf", "alphabet": 24},
                "potential": self.CF_SETS["potential"],
                "numerics": {"word_length": 3, "truncation": 24, "window": 5,

@@ -2,21 +2,23 @@
 code.
 
 A depth-m potential leaves the last m-1 windows of every word without a
-full argument; both kernel modes bracket them by the inf/sup over
-admissible completions.  The brute-force sums here visit every word with
-``itertools``, take each word's derivative at the fixed point of its
-composed map, and resolve the trailing windows by the same inf/sup over
-completions, so they must lie inside the enumerate bracket, which in turn
-lies inside the dp brackets.  The Gibbs quotients of ``moments`` must be
-the derivatives of the anchored ``value``, trailing windows included.
-The dp recursion must also reproduce, bit for bit, the recursion it
-replaced, which is written out here as the reference, and the sign test
-that certification asks must answer as the fully converged bounds do.
+full argument; the kernel brackets them by the inf/sup over admissible
+completions.  The brute-force sums here visit every word with
+``itertools`` and resolve the trailing windows by the same inf/sup over
+completions.  Sums that take each word's derivative at the fixed point of
+its composed map lie inside those of its exact per-word derivative
+bracket, which in turn lie inside the kernel's bracket at every window.
+The Gibbs quotients of ``moments`` must be the derivatives of the
+anchored ``value``, trailing windows included.  The transfer recursion
+must also reproduce, bit for bit, the recursion it replaced, which is
+written out here as the reference, and the sign test that certification
+asks must answer as the fully converged bounds do.
 """
 
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -27,8 +29,9 @@ from scipy.sparse.csgraph import connected_components
 from cgdms import potentials
 from cgdms.kernel import (EXACT_CAP, PERRON_ITER_CAP, PERRON_LAZY,
                           PressureKernel, WindowTransfer, _pick, _words)
-from cgdms.system import similarity_system, truncated_cf_system
-from cgdms.thermo import BETA_FLOOR, _certifies, _root
+from cgdms.symbolic import IncidenceMatrix
+from cgdms.system import SystemDescriptor, similarity_system, truncated_cf_system
+from cgdms.thermo import BETA_FLOOR, _certifies, _ends, _root
 
 N_WORDS = 8
 T = np.array([0.7, -0.4])
@@ -72,45 +75,68 @@ CASES = {
 }
 
 
-def _brute_force(maps, admissible, J, beta):
-    """(lower, upper) stage-n sums over every admissible word."""
+def _fixed_point_ld(maps):
+    """log|phi_w'| at the fixed point of each word's composed map, as a
+    bracket of zero width."""
     phi, dlog = maps
-    m = J.depth
 
-    def ok(w):
-        return all(admissible(w[i], w[i + 1]) for i in range(len(w) - 1))
-
-    lows, highs = [], []
-    for w in itertools.product((1, 2), repeat=N_WORDS):
-        if not ok(w):
-            continue
+    def ld(w):
         x = 0.5
         for _ in range(200):
             for k in reversed(w):
                 x = phi(k, x)
         geo = 0.0
-        y = x
         for k in reversed(w):
-            geo += dlog(k, y)
-            y = phi(k, y)
-        full = sum(float(T @ J.value(w[i:i + m])) for i in range(N_WORDS - m + 1))
-        # each trailing window of length l < m, over its admissible
-        # completions to an m-word
-        low = high = full + beta * geo
+            geo += dlog(k, x)
+            x = phi(k, x)
+        return geo, geo
+
+    return ld
+
+
+def _exact_ld(sys, N=2):
+    """The exact bracket of log|phi_w'| over the hull of the kernel's
+    tables, one word at a time from the family's closed form."""
+    hull = sys.hull(N)
+    return lambda w: sys.family.word_log_deriv_range(w, hull)
+
+
+def _logsum(v, n):
+    top = max(v, default=-math.inf)
+    if top == -math.inf:
+        return top
+    return (top + math.log(math.fsum(math.exp(x - top) for x in v))) / n
+
+
+def _brute_force(admissible, J, t, beta, ld, n=N_WORDS, N=2):
+    """(lower, upper, mid) stage-n sums over every admissible word w: the
+    exact <t, J> sum of w plus beta times the ends of its bracket ``ld(w)``,
+    each trailing window of length l < m bracketed by the inf/sup over its
+    admissible completions to an m-word (-inf without one, so the word
+    weighs 0); 'mid' weighs each word at the midpoint of its two
+    exponents."""
+    m = J.depth
+
+    def ok(w):
+        return all(admissible(a, b) for a, b in zip(w, w[1:]))
+
+    lows, highs = [], []
+    for w in itertools.product(range(1, N + 1), repeat=n):
+        if not ok(w):
+            continue
+        full = sum(float(t @ J.value(w[i:i + m])) for i in range(n - m + 1))
+        lo, hi = ld(w)
+        low, high = full + beta * lo, full + beta * hi
         for l in range(1, m):
-            tail = [float(T @ J.value(w[-l:] + c))
-                    for c in itertools.product((1, 2), repeat=m - l)
+            tail = [float(t @ J.value(w[-l:] + c))
+                    for c in itertools.product(range(1, N + 1), repeat=m - l)
                     if ok(w[-l:] + c)]
-            low += min(tail)
-            high += max(tail)
+            low += min(tail, default=-math.inf)
+            high += max(tail, default=-math.inf)
         lows.append(low)
         highs.append(high)
-
-    def logsum(v):
-        m = max(v)
-        return (m + math.log(math.fsum(math.exp(x - m) for x in v))) / N_WORDS
-
-    return logsum(lows), logsum(highs)
+    return (_logsum(lows, n), _logsum(highs, n),
+            _logsum([0.5 * (a + b) for a, b in zip(lows, highs)], n))
 
 
 # (case, potential): the depth-3 potential reads two-symbol suffixes and
@@ -121,29 +147,76 @@ BRUTE_CASES.update({f"{name}-depth3": (name, J3) for name in CASES})
 
 @pytest.mark.parametrize("name", sorted(BRUTE_CASES))
 def test_enumerate_bracket_contains_brute_force(name):
+    """The sums of exact per-word brackets, enumerated here, contain those
+    of the fixed-point derivatives and lie inside the kernel's bracket at
+    the longest window that words of this length take: window=n runs at
+    n-1."""
     case, J = BRUTE_CASES[name]
     sys, maps, admissible = CASES[case]
     kern = PressureKernel(sys, J, n=N_WORDS, window=N_WORDS)
-    assert kern.mode == "enumerate"
+    assert kern.window == N_WORDS - 1
     for beta in BETAS:
         lo, hi = kern.values(T, beta)
-        blo, bhi = _brute_force(maps, admissible, J, beta)
-        assert blo <= bhi
-        assert lo <= blo + EPS and bhi <= hi + EPS, (beta, lo, blo, bhi, hi)
+        elo, ehi, _ = _brute_force(admissible, J, T, beta, _exact_ld(sys))
+        blo, bhi, _ = _brute_force(admissible, J, T, beta, _fixed_point_ld(maps))
+        assert elo <= blo + EPS and bhi <= ehi + EPS, (beta, elo, blo, bhi, ehi)
+        assert lo <= elo + EPS and ehi <= hi + EPS, (beta, lo, elo, ehi, hi)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 @pytest.mark.parametrize("window", (2, 3))
 def test_dp_brackets_contain_enumerate(name, window):
-    sys = CASES[name][0]
-    enum = PressureKernel(sys, J2, n=N_WORDS, window=N_WORDS)
-    assert enum.mode == "enumerate"
+    """The kernel's brackets at windows 2 and 3 contain the sums of exact
+    per-word brackets, enumerated here."""
+    sys, _, admissible = CASES[name]
     dp = PressureKernel(sys, J2, n=N_WORDS, window=window)
-    assert dp.mode == "dp" and dp.window == window
+    assert dp.window == window
     for beta in BETAS:
-        lo, hi = enum.values(T, beta)
+        lo, hi, _ = _brute_force(admissible, J2, T, beta, _exact_ld(sys))
         dlo, dhi = dp.values(T, beta)
         assert dlo <= lo + EPS and hi <= dhi + EPS, (beta, dlo, lo, hi, dhi)
+
+
+@st.composite
+def brute_cases(draw):
+    """A system on N in 2..3 symbols, the full continued-fraction shift or
+    similarity maps on a random incidence with an infinite word, a depth-1
+    or depth-2 table potential of values in [-2, 2], and a word length
+    from the clamped window to 7 symbols (6 at N = 3)."""
+    N = draw(st.integers(2, 3))
+    if draw(st.booleans()):
+        sys = truncated_cf_system(N)
+    else:
+        rows = draw(st.lists(st.lists(st.integers(0, 1), min_size=N, max_size=N),
+                             min_size=N, max_size=N))
+        # a word of N+1 symbols repeats one, so its cycle runs forever
+        assume(np.linalg.matrix_power(np.array(rows), N).any())
+        ratios = draw(st.lists(st.floats(0.05, 0.9 / N), min_size=N, max_size=N))
+        sys = similarity_system(ratios, incidence=rows)
+    depth = draw(st.integers(1, 2))
+    vals = draw(st.lists(st.floats(-2.0, 2.0), min_size=N ** depth, max_size=N ** depth))
+    table = dict(zip(itertools.product(range(1, N + 1), repeat=depth), vals))
+    J = potentials.depth_m(lambda w: [table[tuple(w)]], dim=1, depth=depth,
+                           bound=2.0)
+    n = draw(st.integers(WindowTransfer.clamp(sys, J, 1), 7 if N == 2 else 6))
+    t = np.array([draw(st.floats(-1.0, 1.0))])
+    return sys, J, n, N, t, draw(st.floats(0.0, 2.0))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(brute_cases())
+def test_every_window_contains_exact_per_word_brackets(case):
+    """Every window from the clamp to the word length brackets the stage
+    sums of exact per-word brackets, enumerated here: a window that
+    reaches the word length runs at n-1, or at the clamp when that is n."""
+    sys, J, n, N, t, beta = case
+    lo, hi, _ = _brute_force(sys.incidence.entry, J, t, beta, _exact_ld(sys, N), n, N)
+    clamp = WindowTransfer.clamp(sys, J, 1)
+    for window in range(clamp, n + 1):
+        kern = PressureKernel(sys, J, n=n, window=window)
+        assert kern.window == (window if window < n else max(clamp, n - 1))
+        klo, khi = kern.values(t, beta)
+        assert klo <= lo + EPS and hi <= khi + EPS, (window, klo, lo, hi, khi)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -156,7 +229,9 @@ def test_values_are_the_two_bounds(name, window):
 
 
 MOD23_J = potentials.mod_cycle([[-1.0, 1.0], [0.0, 1.0, -1.0]])
-# (system, word length, window): enumerate mode, then two dp-mode kernels
+# (system, word length, window): cf2's automatic window at a length whose
+# words fit within EXACT_CAP (n-1, named for the per-word enumeration
+# that this layout used to run), then two explicit windows
 DERIV_CASES = {
     "cf2-enumerate": (truncated_cf_system(2), N_WORDS, None),
     "cf3-dp-window4": (truncated_cf_system(3), 12, 4),
@@ -172,7 +247,7 @@ def test_moments_are_the_derivatives_of_value(name, J):
     beta-derivative of the anchored value, trailing windows included."""
     sys, n, window = DERIV_CASES[name]
     kern = PressureKernel(sys, J, n=n, window=window)
-    assert kern.mode == ("enumerate" if window is None else "dp")
+    assert kern.window == (n - 1 if window is None else window)
     for beta in BETAS:
         val, jq, iq = kern.moments(T, beta)
         assert val == kern.value(T, beta)
@@ -186,37 +261,25 @@ def test_moments_are_the_derivatives_of_value(name, J):
         assert abs(iq + fd) < 1e-7, (beta, iq, -fd)
 
 
+def _close(got, want):
+    return abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+
 @pytest.mark.parametrize("J", (MOD23_J, J3), ids=("depth1", "depth3"))
 def test_enumerate_value_matches_fsum_oracle(J):
-    """On the golden-mean incidence the anchored value is the log of the
-    fsum of every admissible word's weight: its exact J sum plus, for each
-    trailing window, the largest completion, plus beta times the upper end
-    of its log-derivative bracket in the flat table."""
+    """On the golden-mean incidence, whose similarity brackets are exact,
+    the kernel's two bounds and its anchored value are, within 1e-13
+    relative, the logs of the fsums over every admissible word, enumerated
+    here: its exact J sum plus each trailing window's smallest, largest or
+    middle completion, plus beta times its log-derivative."""
     sys, _, admissible = CASES["golden-mean"]
     kern = PressureKernel(sys, J, n=N_WORDS, window=N_WORDS)
-    assert kern.mode == "enumerate"
-    m = J.depth
-
-    def ok(w):
-        return all(admissible(a, b) for a, b in zip(w, w[1:]))
-
-    words = [w for w in itertools.product((1, 2), repeat=N_WORDS) if ok(w)]
-    table = kern._table
-    assert table["ld_hi"].size == len(words)
     for beta in BETAS:
-        exps = []
-        for w, ld in zip(words, table["ld_hi"]):
-            e = sum(float(T @ J.value(w[i:i + m])) for i in range(N_WORDS - m + 1))
-            for l in range(1, m):
-                e += max(float(T @ J.value(w[-l:] + c))
-                         for c in itertools.product((1, 2), repeat=m - l)
-                         if ok(w[-l:] + c))
-            exps.append(e + beta * ld)
-        top = max(exps)
-        oracle = (top + math.log(math.fsum(math.exp(e - top) for e in exps))) / N_WORDS
+        lo, hi, mid = _brute_force(admissible, J, T, beta, _exact_ld(sys))
+        klo, khi = kern.values(T, beta)
         value = kern.value(T, beta)
-        # the oracle adds each word's exponent in another order
-        assert abs(value - oracle) <= 4 * math.ulp(oracle), (beta, value, oracle)
+        assert _close(klo, lo) and _close(khi, hi), (beta, klo, lo, khi, hi)
+        assert _close(value, mid), (beta, value, mid)
         assert kern.moments(T, beta)[0] == value
 
 
@@ -490,6 +553,7 @@ def test_classes_match_the_component_search(name):
                          "upper-triangular": [1, 1]}[name]
 
 
+# named as DERIV_CASES are
 MEMO_CASES = {
     "enumerate": (truncated_cf_system(2), J2, N_WORDS, None),
     "dp": (truncated_cf_system(3), J2, 12, 4),
@@ -503,7 +567,7 @@ def test_per_t_memos_are_not_stale(name):
     test below.)"""
     sys, J, n, window = MEMO_CASES[name]
     kern = PressureKernel(sys, J, n=n, window=window)
-    assert kern.mode == name
+    assert kern.window == (n - 1 if window is None else window)
     t1, t2 = T, np.array([-0.3, 0.2])
 
     def evaluations(k, t):
@@ -523,6 +587,76 @@ LIMIT_CALLS = {
     "sign-lower": lambda tr, t: tr.limit_sign(t, 0.6, "lower"),
     "sign-upper": lambda tr, t: tr.limit_sign(t, 0.6, "upper"),
 }
+
+
+@st.composite
+def markov_limit_cases(draw):
+    """A window transfer on N in 2..4 symbols over a random incidence with
+    an infinite word: continued-fraction maps or similarities, a depth-1
+    or depth-2 table potential of dim 1..2 and values in [-1, 1], window
+    2 or 3 (at least the depth), and a point t in [-1, 1]**d, beta in
+    [0, 2]."""
+    N = draw(st.integers(2, 4))
+    rows = draw(st.lists(st.lists(st.integers(0, 1), min_size=N, max_size=N),
+                         min_size=N, max_size=N))
+    # a word of N+1 symbols repeats one, so its cycle runs forever
+    assume(np.linalg.matrix_power(np.array(rows), N).any())
+    if draw(st.booleans()):
+        family = truncated_cf_system(N).family
+    else:
+        ratios = draw(st.lists(st.floats(0.05, 0.9 / N), min_size=N, max_size=N))
+        family = similarity_system(ratios).family
+    graph = truncated_cf_system(N).graph
+    sys = SystemDescriptor(graph, IncidenceMatrix.from_dense(rows, graph), family)
+    depth, d = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    vals = draw(st.lists(st.floats(-1.0, 1.0), min_size=N ** depth * d,
+                         max_size=N ** depth * d))
+    table = dict(zip(itertools.product(range(1, N + 1), repeat=depth),
+                     np.reshape(vals, (-1, d))))
+    J = potentials.depth_m(lambda w: table[tuple(w)], dim=d, depth=depth,
+                           bound=1.0)
+    q = draw(st.integers(max(2, depth), 3))
+    t = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)))
+    return WindowTransfer(sys, J, N, q), t, draw(st.floats(0.0, 2.0))
+
+
+def _mp_log_radius(transfer, t, beta, which):
+    """The log of the spectral radius, at 50 digits, of the window matrix
+    whose weights take the ``which`` ('inf' or 'sup') end of their
+    log-derivative brackets, built one window at a time from the family's
+    scalar primitives: window w weighs the step from state w[:-1] to state
+    w[1:] by exp(<t, J(w[:m])> + beta * ld), ld bracketing log|phi'_{w_1}|
+    over phi_{w_2..w_q}(hull)."""
+    sys, J, N, q = transfer.sys, transfer.J, transfer.N, transfer.window
+    fam, hull, S = sys.family, sys.hull(N), N ** (q - 1)
+
+    def code(word):
+        return sum((k - 1) * N ** i for i, k in enumerate(reversed(word)))
+
+    with mpmath.workdps(50):
+        M = mpmath.zeros(S, S)
+        for w in itertools.product(range(1, N + 1), repeat=q):
+            if all(sys.incidence.entry(a, b) for a, b in zip(w, w[1:])):
+                ld = fam.deriv_log_range(w[0], fam.word_image(w[1:], hull))
+                x = float(t @ J.value(w[:J.depth]))
+                ld = ld[0] if which == "inf" else ld[1]
+                M[code(w[:-1]), code(w[1:])] = mpmath.exp(
+                    mpmath.mpf(x) + beta * mpmath.mpf(ld))
+        radius = max(abs(e) for e in mpmath.eig(M, left=False, right=False))
+        return float(mpmath.log(radius))
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(markov_limit_cases())
+def test_limit_bounds_contain_the_high_precision_radius(case):
+    """'lower' is at most the log of the 50-digit spectral radius of the
+    inf-weight window matrix and 'upper' at least that of the sup-weight
+    one, each within 1e-12 relative."""
+    tr, t, beta = case
+    lower, upper = tr.limit_bound(t, beta, "lower"), tr.limit_bound(t, beta, "upper")
+    r_inf, r_sup = (_mp_log_radius(tr, t, beta, w) for w in ("inf", "sup"))
+    assert lower <= r_inf + 1e-12 * max(1.0, abs(r_inf)), (lower, r_inf)
+    assert r_sup - 1e-12 * max(1.0, abs(r_sup)) <= upper, (r_sup, upper)
 
 
 def test_limit_answers_do_not_depend_on_earlier_calls():
@@ -552,10 +686,10 @@ def test_limit_answers_do_not_depend_on_earlier_calls():
 def _full_certifies(transfer, t, est, half):
     """The certification test answered from two fully converged limit
     bounds, as it was before it asked only for their signs."""
-    left = max(est - half, BETA_FLOOR)
+    left, right = _ends(est, half)
     lower = transfer.limit_bound(t, left, "lower")
     lo_ok = lower >= 0.0 if left == BETA_FLOOR else lower > 0.0
-    return lo_ok and transfer.limit_bound(t, est + half, "upper") < 0.0
+    return lo_ok and transfer.limit_bound(t, right, "upper") < 0.0
 
 
 @pytest.mark.parametrize("name", sorted(STEP_CASES))
@@ -586,17 +720,19 @@ def test_sign_certification_matches_full_limit_bounds(name):
 # -- distortion-free systems stage their sums by the window transfer -------
 
 def test_distortion_free_layout():
-    """A similarity system takes the dp recursion at its clamped window
-    (1 on the full shift, 2 on the golden-mean incidence) where its words
-    would fit; a window equal to the word length still enumerates."""
+    """A similarity system takes the recursion at its clamped window (1 on
+    the full shift, 2 on the golden-mean incidence); a window that reaches
+    the word length falls back to n-1, a clamp equal to the word length
+    runs one transfer step, and one past it is refused."""
     sim = similarity_system([0.4, 0.3])
     golden = CASES["golden-mean"][0]
     for sys, q in ((sim, 1), (golden, 2)):
-        kern = PressureKernel(sys, MOD23_J, n=16)
-        assert (kern.mode, kern.window) == ("dp", q)
-        assert PressureKernel(sys, MOD23_J, n=16, window=16).mode == "enumerate"
-    # the clamp is the word length: enumerate, as before
-    assert PressureKernel(golden, MOD23_J, n=2).mode == "enumerate"
+        assert PressureKernel(sys, MOD23_J, n=16).window == q
+        assert PressureKernel(sys, MOD23_J, n=16, window=16).window == 15
+    assert PressureKernel(sim, MOD23_J, n=1).window == 1
+    assert PressureKernel(golden, MOD23_J, n=2).window == 2
+    with pytest.raises(ValueError, match="shorter than its clamped window 2"):
+        PressureKernel(golden, MOD23_J, n=1)
 
 
 @st.composite
@@ -624,25 +760,39 @@ def distortion_free_cases(draw):
     return sys, J, n, q, t, draw(st.floats(0.0, 2.0))
 
 
-def _close(got, want):
-    return abs(got - want) <= 1e-13 * max(1.0, abs(want))
+def _every_word(sys, J, n, t, beta):
+    """(value, J quotient, I quotient) of the stage-n sum of a depth-1
+    similarity system over every admissible word, fsums over arrays of all
+    of them: a word's exact log-derivative is the sum of its log ratios,
+    and the quotients are the Gibbs means of its J sum and of -ld, over n."""
+    N = len(sys.family.ratios)
+    syms = _words(N, n)
+    syms = syms[:, sys.incidence.admits(syms)] - 1
+    jvals = np.array([J.value((k,)) for k in range(1, N + 1)])
+    logr = np.log(sys.family.ratios)
+    jsum, ld = jvals[syms[0]], logr[syms[0]]
+    for row in syms[1:]:
+        jsum, ld = jsum + jvals[row], ld + logr[row]
+    e = jsum @ t + beta * ld
+    w = np.exp(e - e.max())
+    z = math.fsum(w)
+    jq = [math.fsum(w * jsum[:, i]) / z / n for i in range(t.size)]
+    return (e.max() + math.log(z)) / n, jq, -math.fsum(w * ld) / z / n
 
 
 @settings(max_examples=60, deadline=None)
 @given(distortion_free_cases())
 def test_distortion_free_dp_matches_enumeration(case):
-    """The automatic kernel of a distortion-free system runs dp at the
-    clamped window, and its bounds, anchored value and Gibbs quotients are
-    those of enumeration (``window=n``) within 1e-13 relative."""
+    """The automatic kernel of a distortion-free system runs the recursion
+    at the clamped window, and its bounds, anchored value and Gibbs
+    quotients are those of every word, enumerated here, within 1e-13
+    relative."""
     sys, J, n, q, t, beta = case
     kern = PressureKernel(sys, J, n=n)
-    enum = PressureKernel(sys, J, n=n, window=n)
-    assert (kern.mode, kern.window) == ("dp", q)
-    assert enum.mode == "enumerate"
-    for got, want in zip(kern.values(t, beta), enum.values(t, beta)):
-        assert _close(got, want), (got, want)
-    assert _close(kern.value(t, beta), enum.value(t, beta))
+    assert kern.window == q
+    value, ejq, eiq = _every_word(sys, J, n, t, beta)
+    for got in (*kern.values(t, beta), kern.value(t, beta)):
+        assert _close(got, value), (got, value)
     val, jq, iq = kern.moments(t, beta)
-    eval_, ejq, eiq = enum.moments(t, beta)
-    for got, want in zip([val, *jq, iq], [eval_, *ejq, eiq]):
+    for got, want in zip([val, *jq, iq], [value, *ejq, eiq]):
         assert _close(got, want), (got, want)

@@ -1,11 +1,11 @@
-"""The kernel's window, trailing and word tables come from one recursion on
-word length.  Here each is checked, bit for bit, against the symbol-grid
-construction it replaced, written out below: every word as a column of a
-(length, N**length) array, the continuants of the continued-fraction
-family run left to right, the generic family composed right to left with
-its interval primitives, and admissibility read off the grid.  Similarity
-word sums are added from the last symbol to the first, the order the
-recursion uses.
+"""The kernel's window and trailing tables, and the family's word brackets,
+come from one recursion on word length.  Here each is checked, bit for
+bit, against the symbol-grid construction it replaced, written out below:
+every word as a column of a (length, N**length) array, the continuants of
+the continued-fraction family run left to right, the generic family
+composed right to left with its interval primitives, and admissibility
+read off the grid.  Similarity word sums are added from the last symbol to
+the first, the order the recursion uses.
 """
 
 import tracemalloc
@@ -65,19 +65,20 @@ WINDOW_CASES = {
     "upper-triangular-window3": ("upper-triangular", DEPTH1, 3),
     "upper-triangular-depth2": ("upper-triangular", DEPTH2, 6),
 }
-# (system, potential, word length) of the enumerate tables
+# (system, word length) of the word brackets; the ids name the per-word
+# enumeration tables, and their potentials, that were built from them
 ENUM_CASES = {
-    "cf2-n12": ("cf2", DEPTH1, 12),
-    "cf3-n8": ("cf3", DEPTH1, 8),
-    "cf3-depth2": ("cf3", DEPTH2, 7),
-    "cf3-depth3": ("cf3", DEPTH3, 6),
-    "cf5-n5": ("cf5", DEPTH1, 5),
-    "cf24-n3": ("cf24", DEPTH1, 3),
-    "custom-cf-n6": ("custom-cf", DEPTH1, 6),
-    "custom-every-node-n5": ("custom-every-node", DEPTH2, 5),
-    "golden-mean-n12": ("golden-mean", DEPTH1, 12),
-    "golden-mean-depth3": ("golden-mean", DEPTH3, 10),
-    "upper-triangular-n10": ("upper-triangular", DEPTH2, 10),
+    "cf2-n12": ("cf2", 12),
+    "cf3-n8": ("cf3", 8),
+    "cf3-depth2": ("cf3", 7),
+    "cf3-depth3": ("cf3", 6),
+    "cf5-n5": ("cf5", 5),
+    "cf24-n3": ("cf24", 3),
+    "custom-cf-n6": ("custom-cf", 6),
+    "custom-every-node-n5": ("custom-every-node", 5),
+    "golden-mean-n12": ("golden-mean", 12),
+    "golden-mean-depth3": ("golden-mean", 10),
+    "upper-triangular-n10": ("upper-triangular", 10),
 }
 
 
@@ -143,18 +144,6 @@ def _words(fam, syms, tail):
     return lo, hi
 
 
-def _jsums(tables, syms, m, N):
-    """Potential sum of each column word: its m-windows added left to
-    right."""
-    def window(i):
-        return sum((syms[i + j] - 1) * N ** (m - 1 - j) for j in range(m))
-
-    s = tables.jvals[window(0)]
-    for i in range(1, syms.shape[0] - m + 1):
-        s = s + tables.jvals[window(i)]
-    return s
-
-
 def _equal(got, want):
     return got.shape == want.shape and np.array_equal(got, want)
 
@@ -193,22 +182,18 @@ def test_trailing_tables_are_the_grid_construction(name):
 
 @pytest.mark.parametrize("name", sorted(ENUM_CASES))
 def test_enumerate_table_is_the_grid_construction(name):
-    system, J, n = ENUM_CASES[name]
+    """The family's word recursion (:meth:`MapFamily.vec_word_log_deriv`)
+    brackets every admissible word as the grid construction does."""
+    system, n = ENUM_CASES[name]
     sysd = SYSTEMS[system]
     N = sysd.effective_truncation(None)
-    kern = PressureKernel(sysd, J, n=n, N=N, window=n)
-    assert kern.mode == "enumerate"
     syms = _grid(N, n)
-    codes = np.flatnonzero(sysd.incidence.admits(syms))
-    words = syms[:, codes]
-    lo, hi = (np.broadcast_to(v, codes.shape)
-              for v in _words(sysd.family, words, sysd.hull(N)))
-    table = kern._table
-    assert _equal(table["ld_lo"], lo) and _equal(table["ld_hi"], hi)
-    assert _equal(table["jsum"], _jsums(kern.tables, words, J.depth, N))
-    assert sorted(table["tcodes"]) == list(range(1, J.depth))
-    for l, tcodes in table["tcodes"].items():
-        assert _equal(tcodes, codes % N ** l)
+    words = syms[:, sysd.incidence.admits(syms)]
+    hull = sysd.hull(N)
+    lo, hi = (np.broadcast_to(v, words.shape[1:])
+              for v in _words(sysd.family, words, hull))
+    got = sysd.family.vec_word_log_deriv(words, hull)
+    assert _equal(got[0], lo) and _equal(got[1], hi)
 
 
 @pytest.mark.parametrize("q", (1, 2, 6))
@@ -234,9 +219,11 @@ def test_custom_window_table_costs_q_primitive_calls(q):
     lambda sysd: PressureKernel(sysd, potentials.zero(1), n=16, N=2),
 ], ids=("transfer-window16", "enumerate-n16"))
 def test_table_build_memory(build):
-    """The tables of 2**16 words are built without a symbol grid: the
-    traced allocation peak stays below 6 MB (the grid construction peaked
-    at 14.6 and 12.5 MB)."""
+    """The window-16 tables, and those of the stage kernel at word length
+    16 (window 15; the id names the per-word table of 2**16 words that it
+    once built), are built without a symbol grid: the traced allocation
+    peak stays below 6 MB (the grid construction peaked at 14.6 and
+    12.5 MB)."""
     sysd = truncated_cf_system(2)
     build(sysd)  # hull, imports and caches outside the measurement
     tracemalloc.start()

@@ -58,21 +58,18 @@ def test_newton_returns_its_iteration_count():
 
 
 def test_kernel_attrs_read_the_kernel():
-    """``_kernel_attrs`` reads the enumerate tables of ``PressureKernel``;
-    its word count must be the number of admissible words."""
+    """``_kernel_attrs`` reads the mode, word length, window and truncation
+    of ``PressureKernel``; the kernel enumerates no words, so its word
+    count is 0, at window 3 and at window=n, which runs at n-1."""
     from cgdms import potentials
     from cgdms.kernel import PressureKernel
-    from cgdms.symbolic import count_words
     from cgdms.system import similarity_system
 
     tracing = _tracing()
     golden = similarity_system([0.5, 0.5], offsets=[0.0, 0.5],
                                incidence=[[1, 1], [1, 0]])
     J = potentials.zero(1)
-    enum = PressureKernel(golden, J, n=8, window=8)
-    dp = PressureKernel(golden, J, n=8, window=3)
-    assert tracing._kernel_attrs((enum,), None) == {
-        "mode": "enumerate", "n": 8, "window": 8, "N": 2,
-        "words": count_words(golden.incidence, 8, 2)}
-    assert tracing._kernel_attrs((dp,), None) == {
-        "mode": "dp", "n": 8, "window": 3, "N": 2, "words": 0}
+    for window, q in ((8, 7), (3, 3)):
+        kern = PressureKernel(golden, J, n=8, window=window)
+        assert tracing._kernel_attrs((kern,), None) == {
+            "mode": "dp", "n": 8, "window": q, "N": 2, "words": 0}
