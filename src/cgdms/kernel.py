@@ -14,10 +14,12 @@ rounding (:meth:`PressureKernel.layout`).
 
 :class:`WindowTransfer` is the only limit-bracket object:
 log rho(L_inf) <= P <= log rho(L_sup) for its window matrix L, each radius
-bounded by Collatz-Wielandt ratios per irreducible class of states; on a
-full shift the state graph is a de Bruijn graph, whose one class of every
-state is taken without a search.  It owns the window clamps and the table
-cap, and holds none of the trailing windows that only stage sums read.
+bounded by Collatz-Wielandt ratios per irreducible class of states.  The
+state graph is the (q-1)-block presentation of the incidence, so those
+classes are read from the incidence's classes of symbols, without a search
+over states; on a full shift it is a de Bruijn graph, one class of every
+state.  It owns the window clamps, the table cap and the potential table,
+and holds none of the trailing windows that only stage sums read.
 A table is immutable once built, its caches aside: a limit call
 warm-starts from the Perron iterates its caller passes
 (:meth:`WindowTransfer.start`), so one table serves a whole command.
@@ -26,7 +28,9 @@ Every window and trailing table comes from one recursion on word length
 (:func:`_levels`): the family's per-word state of all L-words, in natural
 code order, is extended to all (L+1)-words by one leading symbol, and
 :class:`~cgdms.symbolic.IncidenceMatrix` extends their admissibility the
-same way, so no table builds a grid of symbols.
+same way.  So no table builds a grid of symbols at a depth-1 potential;
+the table of a potential of depth m >= 2 is built on the grid of its
+m-words.
 
 The closure over the trailing windows comes from the same kind of
 recursion on suffix length: the closure of the l-suffixes is that of the
@@ -65,17 +69,6 @@ _SIDE = {"lower": "inf", "upper": "sup", "mid": "mid"}
 PERRON_LAZY = 0.1        # weight of v in the Perron step v <- vL + c*hi*v
 PERRON_ITER_CAP = 1000   # Perron steps per irreducible class and bracket
 _TINY = np.finfo(float).tiny  # floor of the Perron iterates
-
-
-def _words(N: int, length: int) -> np.ndarray:
-    """Every word of ``length`` symbols as the columns of a (length,
-    N**length) array: column c holds the base-N digits of c, first symbol
-    most significant, symbols 1-based.  Only the depth-m potential grams
-    of :class:`_Tables` are built this way."""
-    syms = np.empty((length, N ** length), dtype=np.int64)
-    for i in range(length):
-        syms[i].reshape(N ** i, N, -1)[...] = np.arange(1, N + 1)[:, None]
-    return syms
 
 
 def _levels(sys: SystemDescriptor, N: int, hull: tuple, top: int):
@@ -166,49 +159,20 @@ def _perron_bracket(ET: np.ndarray, live, v: np.ndarray, settled=None) -> tuple:
     return lo, hi
 
 
-class _Tables:
-    """Potential tables for one (system, N): <t, J> on the admissible
-    depth-m words, its range over the completions of shorter words, and
-    the cylinder hull."""
-
-    def __init__(self, sys: SystemDescriptor, J: PotentialVector, N: int):
-        self.hull, self.N = sys.hull(N), N
-        self.m = m = J.depth
-        msyms = _words(N, m)
-        self.mvalid = mvalid = sys.incidence.admits(msyms)
-        self.jvals = jvals = np.zeros((N ** m, J.dim))
-        for code in range(N ** m):
-            if mvalid[code]:
-                jvals[code] = J.value(tuple(msyms[:, code]))
-
-    def j_dot(self, t: np.ndarray) -> np.ndarray:
-        """<t, J> on admissible depth-m words; -inf marks inadmissible.  A
-        value that overflows to +-inf or NaN is left to
-        :meth:`WindowTransfer.weights` to report."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            u = self.jvals @ t
-        u[~self.mvalid] = -math.inf
-        return u
-
-    def part_j_bounds(self, l: int, u: np.ndarray):
-        """(inf, sup, inf code, sup code) of <t, J> over admissible
-        completions of l-words: the two bounds and the codes of the depth-m
-        words attaining them, whose ``jvals`` rows are the t-derivatives of
-        the bounds.  From l = m on, the first m symbols fix the value."""
-        N, m = self.N, self.m
-        if l >= m:
-            code = np.arange(N ** l) // (N ** (l - m))
-            v = u[code]
-            return v, v, code, code
-        blk = N ** (m - l)
-        grid = u.reshape(-1, blk)
-        rows = np.arange(grid.shape[0])
-        top = grid.argmax(axis=1)
-        masked = np.where(np.isneginf(grid), math.inf, grid)
-        low = masked.argmin(axis=1)
-        sup = grid[rows, top]
-        inf = np.where(np.isinf(sup) & (sup < 0), -math.inf, masked[rows, low])
-        return inf, sup, rows * blk + low, rows * blk + top
+def _part_j_bounds(u: np.ndarray, l: int, N: int) -> tuple:
+    """(inf, sup, inf code, sup code) of <t, J> over the admissible
+    completions of the l-words, l < m, from its values ``u`` on the m-words
+    (:meth:`WindowTransfer.j_dot`): the codes are those of the m-words
+    attaining the bounds, whose J are the bounds' t-derivatives."""
+    grid = u.reshape(N ** l, -1)
+    blk = grid.shape[1]
+    rows = np.arange(grid.shape[0])
+    top = grid.argmax(axis=1)
+    masked = np.where(np.isneginf(grid), math.inf, grid)
+    low = masked.argmin(axis=1)
+    sup = grid[rows, top]
+    inf = np.where(np.isinf(sup) & (sup < 0), -math.inf, masked[rows, low])
+    return inf, sup, rows * blk + low, rows * blk + top
 
 
 class WindowTransfer:
@@ -225,17 +189,30 @@ class WindowTransfer:
     (b, r), meet every leading symbol a, and no other level is kept.  A
     ``trailing`` dict is filled, from the lower levels of the same
     recursion, with the log-derivative ranges of the l-cylinders, l < q,
-    keyed by l: the trailing windows that only a stage sum reads."""
+    keyed by l: the trailing windows that only a stage sum reads.
+
+    ``jvals`` holds J on the depth-m words in natural code order (at depth 1
+    one :meth:`~cgdms.potentials.PotentialVector.table`), zero on the
+    inadmissible ones, which ``mvalid`` marks false."""
 
     def __init__(self, sys: SystemDescriptor, J: PotentialVector, N: int,
                  q: int, trailing: Optional[dict] = None):
         q = self.clamp(sys, J, q)
         self.check_size(N, q)
         self.sys, self.J, self.N, self.window = sys, J, N, q
-        self.tables = tab = _Tables(sys, J, N)
-        for L, (ok, tails) in enumerate(_levels(sys, N, tab.hull, q - 1)):
+        m = J.depth
+        if m == 1:
+            self.jvals, self.mvalid = J.table(N)[1:], np.ones(N, dtype=bool)
+        else:  # the one grid of symbols: the m-words as columns, in code order
+            msyms = np.indices((N,) * m).reshape(m, -1) + 1
+            self.mvalid = sys.incidence.admits(msyms)
+            self.jvals = np.zeros((N ** m, J.dim))
+            for code in np.flatnonzero(self.mvalid):
+                self.jvals[code] = J.value(msyms[:, code])
+        hull = sys.hull(N)
+        for L, (ok, tails) in enumerate(_levels(sys, N, hull, q - 1)):
             if trailing is not None and L < q - 1:
-                trailing[L + 1] = _sides(*_head_brackets(sys.family, tails, tab.hull, N))
+                trailing[L + 1] = _sides(*_head_brackets(sys.family, tails, hull, N))
         self.state_valid = ok  # admissible (q-1)-gram states
         if q == 1:  # no states: the windows are the symbols
             valid = np.ones(N, dtype=bool)
@@ -244,9 +221,9 @@ class WindowTransfer:
             tails = tuple(np.ascontiguousarray(s.reshape(-1, N).T) for s in tails)
         self.valid = valid.ravel()
         self.all_valid = bool(self.valid.all())
-        self.ld = _sides(*_head_brackets(sys.family, tails, tab.hull, N))
+        self.ld = _sides(*_head_brackets(sys.family, tails, hull, N))
         del tails
-        self.jcode = _transfer_order(N, q) // (N ** (q - J.depth))  # first-m-symbol codes
+        self.jcode = _transfer_order(N, q) // (N ** (q - m))  # first-m-symbol codes
         self._jkey = None
 
     @staticmethod
@@ -295,11 +272,14 @@ class WindowTransfer:
         return cls(sys, J, N, cls.window_at(sys, J, N, level, window))
 
     def j_dot(self, t) -> tuple:
-        """(<t, J> on depth-m words, its values on the windows), kept for
-        the last t: a root solve evaluates one t at many beta."""
+        """(<t, J> on the depth-m words, -inf on inadmissible ones, and on
+        the windows), kept for the last t, as a root solve evaluates one t
+        at many beta; values that overflow are left to :meth:`weights`."""
         key = t.tobytes()
         if self._jkey != key:
-            u = self.tables.j_dot(t)
+            with np.errstate(over="ignore", invalid="ignore"):
+                u = self.jvals @ t
+            u[~self.mvalid] = -math.inf
             self._jkey, self._ju = key, (u, u[self.jcode])
         return self._ju
 
@@ -325,29 +305,27 @@ class WindowTransfer:
     def _classes(self) -> list:
         """The states (a mask, or every state) of each irreducible class of
         (q-1)-gram states with a cycle: rho is the largest of their radii,
-        whatever the transient states.  With every window admissible the
-        state graph is a de Bruijn graph, strongly connected, so its one
-        class is every state and no search runs."""
+        whatever the transient states.  The state graph is the (q-1)-block
+        presentation of the incidence, so a class is the admissible grams
+        over one :meth:`~cgdms.symbolic.IncidenceMatrix.classes` of symbols;
+        with every window admissible, one class of every state."""
         if self.all_valid:
             return [slice(None)]
-        S = self.N ** (self.window - 1)
-        # imported here: only a Markov incidence's classes need a search
-        from scipy.sparse import csr_matrix
-        from scipy.sparse.csgraph import connected_components
-        c = _transfer_order(self.N, self.window)[self.valid]
-        src, dst = c // self.N, c % S  # window code -> (state, next state)
-        graph = csr_matrix((np.ones(c.size), (src, dst)), shape=(S, S))
-        lab = connected_components(graph, connection="strong")[1]
-        masks = [lab == k for k in np.unique(lab[src[lab[src] == lab[dst]]])]
-        # a class of every state is read whole, without gathers
-        return [slice(None) if m.all() else m for m in masks]
+        masks = []
+        for sym in self.sys.incidence.classes(self.N):
+            live = sym  # the grams whose symbols all lie in the class
+            for _ in range(self.window - 2):
+                live = (sym[:, None] & live).ravel()
+            live = live & self.state_valid
+            # a class of every state is read whole, without gathers
+            masks.append(slice(None) if live.all() else live)
+        return masks
 
     def start(self) -> list:
         """Fresh Perron iterates of the classes, 1 on their states: the
         ``start`` that limit calls warm-start from and update in place."""
-        S = self.N ** (self.window - 1)
-        return [np.ones(S) if isinstance(live, slice) else live.astype(float)
-                for live in self._classes]
+        return [np.ones(self.state_valid.size) if isinstance(live, slice)
+                else live.astype(float) for live in self._classes]
 
     def _walk(self, t, beta, side: str, settled, start) -> tuple:
         """(base, brackets) at the ``side`` point of the weights: their log
@@ -420,7 +398,6 @@ class PressureKernel:
         # transfer's own recursion
         self._trail_ld: dict = {}
         self.transfer = WindowTransfer(sys, J, N, self.window, self._trail_ld)
-        self.tables = self.transfer.tables
 
     @staticmethod
     def layout(sys: SystemDescriptor, J: PotentialVector, n: int, N: int,
@@ -472,7 +449,7 @@ class PressureKernel:
             tr = self.transfer
             order = _transfer_order(self.N, self.window)
             dW = np.empty((order.size, self.J.dim + 1))
-            dW[order, :-1] = self.tables.jvals[tr.jcode]
+            dW[order, :-1] = tr.jvals[tr.jcode]
             dW[order, -1] = -tr.ld[which]
             self._derivs[which] = dW
         return self._derivs[which]
@@ -496,9 +473,9 @@ class PressureKernel:
         log-derivative bound of each l-suffix, whose J bound from l = m on
         is that of its first m symbols, repeated over the rest."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        tab, N, q, n, d, m = (self.tables, self.N, self.window, self.n,
-                              self.J.dim, self.J.depth)
-        base, ew = self.transfer.weights(t, beta, which)
+        tr, N, q, n, d, m = (self.transfer, self.N, self.window, self.n,
+                             self.J.dim, self.J.depth)
+        base, ew = tr.weights(t, beta, which)
         if base == -math.inf:
             return -math.inf, None, None
         if grad:
@@ -512,7 +489,7 @@ class PressureKernel:
             return value, jq, float((dW[:, d] * ew).sum()) / z
         ET = ew.reshape(N, N, -1)
         R = ET.shape[2]
-        V = self.transfer.state_valid.astype(float)
+        V = tr.state_valid.astype(float)
         S = V.size
         if grad:
             # the weights as one (b, a) matrix per middle r, and the weights
@@ -533,7 +510,7 @@ class PressureKernel:
             V = Vn / mx
             logoff += math.log(mx) + base
         # trailing windows of lengths 1..q-1 on each state's last symbols
-        u = self.transfer.j_dot(t)[0]
+        u = tr.j_dot(t)[0]
         term = np.zeros(1)
         dT = np.zeros((1, d + 1)) if grad else None
         for l in range(1, q):
@@ -541,15 +518,15 @@ class PressureKernel:
             # l-suffixes as (leading symbol, rest of the J head, the others)
             shape = (N, N ** (k - 1), N ** (l - k))
             if l < m:
-                jlo, jhi, clo, chi = tab.part_j_bounds(l, u)
+                jlo, jhi, clo, chi = _part_j_bounds(u, l, N)
             else:  # the first m symbols fix the value
                 jlo = jhi = u
             ld = self._trail_ld[l][which].reshape(shape)
             term = (term.reshape(1, *shape[1:])
                     + _pick(jlo, jhi, which).reshape(N, -1, 1) + beta * ld).ravel()
             if grad:
-                jl = (tab.jvals if l >= m
-                      else _pick(tab.jvals[clo], tab.jvals[chi], which))
+                jl = (tr.jvals if l >= m
+                      else _pick(tr.jvals[clo], tr.jvals[chi], which))
                 prev = dT.reshape(1, *shape[1:], d + 1)
                 dT = np.empty((*shape, d + 1))
                 dT[..., :d] = prev[..., :d] + jl.reshape(N, -1, 1, d)

@@ -4,6 +4,10 @@ Edges are identified with positive integers, and a word is a tuple of
 them (the empty word is ``()``).  Infinite edge sets are never
 materialized: every operation takes an explicit truncation bound N and only
 touches edges 1..N.
+
+The window tables of :mod:`cgdms.kernel` extend admissibility symbol by
+symbol and take their Perron classes from the classes of symbols, so only
+the table of a potential of depth m >= 2 builds a grid of symbols.
 """
 
 from __future__ import annotations
@@ -56,8 +60,9 @@ class IncidenceMatrix:
     admissible when every consecutive pair has entry 1, and the class
     answers that for single pairs (:meth:`entry`), whole word tables
     (:meth:`admits`), every word of one length from those one symbol
-    shorter (:meth:`extend_admits`) and closed cycles
-    (:func:`enumerate_cycles`).
+    shorter (:meth:`extend_admits`), closed cycles
+    (:func:`enumerate_cycles`) and the irreducible classes of symbols that
+    carry them (:meth:`classes`).
     ``entry(u, v) == 1`` requires the terminal vertex of u to equal the
     initial vertex of v.
     """
@@ -113,11 +118,24 @@ class IncidenceMatrix:
             return np.ones(N * ok.size, dtype=bool)
         return (self._dense[:N, :N, None] & ok.reshape(1, N, -1)).ravel()
 
+    def classes(self, N: int) -> list:
+        """The irreducible classes of symbols 1..N that carry a cycle, as
+        masks ordered by their least symbol: the strongly connected
+        components of the N x N block with an edge inside, read off its
+        transitive closure.  The full shift is one class of every symbol."""
+        if self.full_shift:
+            return [np.ones(N, dtype=bool)]
+        reach = self._dense[:N, :N]  # paths of 1 to 2**k edges after k squarings
+        for _ in range(int(N).bit_length()):  # until 2**k > N
+            r = reach.astype(float)
+            reach = reach | (r @ r > 0)
+        cyclic = (reach & reach.T)[np.diagonal(reach)]  # class of each cyclic symbol
+        # distinct rows in reverse lexicographic order: by least symbol
+        return list(np.unique(cyclic, axis=0)[::-1])
+
     def has_infinite_word(self, N: int) -> bool:
-        """Whether an infinite word over 1..N is admissible: whether the
-        boolean power B**N of the N x N block B is nonzero."""
-        return self.full_shift or bool(
-            np.linalg.matrix_power(self._dense[:N, :N], N).any())
+        """Whether an infinite word over 1..N is admissible: a cycle."""
+        return bool(self.classes(N))
 
     def successors(self, u: int, N: int) -> tuple:
         return tuple(v for v in range(1, N + 1) if self.entry(u, v))

@@ -279,8 +279,8 @@ class TestElementwiseIntervals:
 
     @staticmethod
     def _windows(N=3, q=5):
-        from cgdms.kernel import _words
-        return _words(N, q)
+        """Every word of q symbols over 1..N as the columns of an array."""
+        return np.indices((N,) * q).reshape(q, -1) + 1
 
     def test_custom_tables_equal_per_column_word_operations(self):
         fam = Custom1DFamily("1/(x+k)", "(x+k)^-2", contraction_bound=0.5,

@@ -1,7 +1,8 @@
 """Import rules for the package: no command uses threads or processes,
 ``src`` never imports the benchmark harness or a package of the ``test``
 extra, the layers above ``kernel`` see only its two classes, and scipy
-stays off the import path of the CLI."""
+stays off the import path of the CLI and out of the Perron classes of
+Markov window tables, which the incidence's classes of symbols give."""
 
 import ast
 import os
@@ -111,8 +112,8 @@ for cfg in sys.argv[2:]:
 
 
 def test_scipy_stays_off_the_import_path(tmp_path):
-    """scipy loads only where a run needs it (Markov Perron classes, root
-    solves, hulls): importing the CLI and a ``pressure`` run on cf3 and on
+    """scipy loads only where a run needs it (root solves and hulls):
+    importing the CLI and a ``pressure`` run on cf3 and on
     a two-map similarity system at word length 16 load none of it."""
     configs = {
         "cf3": '{"system": {"kind": "moebius-cf", "alphabet": 3}, '
@@ -130,3 +131,29 @@ def test_scipy_stays_off_the_import_path(tmp_path):
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["pressure.csv"]
+
+
+# builds two Markov window tables and their Perron classes, failing if any
+# scipy module is loaded
+MARKOV_CLASSES = """
+import sys
+from cgdms import potentials
+from cgdms.kernel import WindowTransfer
+from cgdms.system import similarity_system
+
+for inc, classes in (([[1, 1], [1, 0]], 1), ([[1, 1], [0, 1]], 2)):
+    system = similarity_system([0.5, 0.3], offsets=[0.0, 0.6], incidence=inc)
+    assert len(WindowTransfer(system, potentials.zero(1), 2, 6).start()) == classes
+bad = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")[:3]
+assert not bad, bad
+"""
+
+
+def test_markov_classes_load_no_scipy():
+    """The Perron classes of the golden-mean and of the upper-triangular
+    similarity transfers at window 6 (one class and two) load no scipy
+    module."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", MARKOV_CLASSES], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -28,7 +28,7 @@ from scipy.sparse.csgraph import connected_components
 
 from cgdms import potentials
 from cgdms.kernel import (EXACT_CAP, PERRON_ITER_CAP, PERRON_LAZY,
-                          PressureKernel, WindowTransfer, _pick, _words)
+                          PressureKernel, WindowTransfer, _part_j_bounds, _pick)
 from cgdms.symbolic import IncidenceMatrix
 from cgdms.system import SystemDescriptor, similarity_system, truncated_cf_system
 from cgdms.thermo import BETA_FLOOR, _certifies, _ends, _root
@@ -37,6 +37,12 @@ N_WORDS = 8
 T = np.array([0.7, -0.4])
 BETAS = (0.0, 0.6, 1.3)
 EPS = 1e-12
+
+
+def _words(N, length):
+    """Every word of ``length`` symbols over 1..N as the columns of an
+    array, in natural code order (first symbol most significant)."""
+    return np.indices((N,) * length).reshape(length, -1) + 1
 
 
 def _j2(w):
@@ -292,23 +298,33 @@ def _advance(T, N):
     return T.reshape(N, S // N, N, *T.shape[2:]).sum(axis=0).reshape(S, *T.shape[2:])
 
 
+def _j_bounds(u, l, N, m):
+    """(inf, sup, inf code, sup code) of <t, J> over the admissible
+    completions of l-words, as :func:`_part_j_bounds` gives them for l < m;
+    from l = m on, the first m symbols fix the value."""
+    if l >= m:
+        code = np.arange(N ** l) // (N ** (l - m))
+        return u[code], u[code], code, code
+    return _part_j_bounds(u, l, N)
+
+
 class _Reference:
     """The dp recursion as written before the transfer-order step: window
     tables in natural code order, one (S, N) product per step, a stacked
     (S, N, d+1) gradient accumulator, and Perron brackets from fresh
     iterates on each call, or with ``warm`` from the iterates its last warm
-    call left.  It reads only the potential tables of ``kern``."""
+    call left.  It reads only the potential table of ``kern``'s transfer."""
 
     def __init__(self, kern):
-        tab, N, q, m = kern.tables, kern.N, kern.window, kern.J.depth
-        fam, inc = kern.sys.family, kern.sys.incidence
+        tab, N, q, m = kern.transfer, kern.N, kern.window, kern.J.depth
+        fam, inc, hull = kern.sys.family, kern.sys.incidence, kern.sys.hull(N)
         self.kern, self.tab = kern, tab
         syms = _words(N, q)
         self.valid = inc.admits(syms)
-        self.ld = fam.vec_suffix_then_head(syms, tab.hull)
+        self.ld = fam.vec_suffix_then_head(syms, hull)
         self.jcode = np.arange(N ** q) // N ** (q - m)
         self.state_valid = inc.admits(syms[:-1, ::N])
-        self.part_ld = {l: fam.vec_suffix_then_head(_words(N, l), tab.hull)
+        self.part_ld = {l: fam.vec_suffix_then_head(_words(N, l), hull)
                         for l in range(1, q)}
         S = N ** (q - 1)
         c = np.flatnonzero(self.valid)
@@ -321,7 +337,7 @@ class _Reference:
         self.warm = [(live, v.copy()) for live, v in self.classes]
 
     def weights(self, t, beta, which):
-        w = self.tab.j_dot(t)[self.jcode] + beta * _pick(*self.ld, which)
+        w = self.tab.j_dot(t)[0][self.jcode] + beta * _pick(*self.ld, which)
         w[~self.valid] = -math.inf
         finite = w[np.isfinite(w)]
         if finite.size == 0:
@@ -361,14 +377,14 @@ class _Reference:
                              * eW[:, :, None], N) / mx
             V = Vn / mx
             logoff += math.log(mx) + base
-        u = tab.j_dot(t)
+        u = tab.j_dot(t)[0]
         scodes = np.arange(S)
         term = np.zeros(S)
         dT = np.zeros((S, d + 1)) if grad else None
         for l in range(1, q):
             sub = scodes % (N ** l)
             ld = _pick(*self.part_ld[l], which)
-            jlo, jhi, clo, chi = tab.part_j_bounds(l, u)
+            jlo, jhi, clo, chi = _j_bounds(u, l, N, kern.J.depth)
             term = term + _pick(jlo, jhi, which)[sub] + beta * ld[sub]
             if grad:
                 jl = tab.jvals[clo[sub]]
@@ -525,16 +541,15 @@ def _searched_classes(transfer):
 
 
 def _same_classes(transfer, want):
-    """The classes of ``transfer`` are the states of ``want``, and its
-    fresh Perron iterates are their starts."""
-    got = list(zip(transfer._classes, transfer.start()))
-    assert len(got) == len(want)
-    for (live, v), (wlive, wv) in zip(got, want):
-        if isinstance(wlive, slice):
-            assert live == slice(None)
-        else:
-            assert np.array_equal(live, wlive)
-        assert np.array_equal(v, wv)
+    """The classes of ``transfer`` are the states of ``want``, in any order
+    (the order reaches no bound: ``limit_bound`` takes the largest over the
+    classes), each read whole exactly when it is every state, and its fresh
+    Perron iterates are their starts."""
+    def keys(pairs):
+        return sorted((b"all" if isinstance(live, slice) else live.tobytes(),
+                       v.tobytes()) for live, v in pairs)
+
+    assert keys(zip(transfer._classes, transfer.start())) == keys(want)
 
 
 @pytest.mark.parametrize("name", sorted(n for n, c in STEP_CASES.items() if c[3] != 1))
@@ -551,6 +566,55 @@ def test_classes_match_the_component_search(name):
         sizes = [int(v.sum()) for v in tr.start()]
         assert sizes == {"golden-mean": [3], "golden-mean-depth2": [3],
                          "upper-triangular": [1, 1]}[name]
+
+
+@st.composite
+def markov_transfers(draw):
+    """A window transfer of similarity maps on a random incidence of side
+    2-4 that admits an infinite word, at a window from 2 to 4."""
+    N = draw(st.integers(2, 4))
+    inc = np.array(draw(st.lists(st.integers(0, 1), min_size=N * N,
+                                 max_size=N * N))).reshape(N, N)
+    assume(np.linalg.matrix_power(inc.astype(bool), N).any())
+    sys = similarity_system([0.9 / N] * N, incidence=inc.tolist())
+    return WindowTransfer(sys, potentials.zero(1), N, draw(st.integers(2, 4)))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(markov_transfers())
+def test_classes_match_the_search_on_random_incidences(tr):
+    """The classes read from the incidence's classes of symbols are the
+    component search's on the state graph, on drawn incidences and
+    windows: reducible ones, periodic ones and full shifts among them."""
+    _same_classes(tr, _searched_classes(tr))
+
+
+POTENTIAL_TABLE_CASES = {
+    "table": (truncated_cf_system(5), potentials.from_table(
+        {k: [0.1 * k, -0.2 * k] for k in range(1, 6)})),
+    "mod-cycle": (truncated_cf_system(7), MOD23_J),
+    "zero-golden-mean": (CASES["golden-mean"][0], potentials.zero(1)),
+    "per-symbol": (truncated_cf_system(4),
+                   potentials.depth1(lambda k: [k % 3, 1.0 / k], dim=2, bound=2.0)),
+    "depth2-golden-mean": (CASES["golden-mean"][0], J2),
+    "depth3": (truncated_cf_system(3), J3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POTENTIAL_TABLE_CASES))
+def test_potential_table_is_the_per_word_values(name):
+    """The transfer's potential table holds J.value of each admissible
+    m-word, in natural code order, and zero on the others, which ``mvalid``
+    marks false: at depth 1 it is one ``PotentialVector.table`` call."""
+    sys, J = POTENTIAL_TABLE_CASES[name]
+    N = sys.effective_truncation(None if sys.is_finite else 7)
+    tr = WindowTransfer(sys, J, N, 1)
+    syms = _words(N, J.depth)
+    ok = sys.incidence.admits(syms)
+    want = np.array([J.value(w) if a else np.zeros(J.dim)
+                     for w, a in zip(syms.T, ok)])
+    assert np.array_equal(tr.mvalid, ok)
+    assert np.array_equal(tr.jvals, want)
 
 
 # named as DERIV_CASES are

@@ -172,6 +172,79 @@ class TestIncidenceQuestions:
             count_words(FLIP, 2, 3)
 
 
+@st.composite
+def class_incidences(draw):
+    """An incidence of side 1-5: a random 0/1 matrix, or one of the shapes
+    whose classes are easy to get wrong: nilpotent (strictly upper
+    triangular), reducible (no edge from the last symbols back to the
+    first), a permutation (cycles without self-loops) or self-loops only."""
+    N = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(
+        ["random", "nilpotent", "reducible", "permutation", "loops"]))
+    if kind == "permutation":
+        return np.eye(N, dtype=int)[draw(st.permutations(range(N)))]
+    if kind == "loops":
+        return np.diag(draw(st.lists(st.integers(0, 1), min_size=N, max_size=N)))
+    m = np.array(draw(st.lists(st.integers(0, 1), min_size=N * N,
+                               max_size=N * N))).reshape(N, N)
+    if kind == "nilpotent":
+        return np.triu(m, 1)
+    if kind == "reducible":
+        cut = draw(st.integers(0, N))
+        m[cut:, :cut] = 0
+    return m
+
+
+def reachable(m, s):
+    """Oracle: the symbols (0-based) that a path of one edge or more leads
+    to from s, by breadth-first search."""
+    seen, todo = set(), deque([s])
+    while todo:
+        for v in np.flatnonzero(m[todo.popleft()]).tolist():
+            if v not in seen:
+                seen.add(v)
+                todo.append(v)
+    return seen
+
+
+class TestClasses:
+    """The classes of symbols that carry a cycle against reachability."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(class_incidences())
+    def test_classes_match_reachability(self, m):
+        """At every truncation N, the classes are the sets of symbols on a
+        cycle that reach each other, as disjoint masks ordered by their
+        least symbol."""
+        A = IncidenceMatrix.from_dense(m)
+        for N in range(1, len(m) + 1):
+            reach = [reachable(m[:N, :N], s) for s in range(N)]
+            want = {frozenset(v for v in reach[s] if s in reach[v])
+                    for s in range(N) if s in reach[s]}
+            got = A.classes(N)
+            assert all(c.shape == (N,) and c.dtype == bool for c in got)
+            assert {frozenset(np.flatnonzero(c).tolist()) for c in got} == want
+            assert len(got) == len(want)
+            firsts = [int(np.flatnonzero(c)[0]) for c in got]
+            assert firsts == sorted(firsts)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(class_incidences())
+    def test_infinite_word_matches_the_matrix_power(self, m):
+        """An infinite word is admissible exactly when the boolean power
+        B**N of the N x N block is nonzero, the rule this one replaced."""
+        A = IncidenceMatrix.from_dense(m)
+        for N in range(1, len(m) + 1):
+            B = m[:N, :N].astype(bool)
+            assert A.has_infinite_word(N) == bool(np.linalg.matrix_power(B, N).any())
+
+    def test_full_shift_is_one_class(self):
+        assert [c.tolist() for c in FULL.classes(3)] == [[True] * 3]
+        assert FULL.has_infinite_word(3)
+        nil = IncidenceMatrix.from_dense([[0, 1], [0, 0]])
+        assert nil.classes(2) == [] and not nil.has_infinite_word(2)
+
+
 class TestIrreducibilityWitness:
     def test_full_shift_empty_connector(self):
         w = find_irreducibility_witness(FULL, 3, 2)
