@@ -52,21 +52,31 @@ def _write_csv(path: Path, meta: dict, header: list, rows: list) -> None:
 
 
 def _write_json(path: Path, meta: dict, payload: dict) -> None:
-    doc = {"metadata": meta, **payload}
+    doc = _jsonable({"metadata": meta, **payload})
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, default=_jsonable)
+        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
 def _jsonable(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+    """``obj`` as strict JSON values: numpy scalars and arrays as Python
+    ones, objects by their attributes, non-finite floats as the strings
+    "nan", "inf" and "-inf", for which JSON has no number, and anything
+    else that json cannot write as its str."""
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
+        return _jsonable(obj.tolist())
+    if isinstance(obj, (np.floating, np.integer)):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "nan" if math.isnan(obj) else "inf" if obj > 0 else "-inf"
+    if obj is None or isinstance(obj, (str, int, float)):
+        return obj
     if hasattr(obj, "__dict__"):
-        return obj.__dict__
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf" if obj > 0 else "-inf"
+        return _jsonable(obj.__dict__)
     return str(obj)
 
 

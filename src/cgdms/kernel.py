@@ -20,9 +20,16 @@ classes are read from the incidence's classes of symbols, without a search
 over states; on a full shift it is a de Bruijn graph, one class of every
 state.  It owns the window clamps, the table cap and the potential table,
 and holds none of the trailing windows that only stage sums read.
-A table is immutable once built, its caches aside: a limit call
-warm-starts from the Perron iterates its caller passes
-(:meth:`WindowTransfer.start`), so one table serves a whole command.
+A table is immutable once built, its caches and buffers aside: a limit
+call warm-starts from the Perron iterates its caller passes
+(:meth:`WindowTransfer.start`), so one table serves a whole command, and
+one lazy Perron step at a time (:meth:`WindowTransfer.limit_step`) lets a
+root solve move beta while its iterate converges.  A table owns the
+buffer that its weights are written into, and a stage kernel those of
+its closure and iterates, so no evaluation allocates a table-sized array
+beyond the transfer step's output; the weights that one evaluation
+returns are valid until the table's next, so tables are not for
+concurrent threads.
 
 Every window and trailing table comes from one recursion on word length
 (:func:`_levels`): the family's per-word state of all L-words, in natural
@@ -110,9 +117,21 @@ def _pick(lo, hi, which: str):
     return 0.5 * (lo + hi)
 
 
+class _Sides(dict):
+    """The 'inf' and 'sup' points of a bracket pair, by name, and its 'mid'
+    point, built on first read: only an anchored value or an estimate reads
+    it."""
+
+    def __missing__(self, which):
+        if which != "mid":
+            raise KeyError(which)
+        mid = self["mid"] = _pick(self["inf"], self["sup"], "mid")
+        return mid
+
+
 def _sides(lo, hi) -> dict:
-    """The 'inf', 'sup' and 'mid' points of a bracket pair, by name."""
-    return {w: _pick(lo, hi, w) for w in ("inf", "sup", "mid")}
+    """The :class:`_Sides` of a bracket pair."""
+    return _Sides(inf=lo, sup=hi)
 
 
 def _step(v: np.ndarray, ET: np.ndarray) -> np.ndarray:
@@ -133,17 +152,19 @@ def _transfer_order(N: int, q: int) -> np.ndarray:
     return codes if q == 1 else codes.reshape(N, -1, N).transpose(0, 2, 1).ravel()
 
 
-def _perron_bracket(ET: np.ndarray, live, v: np.ndarray, settled=None) -> tuple:
+def _perron_bracket(ET: np.ndarray, live, v: np.ndarray, settled=None,
+                    steps: int = PERRON_ITER_CAP) -> tuple:
     """Collatz-Wielandt bracket (lo, hi) of the spectral radius of the
     window transfer matrix on the irreducible class ``live`` (a mask or
     every state): min (vL)_i/v_i <= rho <= max (vL)_i/v_i for v > 0.  The
     step v <- vL + c*hi*v keeps the Perron vector, is aperiodic on periodic
     classes and updates ``v`` in place as the next call's warm start; it
-    stops once the spread stops shrinking, or once ``settled(lo, hi)``
-    holds for the running bracket.  The ratios' buffer takes the lazy
-    term, and the new iterate is normalized and floored in place."""
+    stops once the spread stops shrinking, once ``settled(lo, hi)`` holds
+    for the running bracket, or after ``steps`` steps.  The ratios' buffer
+    takes the lazy term, and the new iterate is normalized and floored in
+    place."""
     lo, hi, spread = 0.0, math.inf, math.inf
-    for _ in range(PERRON_ITER_CAP):
+    for _ in range(steps):
         vl = v[live]
         u = _step(v, ET)[live]
         r = u / vl
@@ -223,7 +244,11 @@ class WindowTransfer:
         self.all_valid = bool(self.valid.all())
         self.ld = _sides(*_head_brackets(sys.family, tails, hull, N))
         del tails
-        self.jcode = _transfer_order(N, q) // (N ** (q - m))  # first-m-symbol codes
+        # the weights of the last evaluation, and the same buffer over the
+        # axes on which :meth:`j_dot` lays out J
+        self._w = np.empty(self.valid.size)
+        self._wax = self._w.reshape((N,) if q == 1 else (N, N, -1) if m == q
+                                    else (N, N, N ** (m - 1), -1))
         self._jkey = None
 
     @staticmethod
@@ -271,16 +296,39 @@ class WindowTransfer:
         """The transfer at the :meth:`window_at` choice of ``level``."""
         return cls(sys, J, N, cls.window_at(sys, J, N, level, window))
 
+    @cached_property
+    def jcode(self) -> np.ndarray:
+        """The code of each window's first m symbols, in transfer order."""
+        N, q = self.N, self.window
+        return _transfer_order(N, q) // (N ** (q - self.J.depth))
+
+    @cached_property
+    def _invalid(self) -> np.ndarray:
+        """The inadmissible windows, in transfer order."""
+        return ~self.valid
+
     def j_dot(self, t) -> tuple:
-        """(<t, J> on the depth-m words, -inf on inadmissible ones, and on
-        the windows), kept for the last t, as a root solve evaluates one t
-        at many beta; values that overflow are left to :meth:`weights`."""
+        """(<t, J> on the depth-m words, -inf on inadmissible ones, and the
+        same values over the axes of the weights' buffer: a view that
+        broadcasts the J of the first m symbols over the rest of a window,
+        None where every value is 0), kept for the last t, as a root solve
+        evaluates one t at many beta; values that overflow are left to
+        :meth:`weights`."""
         key = t.tobytes()
         if self._jkey != key:
             with np.errstate(over="ignore", invalid="ignore"):
                 u = self.jvals @ t
             u[~self.mvalid] = -math.inf
-            self._jkey, self._ju = key, (u, u[self.jcode])
+            N, q, m = self.N, self.window, self.J.depth
+            if not u.any():  # adding 0 changes no weight
+                view = None
+            elif q == 1:
+                view = u
+            elif m == q:  # the window a r b is its J head, read as (a, b, r)
+                view = u.reshape(N, -1, N).transpose(0, 2, 1)
+            else:  # the head is a and the first m-1 symbols of r
+                view = u.reshape(N, 1, N ** (m - 1), 1)
+            self._jkey, self._ju = key, (u, view)
         return self._ju
 
     def weights(self, t, beta, which):
@@ -288,18 +336,27 @@ class WindowTransfer:
         of their brackets, in transfer order, base being the largest
         admissible log weight w (-inf, with zero weights, when every w is
         -inf).  ArithmeticError when an admissible w is +inf or NaN, which
-        no weight scale represents."""
-        w = self.j_dot(t)[1] + beta * self.ld[which]
+        no weight scale represents.
+
+        ``ew`` is the table's own buffer, written in place by every call:
+        it is valid until the table's next evaluation, so a table is not
+        for concurrent threads."""
+        w = np.multiply(self.ld[which], beta, out=self._w)
+        ju = self.j_dot(t)[1]
+        if ju is not None:
+            self._wax += ju
         if not self.all_valid:
-            w[~self.valid] = -math.inf
+            np.copyto(w, -math.inf, where=self._invalid)
         base = float(w.max())
         if not base < math.inf:
             raise ArithmeticError(
                 f"a log weight <t, J> + beta*log|phi'| is +inf or NaN at "
                 f"t={t.tolist()}, beta={beta}")
         if base == -math.inf:
-            return base, np.zeros(w.size)
-        return base, np.exp(w - base)
+            w.fill(0.0)
+        else:
+            np.exp(np.subtract(w, base, out=w), out=w)
+        return base, w
 
     @cached_property
     def _classes(self) -> list:
@@ -327,37 +384,53 @@ class WindowTransfer:
         return [np.ones(self.state_valid.size) if isinstance(live, slice)
                 else live.astype(float) for live in self._classes]
 
-    def _walk(self, t, beta, side: str, settled, start) -> tuple:
+    def _walk(self, t, beta, side: str, settled, start,
+              steps: int = PERRON_ITER_CAP) -> tuple:
         """(base, brackets) at the ``side`` point of the weights: their log
         scale and the lazy Collatz-Wielandt brackets (lo, hi) of the
         classes in order, from ``start`` (fresh when None), each stopped
-        early by ``settled``; at window 1 the one bracket is the weights' sum."""
+        early by ``settled`` or after ``steps`` steps; at window 1 the one
+        bracket is the weights' sum."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         base, ew = self.weights(t, beta, _SIDE[side])
         if self.window == 1:
             z = float(ew.sum())
             return base, [(z, z)]
         ET = ew.reshape(self.N, self.N, -1)
-        return base, (_perron_bracket(ET, live, v, settled) for live, v in
+        return base, (_perron_bracket(ET, live, v, settled, steps) for live, v in
                       zip(self._classes, self.start() if start is None else start))
 
-    def limit_bound(self, t, beta, side: str, rtol: float = 0.0,
+    @staticmethod
+    def _largest(brackets) -> tuple:
+        """The largest lower and upper ends over the classes' brackets: those
+        of the radius of the whole matrix; 0 without a class."""
+        return tuple(map(max, zip(*(list(brackets) or [(0.0, 0.0)]))))
+
+    def limit_bound(self, t, beta, side: str,
                     start: Optional[list] = None) -> float:
         """The limit pressure of <t,J> - beta*I over the truncated system
         (beta >= 0) lies in [log rho(L_inf), log rho(L_sup)] for the window
         transfer matrix L.  'lower' and 'upper' are those endpoints, each
         radius bounded by Collatz-Wielandt ratios; 'mid' is the log of the
-        midpoint ratio of the midpoint-weight matrix, the point estimate.
-        With ``rtol > 0`` each class's iteration stops once its bracket
-        spread is at most ``rtol`` times its lower end, so 'mid' is within
-        ``rtol / 2`` of its converged value; 'lower' and 'upper' stay bounds
-        either way, since the running ends only close in."""
-        settled = (lambda lo, hi: hi - lo <= rtol * lo) if rtol > 0.0 else None
-        base, brackets = self._walk(t, beta, side, settled, start)
-        # the largest ends over the classes, 0 without a class
-        lo, hi = map(max, zip(*(list(brackets) or [(0.0, 0.0)])))
+        midpoint ratio of the midpoint-weight matrix, the point estimate."""
+        base, brackets = self._walk(t, beta, side, None, start)
+        lo, hi = self._largest(brackets)
         with np.errstate(divide="ignore"):
             return base + float(np.log(_pick(lo, hi, _SIDE[side])))
+
+    def limit_step(self, t, beta, start: list) -> tuple:
+        """(lower, mid, upper) after one lazy Perron step per class from
+        ``start``, which the step advances: 'lower' and 'upper' bound the
+        log radius of the midpoint-weight matrix by the Collatz-Wielandt
+        ratios of that one step, and 'mid' is the log of their midpoint,
+        :meth:`limit_bound`'s 'mid' once the iterate has converged.  A root
+        solve that moves beta between steps converges its Perron iterate
+        and its root together."""
+        base, brackets = self._walk(t, beta, "mid", None, start, steps=1)
+        lo, hi = self._largest(brackets)
+        with np.errstate(divide="ignore"):
+            return tuple(base + float(np.log(x))
+                         for x in (lo, _pick(lo, hi, "mid"), hi))
 
     def limit_sign(self, t, beta, side: str, strict: bool = True,
                    start: Optional[list] = None) -> bool:
@@ -398,6 +471,15 @@ class PressureKernel:
         # transfer's own recursion
         self._trail_ld: dict = {}
         self.transfer = WindowTransfer(sys, J, N, self.window, self._trail_ld)
+
+    @cached_property
+    def _buffers(self) -> tuple:
+        """(V0, pair): the start of the stage recursion, 1 on the admissible
+        states, which no evaluation writes, and two state-sized buffers for
+        the closure over the trailing windows, the recursion's iterates and
+        the final products of :meth:`_logsum`."""
+        V0 = self.transfer.state_valid.astype(float)
+        return V0, np.empty((2, V0.size))
 
     @staticmethod
     def layout(sys: SystemDescriptor, J: PotentialVector, n: int, N: int,
@@ -489,27 +571,10 @@ class PressureKernel:
             return value, jq, float((dW[:, d] * ew).sum()) / z
         ET = ew.reshape(N, N, -1)
         R = ET.shape[2]
-        V = tr.state_valid.astype(float)
+        V, pair = self._buffers
         S = V.size
-        if grad:
-            # the weights as one (b, a) matrix per middle r, and the weights
-            # times their derivatives in natural order, (a, r, b, k)
-            M = np.ascontiguousarray(ET.transpose(2, 1, 0))
-            G = ET.transpose(0, 2, 1)[..., None] * dW.reshape(N, R, N, d + 1)
-            A = np.zeros((S, d + 1))
-        logoff = 0.0
-        for _ in range(n - (q - 1)):
-            Vn = _step(V, ET)
-            mx = Vn.max()
-            if mx <= 0.0 or not math.isfinite(mx):
-                return -math.inf, None, None
-            if grad:
-                A = np.matmul(M, A.reshape(N, R, d + 1).transpose(1, 0, 2))
-                A += np.einsum("ar,arbk->rbk", V.reshape(N, R), G)
-                A = A.reshape(S, d + 1) / mx
-            V = Vn / mx
-            logoff += math.log(mx) + base
-        # trailing windows of lengths 1..q-1 on each state's last symbols
+        # trailing windows of lengths 1..q-1 on each state's last symbols:
+        # the closures alternate between the pair of buffers
         u = tr.j_dot(t)[0]
         term = np.zeros(1)
         dT = np.zeros((1, d + 1)) if grad else None
@@ -522,8 +587,11 @@ class PressureKernel:
             else:  # the first m symbols fix the value
                 jlo = jhi = u
             ld = self._trail_ld[l][which].reshape(shape)
-            term = (term.reshape(1, *shape[1:])
-                    + _pick(jlo, jhi, which).reshape(N, -1, 1) + beta * ld).ravel()
+            out, spare = (pair[i][:N ** l].reshape(shape) for i in (l % 2, 1 - l % 2))
+            np.add(term.reshape(1, *shape[1:]),
+                   _pick(jlo, jhi, which).reshape(N, -1, 1), out=out)
+            out += np.multiply(ld, beta, out=spare)
+            term = out.ravel()
             if grad:
                 jl = (tr.jvals if l >= m
                       else _pick(tr.jvals[clo], tr.jvals[chi], which))
@@ -532,9 +600,31 @@ class PressureKernel:
                 dT[..., :d] = prev[..., :d] + jl.reshape(N, -1, 1, d)
                 dT[..., d] = prev[..., d] - ld
                 dT = dT.reshape(-1, d + 1)
+        if grad:
+            # the weights as one (b, a) matrix per middle r, and the weights
+            # times their derivatives in natural order, (a, r, b, k)
+            M = np.ascontiguousarray(ET.transpose(2, 1, 0))
+            G = ET.transpose(0, 2, 1)[..., None] * dW.reshape(N, R, N, d + 1)
+            A = np.zeros((S, d + 1))
+        # the recursion from V, each normalized iterate written to the buffer
+        # that the closure left free
+        logoff = 0.0
+        for _ in range(n - (q - 1)):
+            Vn = _step(V, ET)
+            mx = Vn.max()
+            if mx <= 0.0 or not math.isfinite(mx):
+                return -math.inf, None, None
+            if grad:
+                A = np.matmul(M, A.reshape(N, R, d + 1).transpose(1, 0, 2))
+                A += np.einsum("ar,arbk->rbk", V.reshape(N, R), G)
+                A = A.reshape(S, d + 1) / mx
+            V = np.divide(Vn, mx, out=pair[q % 2])
+            del Vn  # freed before the next step allocates its own
+            logoff += math.log(mx) + base
         tmax = float(term.max())
-        E = np.exp(term - tmax)
-        z = float((V * E).sum())
+        E = np.exp(np.subtract(term, tmax, out=term), out=term)
+        # the products overwrite E unless the quotients read it
+        z = float((V * E if grad else np.multiply(V, E, out=E)).sum())
         value = (logoff + tmax + math.log(z)) / n
         if not grad:
             return value, None, None

@@ -19,9 +19,10 @@ from .util import Enclosure
 
 BETA_FLOOR = 0.0     # left edge of the bracketed exponent domain
 ROOT_HI_HINT = 1.0   # first right end tried when bracketing the root
-ROOT_XTOL = 1e-14    # brentq tolerance of the pressure roots
+ROOT_XTOL = 1e-14    # brentq tolerance of the stage roots; least xtol of an estimate
 # share of a certification's tolerance to which its estimate is solved
 ESTIMATE_SHARE = 2.0 ** -10
+PROBE_CAP = 1000  # Perron probes of one bracket end, and of one estimate
 
 
 @dataclass(frozen=True)
@@ -139,15 +140,14 @@ def estimate_theta(sys: SystemDescriptor) -> ThetaResult:
 # certified zero of the pressure in beta
 # ---------------------------------------------------------------------------
 
-def _root(f: Callable, xtol: float = ROOT_XTOL) -> float:
-    """Zero of a pressure function decreasing in beta: brentq to ``xtol``
-    after doubling the right end from ROOT_HI_HINT until f turns negative.
-    brentq reads the two bracket ends from the values already computed,
-    so no bracket end is evaluated twice."""
-    from scipy.optimize import brentq
+def _sign_bracket(f: Callable) -> Optional[tuple]:
+    """(flo, hi, fhi) for a pressure function f decreasing in beta: f at
+    BETA_FLOOR and at the right end hi, the first of ROOT_HI_HINT doubled
+    up to 80 times at which f is negative; None when f(BETA_FLOOR) is 0,
+    the zero itself."""
     flo = f(BETA_FLOOR)
     if flo == 0.0:
-        return BETA_FLOOR
+        return None
     if flo < 0.0:
         raise BracketBudgetError(
             f"pressure already negative at beta={BETA_FLOOR}; "
@@ -161,6 +161,19 @@ def _root(f: Callable, xtol: float = ROOT_XTOL) -> float:
         fhi = f(hi)
     else:
         raise BracketBudgetError("pressure never becomes negative")
+    return flo, hi, fhi
+
+
+def _root(f: Callable, xtol: float = ROOT_XTOL) -> float:
+    """Zero of a pressure function decreasing in beta: brentq to ``xtol``
+    on the bracket of :func:`_sign_bracket`.  brentq reads the two bracket
+    ends from the values already computed, so no bracket end is evaluated
+    twice."""
+    from scipy.optimize import brentq
+    bracket = _sign_bracket(f)
+    if bracket is None:
+        return BETA_FLOOR
+    flo, hi, fhi = bracket
     ends = {BETA_FLOOR: flo, hi: fhi}
     return float(brentq(lambda b: ends[b] if b in ends else f(b),
                         BETA_FLOOR, hi, xtol=xtol, maxiter=256))
@@ -199,25 +212,78 @@ def _certifies(transfer: WindowTransfer, t, est: float, half: float,
     return None
 
 
+def _mid_zero(transfer: WindowTransfer, t, xtol: float, start: list) -> float:
+    """The zero in beta of the 'mid' limit pressure, to within xtol: the
+    midpoint of a bracket of it at most ``xtol`` wide, certified by the
+    Collatz-Wielandt ends of :meth:`WindowTransfer.limit_step`, each probe
+    one lazy Perron step per class from ``start``.
+
+    The pressure is convex in beta, so below the zero of a bracket with a
+    negative right end it is positive and above it negative: a lower end
+    at or above 0 puts the zero at or above the probe, an upper end at or
+    below 0 puts it at or below.  Each bracket end of :func:`_sign_bracket`
+    is probed until the running ends of its probes settle the sign, or
+    stop closing in; the estimate, kept between those ends, then decides
+    the sign, as it decides the zero of the converged bound.  Inside, a
+    secant through the last two estimates moves beta.  Where it leaves the
+    bracket, the secant through the bracket ends takes over, and bisection
+    where that fails too: a bisection moves beta far, and the iterate with
+    it.  Each probe lies xtol/4 past the chosen zero, towards the farther
+    bracket end, so that probes on both sides of the zero close the
+    bracket once the iterate resolves that distance."""
+    def settle(beta):
+        lo, hi = -math.inf, math.inf
+        for _ in range(PROBE_CAP):
+            plo, mid, phi = transfer.limit_step(t, beta, start)
+            if plo <= lo and phi >= hi:  # neither end closes in any more
+                break
+            lo, hi = max(lo, plo), min(hi, phi)
+            if lo >= 0.0 or hi <= 0.0:
+                break
+        return min(max(mid, lo), hi)
+
+    def secant(x0, f0, x1, f1):
+        return x1 - f1 * (x1 - x0) / (f1 - f0) if f1 != f0 else math.nan
+
+    bracket = _sign_bracket(settle)
+    if bracket is None:
+        return BETA_FLOOR
+    fa, b, fb = bracket
+    a = x0 = BETA_FLOOR
+    f0, x1, f1, delta = fa, b, fb, 0.25 * xtol
+    for _ in range(PROBE_CAP):
+        if b - a <= xtol:
+            break
+        for z in (secant(x0, f0, x1, f1), secant(a, fa, b, fb), 0.5 * (a + b)):
+            if a < z < b:
+                break
+        z += delta if b - z > z - a else -delta
+        lo, mid, hi = transfer.limit_step(t, z, start)
+        if lo >= 0.0:
+            a, fa = z, mid
+        if hi <= 0.0:
+            b, fb = z, mid
+        x0, f0, x1, f1 = x1, f1, z, mid
+    return 0.5 * (a + b)
+
+
 def certified_pressure_zero(transfer: WindowTransfer, t, tol: float) -> tuple:
     """(enclosure, estimate) of the zero in beta of the limit pressure of
     <t,J> - beta*I over the truncated system, from one window transfer: the
     estimate is the zero of the 'mid' limit bound, certified as
     est +/- tol/2 by :func:`_certifies`, in an enclosure no wider than
     ``tol``.  The two signs hold whatever the estimate, so it is solved
-    only to ESTIMATE_SHARE of ``tol``, on 'mid' bounds whose Perron
-    iterations stop at a matching spread.  Both run from one fresh Perron
-    start, whatever was asked of the transfer before.  Failing that, the
-    half-width is doubled until it certifies, and
-    :class:`BracketBudgetError` carries that enclosure as ``best`` and the
-    window needed for ``tol`` as ``required_n``, saying when that window
-    is past the deepest that the table cap admits.
+    only to xtol = ESTIMATE_SHARE of ``tol`` (never below ROOT_XTOL), by
+    :func:`_mid_zero`, which moves beta and the Perron iterate together.
+    Both run from one fresh Perron start, whatever was asked of the
+    transfer before.  Failing that, the half-width is doubled until it
+    certifies, and :class:`BracketBudgetError` carries that enclosure as
+    ``best`` and the window needed for ``tol`` as ``required_n``, saying
+    when that window is past the deepest that the table cap admits.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     start = transfer.start()
-    xtol = max(ROOT_XTOL, tol * ESTIMATE_SHARE)
-    est = _root(lambda b: transfer.limit_bound(t, b, "mid", rtol=xtol / 4,
-                                               start=start), xtol)
+    est = _mid_zero(transfer, t, max(ROOT_XTOL, tol * ESTIMATE_SHARE), start)
     half = 0.5 * tol
     for k in range(61):
         best = _certifies(transfer, t, est, half * 2.0 ** k, start)

@@ -397,6 +397,26 @@ class TestSetsCommand:
         assert rep["inclusion"]["K_inside"]
 
 
+    def test_non_finite_values_are_strict_json(self, tmp_path):
+        """J = (0.1, 0.2) is positive on both maps, so the minimizer search
+        for alpha = 0 leaves the domain and beta_min is NaN: it is written
+        as the string "nan", and the document parses as strict JSON, which
+        has no NaN or Infinity."""
+        doc = {"system": {"kind": "similarity", "ratios": [0.5, 0.3]},
+               "potential": {"kind": "table", "values": {"1": [0.1], "2": [0.2]}},
+               "numerics": {"word_length": 12, "tolerance": 1e-6},
+               "sets": {"t_grid": {"min": [-1.0], "max": [1.0], "points": 3}}}
+        cfg = write_config(tmp_path, doc)
+        assert main(["sets", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+        def refuse(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        rep = json.loads((tmp_path / "o" / "inclusion.json").read_text(),
+                         parse_constant=refuse)
+        assert rep["beta_min"] == "nan" and rep["minimizer"] is None
+
+
 class TestCounterexampleCommand:
     def test_table_and_verdict(self, tmp_path):
         doc = {

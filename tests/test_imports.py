@@ -1,8 +1,9 @@
 """Import rules for the package: no command uses threads or processes,
 ``src`` never imports the benchmark harness or a package of the ``test``
 extra, the layers above ``kernel`` see only its two classes, and scipy
-stays off the import path of the CLI and out of the Perron classes of
-Markov window tables, which the incidence's classes of symbols give."""
+stays off the import path of the CLI, out of a ``dimension`` run and out of
+the Perron classes of Markov window tables, which the incidence's classes
+of symbols give."""
 
 import ast
 import os
@@ -94,8 +95,8 @@ def test_the_kernel_rule_sees_helpers():
                                  "kernel"}
 
 
-# imports the CLI and runs ``pressure`` on each config given as a path,
-# failing if any scipy module is loaded after either step
+# imports the CLI and runs the command given first on each config given as
+# a path, failing if any scipy module is loaded after either step
 NO_SCIPY = """
 import sys
 import cgdms.cli
@@ -104,15 +105,30 @@ def loaded():  # the first few scipy modules loaded, if any
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")[:3]
 
 assert not loaded(), loaded()
-out = sys.argv[1]
-for cfg in sys.argv[2:]:
-    assert cgdms.cli.main(["pressure", "--config", cfg, "--out", out]) == 0
+command, out = sys.argv[1:3]
+for cfg in sys.argv[3:]:
+    assert cgdms.cli.main([command, "--config", cfg, "--out", out]) == 0
     assert not loaded(), (cfg, loaded())
 """
 
 
+def _run_without_scipy(tmp_path, command, configs: dict) -> list:
+    """Names of the files that ``command`` wrote, run on each config in a
+    fresh interpreter by NO_SCIPY."""
+    paths = []
+    for name, doc in configs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(doc)
+        paths.append(str(path))
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY, command, str(tmp_path / "o"),
+                           *paths], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return sorted(p.name for p in (tmp_path / "o").iterdir())
+
+
 def test_scipy_stays_off_the_import_path(tmp_path):
-    """scipy loads only where a run needs it (root solves and hulls):
+    """scipy loads only where a run needs it (stage roots and hulls):
     importing the CLI and a ``pressure`` run on cf3 and on
     a two-map similarity system at word length 16 load none of it."""
     configs = {
@@ -121,16 +137,17 @@ def test_scipy_stays_off_the_import_path(tmp_path):
         "sim": '{"system": {"kind": "similarity", "ratios": [0.4, 0.3]}, '
                '"numerics": {"word_length": 16}}',
     }
-    paths = []
-    for name, doc in configs.items():
-        path = tmp_path / f"{name}.json"
-        path.write_text(doc)
-        paths.append(str(path))
-    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    proc = subprocess.run([sys.executable, "-c", NO_SCIPY, str(tmp_path / "o"), *paths],
-                          env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["pressure.csv"]
+    assert _run_without_scipy(tmp_path, "pressure", configs) == ["pressure.csv"]
+
+
+def test_dimension_run_loads_no_scipy(tmp_path):
+    """A certified dimension solves its estimate without brentq: a
+    ``dimension`` run on cf3 at word length 10 and tol 1e-3 loads no scipy
+    module, where it once spent about 0.4 s importing ``scipy.optimize``."""
+    configs = {"cf3": '{"system": {"kind": "moebius-cf", "alphabet": 3}, '
+                      '"numerics": {"word_length": 10, "tolerance": 1e-3}}'}
+    assert _run_without_scipy(tmp_path, "dimension", configs) == [
+        "dimension.csv", "dimension.json"]
 
 
 # builds two Markov window tables and their Perron classes, failing if any

@@ -99,8 +99,8 @@ class TestSolveBeta:
         s = BetaSolver(cf3, MOD23_J, n=10, window=6)
         first, _, again = (solve_beta(cf3, MOD23_J, t, 0.05, solver=s)
                            for t in (t1, t2, t1))
-        assert (first.beta.lo, first.beta.hi) == (0.8617919313930122,
-                                                  0.9117918813930121)
+        assert (first.beta.lo, first.beta.hi) == (0.861782480801353,
+                                                  0.9117824308013529)
         assert again == first
         fresh = BetaSolver(cf3, MOD23_J, n=10, window=6)
         assert solve_beta(cf3, MOD23_J, t1, 0.05, solver=fresh) == first

@@ -234,3 +234,23 @@ def test_table_build_memory(build):
         tracemalloc.stop()
     assert obj is not None
     assert peak < 6 * 2 ** 20, peak / 2 ** 20
+
+
+@pytest.mark.parametrize("J", [potentials.zero(1), DEPTH1], ids=("zero", "mod-cycle"))
+def test_warm_values_peak_below_one_table(J):
+    """A warm ``values`` call on cf3 at word length 12 (window 11) writes
+    its weights, closure and iterates into buffers that the table and the
+    kernel own: its traced allocation peak stays below one window table of
+    3**11 doubles.  With a fresh array for each of them it peaked at three
+    tables' worth, 4.25 MB."""
+    kern = PressureKernel(SYSTEMS["cf3"], J, n=12, N=3)
+    assert kern.window == 11
+    t = np.zeros(J.dim) + 0.3
+    kern.values(t, 0.7)
+    tracemalloc.start()
+    try:
+        kern.values(t, 0.8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 3 ** 11, peak / 2 ** 20

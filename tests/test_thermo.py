@@ -332,7 +332,8 @@ class TestBowenDimension:
     def test_certification_stops_once_the_sign_is_settled(self, monkeypatch):
         """cf3 at window 10: each of the two certification brackets makes
         at most 3 transfer steps (a full Perron bracket takes about 30), and
-        the whole solve at most 60 (141 with a full-precision estimate)."""
+        the whole solve at most 25 (141 with a full-precision estimate, 44
+        with brentq over early-stopped 'mid' bounds)."""
         steps, per_bracket = counted_steps(monkeypatch), []
         sign = WindowTransfer.limit_sign
 
@@ -346,7 +347,29 @@ class TestBowenDimension:
         res = bowen_dimension(truncated_cf_system(3), 10, tol=1e-3)
         assert res.window == 10 and res.enclosure.width <= 1e-3
         assert len(per_bracket) == 2 and max(per_bracket) <= 3, per_bracket
-        assert steps[0] <= 60, steps[0]
+        assert steps[0] <= 25, steps[0]
+
+    def test_deep_window_estimate_step_budget(self, monkeypatch):
+        """cf2 at window 19, tol 1e-10: the enclosure holds dim E2, and its
+        estimate makes at most 45 transfer steps (105 with brentq over
+        early-stopped 'mid' bounds).  The two sign checks are counted apart:
+        window 19's own width is 7.2e-11, so each sign has a margin of
+        about tol/7 in beta, and they take about 41 steps whatever the
+        estimate."""
+        steps, signs = counted_steps(monkeypatch), [0]
+        sign = WindowTransfer.limit_sign
+
+        def counting_sign(self, *args, **kwargs):
+            before = steps[0]
+            result = sign(self, *args, **kwargs)
+            signs[0] += steps[0] - before
+            return result
+
+        monkeypatch.setattr(WindowTransfer, "limit_sign", counting_sign)
+        transfer = WindowTransfer(CF2, J0, 2, 19)
+        enc, est = certified_pressure_zero(transfer, np.zeros(1), 1e-10)
+        assert DIM_E2 in enc and enc.width <= 1e-10
+        assert steps[0] - signs[0] <= 45, (steps[0], signs[0])
 
     def test_budget_error_carries_best(self):
         with pytest.raises(BracketBudgetError) as err:
@@ -376,7 +399,8 @@ class TestBowenDimension:
 
 
 class TestRoot:
-    """Each root solve evaluates the pressure at most once per beta."""
+    """Each root solve evaluates the pressure at most once per beta, and
+    each certification probes one beta in one run of Perron steps."""
 
     CF24 = truncated_cf_system(24)
     MOD_J = potentials.mod_cycle([[-1.0, 1.0], [0.0, 1.0, -1.0]])
@@ -401,17 +425,20 @@ class TestRoot:
                               xtol=ROOT_XTOL, maxiter=256)
 
     def test_limit_root_evaluates_each_beta_once(self):
+        """The estimate probes the bracket ends until their signs settle,
+        and every other beta once: no beta is probed again after the
+        estimate has moved on."""
         transfer = WindowTransfer(self.CF24, self.MOD_J, 24, 3)
-        bound, mids = transfer.limit_bound, []
+        step, betas = transfer.limit_step, []
 
-        def counting(t, b, side, **kwargs):
-            if side == "mid":
-                mids.append(b)
-            return bound(t, b, side, **kwargs)
+        def counting(t, b, start):
+            betas.append(b)
+            return step(t, b, start)
 
-        transfer.limit_bound = counting
+        transfer.limit_step = counting
         enc, est = certified_pressure_zero(transfer, self.T, 0.2)
-        assert len(mids) == len(set(mids))
+        runs = [b for b, _ in itertools.groupby(betas)]
+        assert len(runs) == len(set(runs)) and len(runs) > 2, betas
         assert enc.lo <= est <= enc.hi
 
 
@@ -425,12 +452,13 @@ class TestEstimatePrecision:
 
     def test_beta_step_budget(self, monkeypatch):
         """cf3 at window 6 with the mod-cycle J, tol 0.05: a full-precision
-        estimate took about 130 Perron steps."""
+        estimate took about 130 Perron steps, brentq over early-stopped
+        'mid' bounds 27."""
         transfer = WindowTransfer(self.CF3, self.MOD_J, 3, 6)
         steps = counted_steps(monkeypatch)
         enc, est = certified_pressure_zero(transfer, np.array([0.3, -0.2]), 0.05)
         assert enc.width <= 0.05 and enc.lo <= est <= enc.hi
-        assert steps[0] <= 40, steps[0]
+        assert steps[0] <= 20, steps[0]
 
     @pytest.mark.parametrize("case", [
         (CF2, J0, 2, 10, (0.0,), 1e-4),
@@ -457,34 +485,81 @@ class TestEstimatePrecision:
         if needed is None:
             assert abs(got_est - est) <= tol / 1000
 
-    @pytest.mark.parametrize("sysd,N,level", [
-        (CF3, 3, 8),
-        (GOLDEN, 2, 6),
-        (similarity_system([0.5, 0.3, 0.4], offsets=[0.0, 0.5, 0.8],
-                           incidence=[[1, 1, 0], [1, 1, 1], [0, 0, 1]]), 3, 6),
-    ], ids=["cf3", "golden", "reducible"])
-    def test_limit_bound_rtol(self, monkeypatch, sysd, N, level):
-        """With rtol, 'mid' is within rtol (in log units) of its converged
-        value, 'lower' and 'upper' still bound theirs from outside, and
-        the iterations stop sooner."""
-        steps, rtol, t = counted_steps(monkeypatch), 1e-6, np.zeros(1)
-        full_steps = early_steps = 0
-        for beta in (0.0, 0.4, 0.9):
-            for side in ("lower", "mid", "upper"):
-                before = steps[0]
-                full = WindowTransfer.at_level(sysd, J0, N, level).limit_bound(t, beta, side)
-                full_steps += steps[0] - before
-                before = steps[0]
-                early = WindowTransfer.at_level(sysd, J0, N, level).limit_bound(
-                    t, beta, side, rtol=rtol)
-                early_steps += steps[0] - before
-                if side == "mid":
-                    assert abs(early - full) <= rtol
-                elif side == "lower":
-                    assert early <= full
-                else:
-                    assert early >= full
-        assert early_steps < full_steps
+
+def moran_root(ratios):
+    """s solving sum r**s = 1, from brentq."""
+    return brentq(lambda s: sum(r ** s for r in ratios) - 1.0, 0.0, 10.0, xtol=1e-15)
+
+
+class TestCoupledEstimate:
+    """The estimate moves beta and one Perron iterate together, and stops
+    once Collatz-Wielandt ends certify a bracket of the 'mid' zero at most
+    tol * 2**-10 wide."""
+
+    PERIOD2 = similarity_system([0.5, 0.4], incidence=[[0, 1], [1, 0]])
+    # two classes of symbols, {1, 2} and {3, 4}; 2 -> 3 leaves the first
+    TWO_CLASSES = similarity_system([0.3, 0.4, 0.35, 0.45],
+                                    incidence=[[1, 1, 1, 0], [1, 1, 0, 0],
+                                               [0, 0, 1, 1], [0, 0, 1, 1]])
+    MOD_J = potentials.mod_cycle([[0, 1], [0, 0, 1]])
+
+    @pytest.mark.parametrize("sysd,N,q", [
+        (similarity_system([0.5], offsets=[0.0]), 1, 1),
+        (PERIOD2, 2, 2),
+        (PERIOD2, 2, 6),
+    ], ids=["one-map", "period-2", "period-2-window6"])
+    def test_zero_at_the_floor(self, sysd, N, q):
+        """One map, and two maps that must alternate: the pressure is 0 at
+        the floor, where the estimate lands exactly, and the enclosure
+        starts there."""
+        transfer = WindowTransfer(sysd, J0, N, q)
+        enc, est = certified_pressure_zero(transfer, np.zeros(1), 1e-9)
+        assert est == BETA_FLOOR == enc.lo and enc.width <= 1e-9
+
+    def test_root_errors_keep_their_messages(self):
+        """A pressure already negative at the floor (cf2 at window 4 with
+        J = -5), and one that no doubling of ROOT_HI_HINT turns negative
+        (two maps with J = 1 at t = 1e30), raise the errors of :func:`_root`
+        in its words."""
+        low = WindowTransfer(CF2, potentials.from_table({1: [-5.0], 2: [-5.0]}), 2, 4)
+        high = WindowTransfer(similarity_system([0.5, 0.4]),
+                              potentials.from_table({1: [1.0], 2: [1.0]}), 2, 1)
+        for transfer, t, message in (
+                (low, np.ones(1), "pressure already negative at beta=0.0; "
+                                  "the zero lies below the supported domain"),
+                (high, np.array([1e30]), "pressure never becomes negative")):
+            with pytest.raises(BracketBudgetError) as err:
+                certified_pressure_zero(transfer, t, 1e-6)
+            assert str(err.value) == message
+            with pytest.raises(BracketBudgetError) as err:
+                _root(lambda b: transfer.limit_bound(t, b, "mid"))
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize("case", [
+        (TWO_CLASSES, J0, 4, 4, (0.0,), 1e-9),
+        (similarity_system([0.3, 0.4, 0.5]), J0, 3, 1, (0.0,), 1e-12),
+        (truncated_cf_system(3), MOD_J, 3, 6, (0.3, -0.2), 0.05),
+    ], ids=["two-classes", "window-1", "mod-cycle-t"])
+    def test_edge_case_matches_full_precision_solve(self, monkeypatch, case):
+        """A reducible incidence whose two classes carry their own zeros
+        (the larger one is the pressure's), window 1, which has no states
+        and takes no Perron step, and a mod-cycle beta at t != 0: the
+        enclosure is the full-precision solve's, and its estimate lies
+        within tol/1000 of that one's."""
+        sysd, J, N, q, t, tol = case
+        t = np.asarray(t, dtype=float)
+        enc, est, _ = full_precision_zero(WindowTransfer(sysd, J, N, q), t, tol)
+        steps = counted_steps(monkeypatch)
+        got, got_est = certified_pressure_zero(WindowTransfer(sysd, J, N, q), t, tol)
+        assert got.width == pytest.approx(enc.width, rel=0, abs=2 * math.ulp(enc.hi))
+        assert abs(got_est - est) <= tol / 1000
+        if q == 1:
+            assert steps[0] == 0
+        if J is J0:
+            ratios = sysd.family.ratios
+            root = (max(moran_root(ratios[:2]), moran_root(ratios[2:])) if N == 4
+                    else moran_root(ratios))
+            assert root in got.padded(1e-12)
 
 
 class TestTheta:
