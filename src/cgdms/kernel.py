@@ -129,11 +129,6 @@ class _Sides(dict):
         return mid
 
 
-def _sides(lo, hi) -> dict:
-    """The :class:`_Sides` of a bracket pair."""
-    return _Sides(inf=lo, sup=hi)
-
-
 def _step(v: np.ndarray, ET: np.ndarray) -> np.ndarray:
     """One transfer step: values on the (q-1)-gram states, summed over the
     symbol leaving the window, into values on the next states.  ``ET`` holds
@@ -233,7 +228,8 @@ class WindowTransfer:
         hull = sys.hull(N)
         for L, (ok, tails) in enumerate(_levels(sys, N, hull, q - 1)):
             if trailing is not None and L < q - 1:
-                trailing[L + 1] = _sides(*_head_brackets(sys.family, tails, hull, N))
+                lo, hi = _head_brackets(sys.family, tails, hull, N)
+                trailing[L + 1] = _Sides(inf=lo, sup=hi)
         self.state_valid = ok  # admissible (q-1)-gram states
         if q == 1:  # no states: the windows are the symbols
             valid = np.ones(N, dtype=bool)
@@ -242,13 +238,10 @@ class WindowTransfer:
             tails = tuple(np.ascontiguousarray(s.reshape(-1, N).T) for s in tails)
         self.valid = valid.ravel()
         self.all_valid = bool(self.valid.all())
-        self.ld = _sides(*_head_brackets(sys.family, tails, hull, N))
+        lo, hi = _head_brackets(sys.family, tails, hull, N)
+        self.ld = _Sides(inf=lo, sup=hi)
         del tails
-        # the weights of the last evaluation, and the same buffer over the
-        # axes on which :meth:`j_dot` lays out J
-        self._w = np.empty(self.valid.size)
-        self._wax = self._w.reshape((N,) if q == 1 else (N, N, -1) if m == q
-                                    else (N, N, N ** (m - 1), -1))
+        self._w = np.empty(self.valid.size)  # the weights of the last evaluation
         self._jkey = None
 
     @staticmethod
@@ -259,8 +252,11 @@ class WindowTransfer:
 
     @staticmethod
     def check_size(N: int, q: int) -> None:
-        """ValueError when a window table of N**q entries passes the cap."""
-        if N ** q > TABLE_CAP:
+        """ValueError when a window table of N**q entries passes the cap:
+        when q is past :meth:`deepest_window`, so that no huge power of N
+        is computed."""
+        deepest = WindowTransfer.deepest_window(N)
+        if deepest is not None and q > deepest:
             raise ValueError(f"window table too large: {N}**{q}")
 
     @staticmethod
@@ -290,12 +286,6 @@ class WindowTransfer:
                     1, min(level - 1, cls.deepest_window(N, DP_WINDOW_CAP))))
         return cls.clamp(sys, J, window)
 
-    @classmethod
-    def at_level(cls, sys: SystemDescriptor, J: PotentialVector, N: int,
-                 level: int, window: Optional[int] = None) -> "WindowTransfer":
-        """The transfer at the :meth:`window_at` choice of ``level``."""
-        return cls(sys, J, N, cls.window_at(sys, J, N, level, window))
-
     @cached_property
     def jcode(self) -> np.ndarray:
         """The code of each window's first m symbols, in transfer order."""
@@ -309,26 +299,17 @@ class WindowTransfer:
 
     def j_dot(self, t) -> tuple:
         """(<t, J> on the depth-m words, -inf on inadmissible ones, and the
-        same values over the axes of the weights' buffer: a view that
-        broadcasts the J of the first m symbols over the rest of a window,
-        None where every value is 0), kept for the last t, as a root solve
-        evaluates one t at many beta; values that overflow are left to
-        :meth:`weights`."""
+        same values on the windows in transfer order, the J of each
+        window's first m symbols, or None where every value is 0), kept for
+        the last t, as a root solve evaluates one t at many beta; values
+        that overflow are left to :meth:`weights`."""
         key = t.tobytes()
         if self._jkey != key:
             with np.errstate(over="ignore", invalid="ignore"):
                 u = self.jvals @ t
             u[~self.mvalid] = -math.inf
-            N, q, m = self.N, self.window, self.J.depth
-            if not u.any():  # adding 0 changes no weight
-                view = None
-            elif q == 1:
-                view = u
-            elif m == q:  # the window a r b is its J head, read as (a, b, r)
-                view = u.reshape(N, -1, N).transpose(0, 2, 1)
-            else:  # the head is a and the first m-1 symbols of r
-                view = u.reshape(N, 1, N ** (m - 1), 1)
-            self._jkey, self._ju = key, (u, view)
+            # adding 0 changes no weight
+            self._jkey, self._ju = key, (u, u[self.jcode] if u.any() else None)
         return self._ju
 
     def weights(self, t, beta, which):
@@ -344,7 +325,7 @@ class WindowTransfer:
         w = np.multiply(self.ld[which], beta, out=self._w)
         ju = self.j_dot(t)[1]
         if ju is not None:
-            self._wax += ju
+            w += ju
         if not self.all_valid:
             np.copyto(w, -math.inf, where=self._invalid)
         base = float(w.max())

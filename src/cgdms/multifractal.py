@@ -152,7 +152,9 @@ class BetaSolver:
         return WindowTransfer(self.sys, self.J, kern.N, q)
 
     def root(self, t) -> float:
-        """beta solving the anchored stage pressure at t.
+        """beta solving the anchored stage pressure at t, to within
+        ROOT_XTOL by the zero finder of the certified estimates
+        (:func:`~cgdms.thermo.anchored_pressure_root`).
 
         The starting bracket is fixed rather than warm-started so that
         results cannot depend on call order.

@@ -19,10 +19,10 @@ from .util import Enclosure
 
 BETA_FLOOR = 0.0     # left edge of the bracketed exponent domain
 ROOT_HI_HINT = 1.0   # first right end tried when bracketing the root
-ROOT_XTOL = 1e-14    # brentq tolerance of the stage roots; least xtol of an estimate
+ROOT_XTOL = 1e-14    # xtol of the stage roots, and least xtol of an estimate
 # share of a certification's tolerance to which its estimate is solved
 ESTIMATE_SHARE = 2.0 ** -10
-PROBE_CAP = 1000  # Perron probes of one bracket end, and of one estimate
+PROBE_CAP = 1000  # probes of one bracket end, and of one zero
 
 
 @dataclass(frozen=True)
@@ -164,27 +164,6 @@ def _sign_bracket(f: Callable) -> Optional[tuple]:
     return flo, hi, fhi
 
 
-def _root(f: Callable, xtol: float = ROOT_XTOL) -> float:
-    """Zero of a pressure function decreasing in beta: brentq to ``xtol``
-    on the bracket of :func:`_sign_bracket`.  brentq reads the two bracket
-    ends from the values already computed, so no bracket end is evaluated
-    twice."""
-    from scipy.optimize import brentq
-    bracket = _sign_bracket(f)
-    if bracket is None:
-        return BETA_FLOOR
-    flo, hi, fhi = bracket
-    ends = {BETA_FLOOR: flo, hi: fhi}
-    return float(brentq(lambda b: ends[b] if b in ends else f(b),
-                        BETA_FLOOR, hi, xtol=xtol, maxiter=256))
-
-
-def anchored_pressure_root(kern: PressureKernel, t) -> float:
-    """Root of the anchored stage value in beta."""
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    return _root(lambda b: kern.value(t, b))
-
-
 def _ends(est: float, half: float) -> tuple:
     """(lo, hi) of an enclosure of ``est`` no wider than 2*half: est -/+
     half shaved by 1e-6 relative and rounded to floats, lo clipped at the
@@ -212,11 +191,15 @@ def _certifies(transfer: WindowTransfer, t, est: float, half: float,
     return None
 
 
-def _mid_zero(transfer: WindowTransfer, t, xtol: float, start: list) -> float:
-    """The zero in beta of the 'mid' limit pressure, to within xtol: the
-    midpoint of a bracket of it at most ``xtol`` wide, certified by the
-    Collatz-Wielandt ends of :meth:`WindowTransfer.limit_step`, each probe
-    one lazy Perron step per class from ``start``.
+def _zero(probe: Callable, xtol: float) -> float:
+    """The zero in beta of a pressure decreasing through it, to within
+    xtol: the midpoint of a bracket of it at most ``xtol`` wide (or of two
+    adjacent floats), certified by the ends of ``probe(beta)``, a
+    (lower, mid, upper) whose 'lower' and 'upper' bound the pressure at
+    beta and whose 'mid' estimates it.  Each probe of
+    :func:`certified_pressure_zero` is one lazy Perron step per class from
+    its start (:meth:`WindowTransfer.limit_step`), so beta and the Perron
+    iterate move together; an exact stage value is all three ends at once.
 
     The pressure is convex in beta, so below the zero of a bracket with a
     negative right end it is positive and above it negative: a lower end
@@ -234,7 +217,7 @@ def _mid_zero(transfer: WindowTransfer, t, xtol: float, start: list) -> float:
     def settle(beta):
         lo, hi = -math.inf, math.inf
         for _ in range(PROBE_CAP):
-            plo, mid, phi = transfer.limit_step(t, beta, start)
+            plo, mid, phi = probe(beta)
             if plo <= lo and phi >= hi:  # neither end closes in any more
                 break
             lo, hi = max(lo, plo), min(hi, phi)
@@ -252,19 +235,34 @@ def _mid_zero(transfer: WindowTransfer, t, xtol: float, start: list) -> float:
     a = x0 = BETA_FLOOR
     f0, x1, f1, delta = fa, b, fb, 0.25 * xtol
     for _ in range(PROBE_CAP):
-        if b - a <= xtol:
+        # no float lies inside a bracket of two adjacent floats, which is
+        # wider than xtol from beta of about 2**52 * xtol on
+        if b - a <= xtol or not a < 0.5 * (a + b) < b:
             break
         for z in (secant(x0, f0, x1, f1), secant(a, fa, b, fb), 0.5 * (a + b)):
             if a < z < b:
                 break
         z += delta if b - z > z - a else -delta
-        lo, mid, hi = transfer.limit_step(t, z, start)
+        lo, mid, hi = probe(z)
         if lo >= 0.0:
             a, fa = z, mid
         if hi <= 0.0:
             b, fb = z, mid
         x0, f0, x1, f1 = x1, f1, z, mid
     return 0.5 * (a + b)
+
+
+def anchored_pressure_root(kern: PressureKernel, t) -> float:
+    """Root of the anchored stage value in beta, to within ROOT_XTOL: the
+    :func:`_zero` of a probe whose three ends are the one exact value, so
+    that each beta, a bracket end too, is evaluated once."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+
+    def probe(b):
+        v = kern.value(t, b)
+        return v, v, v
+
+    return _zero(probe, ROOT_XTOL)
 
 
 def certified_pressure_zero(transfer: WindowTransfer, t, tol: float) -> tuple:
@@ -274,7 +272,8 @@ def certified_pressure_zero(transfer: WindowTransfer, t, tol: float) -> tuple:
     est +/- tol/2 by :func:`_certifies`, in an enclosure no wider than
     ``tol``.  The two signs hold whatever the estimate, so it is solved
     only to xtol = ESTIMATE_SHARE of ``tol`` (never below ROOT_XTOL), by
-    :func:`_mid_zero`, which moves beta and the Perron iterate together.
+    :func:`_zero` on lazy Perron steps, which moves beta and the Perron
+    iterate together.
     Both run from one fresh Perron start, whatever was asked of the
     transfer before.  Failing that, the half-width is doubled until it
     certifies, and :class:`BracketBudgetError` carries that enclosure as
@@ -283,7 +282,8 @@ def certified_pressure_zero(transfer: WindowTransfer, t, tol: float) -> tuple:
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     start = transfer.start()
-    est = _mid_zero(transfer, t, max(ROOT_XTOL, tol * ESTIMATE_SHARE), start)
+    est = _zero(lambda b: transfer.limit_step(t, b, start),
+                max(ROOT_XTOL, tol * ESTIMATE_SHARE))
     half = 0.5 * tol
     for k in range(61):
         best = _certifies(transfer, t, est, half * 2.0 ** k, start)
@@ -312,12 +312,13 @@ def bowen_dimension(sys: SystemDescriptor, n: int, N: Optional[int] = None,
                     workers: int = 1) -> BowenResult:
     """Enclosure of the zero of the one-parameter limit pressure, bracketed
     by the window transfer matrix of ``window`` or level ``n``
-    (:meth:`~cgdms.kernel.WindowTransfer.at_level`).  ``workers`` is
+    (:meth:`~cgdms.kernel.WindowTransfer.window_at`).  ``workers`` is
     accepted for compatibility and ignored: the kernel runs single-threaded.
     """
     t = np.zeros(1)
-    transfer = WindowTransfer.at_level(sys, potentials.zero(1),
-                                       sys.effective_truncation(N), n, window)
+    J0, N = potentials.zero(1), sys.effective_truncation(N)
+    q = WindowTransfer.window_at(sys, J0, N, n, window)
+    transfer = WindowTransfer(sys, J0, N, q)
     if transfer.limit_bound(t, 0.0, "upper") < 0.0:
         # pressure already negative at the domain edge: the zero-crossing
         # formulation degenerates and the critical exponent is the edge
@@ -353,8 +354,8 @@ def classify_regularity(sys: SystemDescriptor, *,
             "declared weight series diverges at the threshold, so every "
             "co-finite subsystem still blows up there and must cross zero",)
     t = np.zeros(1)
-    transfer = WindowTransfer.at_level(sys, potentials.zero(1),
-                                       sys.effective_truncation(N), 1)
+    J0, N = potentials.zero(1), sys.effective_truncation(N)
+    transfer = WindowTransfer(sys, J0, N, WindowTransfer.window_at(sys, J0, N, 1))
     lower = transfer.limit_bound(t, 0.0, "lower")
     if lower > 1e-12:
         return "strongly-regular", (

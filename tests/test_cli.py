@@ -569,6 +569,27 @@ class TestConfigValidation:
         err = self._rejected(tmp_path, capsys, "sets", doc, "sets.cycles[0]")
         assert "edge 9" in err
 
+    @pytest.mark.parametrize("command,numerics", [
+        ("dimension", {"window": 30_000_000}),
+        ("pressure", {"word_length": 10 ** 9, "window": 10 ** 9}),
+    ], ids=["dimension-window", "pressure-length-and-window"])
+    def test_huge_window_refused_at_once(self, tmp_path, command, numerics):
+        """A window far past the table cap on cf3 exits 1 within seconds,
+        naming its field: the cap is checked by the deepest window that it
+        admits, and 3**q is never computed."""
+        doc = {"system": {"kind": "moebius-cf", "alphabet": 3}, "numerics": numerics}
+        cfg = write_config(tmp_path, doc)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(SRC), os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from cgdms.cli import main; sys.exit(main(sys.argv[1:]))",
+             command, "--config", cfg, "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, env=env, timeout=10)
+        assert run.returncode == 1
+        assert "'numerics.window'" in run.stderr and "Traceback" not in run.stderr
+        assert not (tmp_path / "o").exists()
+
     def test_word_length_past_the_stage_step_cap(self, tmp_path, capsys):
         """A length whose stage recursion would run for about an hour is
         refused before any work."""

@@ -1,9 +1,9 @@
 """Import rules for the package: no command uses threads or processes,
 ``src`` never imports the benchmark harness or a package of the ``test``
 extra, the layers above ``kernel`` see only its two classes, and scipy
-stays off the import path of the CLI, out of a ``dimension`` run and out of
-the Perron classes of Markov window tables, which the incidence's classes
-of symbols give."""
+stays off the import path of the CLI, out of ``dimension``, ``beta`` and
+1-D ``spectrum`` runs, and out of the Perron classes of Markov window
+tables, which the incidence's classes of symbols give."""
 
 import ast
 import os
@@ -128,8 +128,8 @@ def _run_without_scipy(tmp_path, command, configs: dict) -> list:
 
 
 def test_scipy_stays_off_the_import_path(tmp_path):
-    """scipy loads only where a run needs it (stage roots and hulls):
-    importing the CLI and a ``pressure`` run on cf3 and on
+    """scipy loads only where a run needs it (the hulls of ``sets`` at
+    potential dim >= 2): importing the CLI and a ``pressure`` run on cf3 and on
     a two-map similarity system at word length 16 load none of it."""
     configs = {
         "cf3": '{"system": {"kind": "moebius-cf", "alphabet": 3}, '
@@ -148,6 +148,26 @@ def test_dimension_run_loads_no_scipy(tmp_path):
                       '"numerics": {"word_length": 10, "tolerance": 1e-3}}'}
     assert _run_without_scipy(tmp_path, "dimension", configs) == [
         "dimension.csv", "dimension.json"]
+
+
+@pytest.mark.parametrize("command,config,files", [
+    ("beta", '{"system": {"kind": "moebius-cf", "alphabet": 3}, '
+             '"potential": {"kind": "mod-cycle", "tables": [[0, 1], [0, 0, 1]]}, '
+             '"numerics": {"word_length": 10, "window": 6, "tolerance": 1e-3}, '
+             '"beta": {"t_points": [[0.1, 0.3], [-0.5, 0.4]]}}', ["beta.csv"]),
+    ("spectrum", '{"system": {"kind": "similarity", "ratios": [0.5, 0.3], '
+                 '"offsets": [0.0, 0.6]}, "potential": {"kind": "table", '
+                 '"values": {"1": [0.0], "2": [1.0]}}, "numerics": {"word_length": 12}, '
+                 '"spectrum": {"alpha_grid": [[0.5]], '
+                 '"t_grid": {"min": [-1.0], "max": [1.0], "points": 3}}}',
+     ["spectrum.csv", "surface.csv"]),
+], ids=["beta", "spectrum"])
+def test_stage_root_runs_load_no_scipy(tmp_path, command, config, files):
+    """Stage roots share the certified estimate's zero finder: a ``beta``
+    run on cf3 with the mod-cycle potential at window 6, and a ``spectrum``
+    run on a two-map similarity system with a 1-D potential, load no scipy
+    module, where each once imported ``scipy.optimize`` for brentq."""
+    assert _run_without_scipy(tmp_path, command, {"cfg": config}) == files
 
 
 # builds two Markov window tables and their Perron classes, failing if any

@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
@@ -31,7 +32,7 @@ from cgdms.kernel import (EXACT_CAP, PERRON_ITER_CAP, PERRON_LAZY,
                           PressureKernel, WindowTransfer, _part_j_bounds, _pick)
 from cgdms.symbolic import IncidenceMatrix
 from cgdms.system import SystemDescriptor, similarity_system, truncated_cf_system
-from cgdms.thermo import BETA_FLOOR, _certifies, _ends, _root
+from cgdms.thermo import BETA_FLOOR, ROOT_XTOL, _certifies, _ends, _sign_bracket
 
 N_WORDS = 8
 T = np.array([0.7, -0.4])
@@ -796,7 +797,9 @@ def test_sign_certification_matches_full_limit_bounds(name):
         ests = [beta]
         probe = fresh()
         if probe.limit_bound(t, BETA_FLOOR, "mid") > 0.0:
-            ests.append(_root(lambda b: probe.limit_bound(t, b, "mid")))
+            # the mid root by brentq, the reference finder
+            mid = lambda b: probe.limit_bound(t, b, "mid")
+            ests.append(brentq(mid, BETA_FLOOR, _sign_bracket(mid)[1], xtol=ROOT_XTOL))
         for est in ests:
             for half in (1e-9, 1e-4, 1e-2, 0.3, 2.0):
                 got = _certifies(fresh(), t, est, half) is not None

@@ -15,7 +15,8 @@ from cgdms.kernel import PressureKernel, WindowTransfer
 from cgdms.system import (SystemDescriptor, TailRule, moebius_cf_system,
                           similarity_system, truncated_cf_system)
 from cgdms.thermo import (BETA_FLOOR, ROOT_HI_HINT, ROOT_XTOL, PressureQuery,
-                          _certifies, _ends, _root, anchored_pressure_root,
+                          _certifies, _ends, _sign_bracket, _zero,
+                          anchored_pressure_root,
                           bowen_dimension, certified_pressure_zero,
                           classify_regularity, estimate_theta,
                           pressure_bracket, thermo_report)
@@ -90,11 +91,25 @@ def counted_steps(monkeypatch) -> list:
     return steps
 
 
+def brentq_zero(f, xtol=ROOT_XTOL):
+    """The reference zero of a pressure function f decreasing in beta:
+    scipy's brentq to ``xtol`` on the bracket of :func:`_sign_bracket`,
+    reading the two bracket ends from the values already computed."""
+    bracket = _sign_bracket(f)
+    if bracket is None:
+        return BETA_FLOOR
+    flo, hi, fhi = bracket
+    ends = {BETA_FLOOR: flo, hi: fhi}
+    return float(brentq(lambda b: ends[b] if b in ends else f(b),
+                        BETA_FLOOR, hi, xtol=xtol, maxiter=256))
+
+
 def full_precision_zero(transfer, t, tol):
     """(enclosure, estimate, required_n) of the certification with its
-    estimate solved to ROOT_XTOL on fully converged 'mid' bounds: the first
-    est +/- (tol/2) * 2**k that certifies, and required_n None when k = 0."""
-    est = _root(lambda b: transfer.limit_bound(t, b, "mid"))
+    estimate solved to ROOT_XTOL by brentq on fully converged 'mid' bounds:
+    the first est +/- (tol/2) * 2**k that certifies, and required_n None
+    when k = 0."""
+    est = brentq_zero(lambda b: transfer.limit_bound(t, b, "mid"))
     half = 0.5 * tol
     for k in range(61):
         enc = _certifies(transfer, t, est, half * 2.0 ** k)
@@ -316,7 +331,7 @@ class TestBowenDimension:
         t = np.zeros(1)
 
         def fresh():
-            return WindowTransfer.at_level(sysd, J0, len(rows), 6)
+            return WindowTransfer(sysd, J0, len(rows), 6)
 
         est = bowen_dimension(sysd, 6, tol=1e-9).estimate
         for shift in (0.0, 1e-3, -0.3):
@@ -418,11 +433,26 @@ class TestRoot:
         root = anchored_pressure_root(kern, self.T)
         assert len(betas) == len(set(betas))
         # the right end of the bracket is the last doubling of ROOT_HI_HINT,
-        # and brentq on that bracket gives the root bit for bit
+        # and brentq on that bracket lands within ROOT_XTOL of the root
         hi = max(betas)
         assert math.log2(hi / ROOT_HI_HINT).is_integer() and kern.value(self.T, hi) < 0.0
-        assert root == brentq(lambda b: kern.value(self.T, b), BETA_FLOOR, hi,
-                              xtol=ROOT_XTOL, maxiter=256)
+        assert abs(root - brentq(lambda b: kern.value(self.T, b), BETA_FLOOR, hi,
+                                 xtol=ROOT_XTOL, maxiter=256)) <= ROOT_XTOL
+
+    def test_zero_stops_at_adjacent_floats(self):
+        """A sign change between two adjacent floats past 64, where the float
+        spacing passes ROOT_XTOL and no beta gives 0, ends the solve there
+        rather than after PROBE_CAP probes."""
+        c, betas = 100.1, []
+
+        def probe(b):
+            betas.append(b)
+            v = 1.0 if b < c else -1.0
+            return v, v, v
+
+        root = _zero(probe, ROOT_XTOL)
+        assert math.nextafter(c, -math.inf) <= root <= math.nextafter(c, math.inf)
+        assert len(betas) < 100
 
     def test_limit_root_evaluates_each_beta_once(self):
         """The estimate probes the bracket ends until their signs settle,
@@ -519,21 +549,23 @@ class TestCoupledEstimate:
     def test_root_errors_keep_their_messages(self):
         """A pressure already negative at the floor (cf2 at window 4 with
         J = -5), and one that no doubling of ROOT_HI_HINT turns negative
-        (two maps with J = 1 at t = 1e30), raise the errors of :func:`_root`
-        in its words."""
-        low = WindowTransfer(CF2, potentials.from_table({1: [-5.0], 2: [-5.0]}), 2, 4)
-        high = WindowTransfer(similarity_system([0.5, 0.4]),
-                              potentials.from_table({1: [1.0], 2: [1.0]}), 2, 1)
-        for transfer, t, message in (
+        (two maps with J = 1 at t = 1e30), raise the errors of
+        :func:`_sign_bracket` in its words, from a certified zero and a
+        stage root alike."""
+        low = (CF2, potentials.from_table({1: [-5.0], 2: [-5.0]}), 4)
+        high = (similarity_system([0.5, 0.4]),
+                potentials.from_table({1: [1.0], 2: [1.0]}), 1)
+        for (sysd, J, q), t, message in (
                 (low, np.ones(1), "pressure already negative at beta=0.0; "
                                   "the zero lies below the supported domain"),
                 (high, np.array([1e30]), "pressure never becomes negative")):
-            with pytest.raises(BracketBudgetError) as err:
-                certified_pressure_zero(transfer, t, 1e-6)
-            assert str(err.value) == message
-            with pytest.raises(BracketBudgetError) as err:
-                _root(lambda b: transfer.limit_bound(t, b, "mid"))
-            assert str(err.value) == message
+            transfer = WindowTransfer(sysd, J, 2, q)
+            kern = PressureKernel(sysd, J, n=8, N=2, window=q)
+            for solve in (lambda: certified_pressure_zero(transfer, t, 1e-6),
+                          lambda: anchored_pressure_root(kern, t)):
+                with pytest.raises(BracketBudgetError) as err:
+                    solve()
+                assert str(err.value) == message
 
     @pytest.mark.parametrize("case", [
         (TWO_CLASSES, J0, 4, 4, (0.0,), 1e-9),
