@@ -14,7 +14,7 @@ from typing import Optional
 from . import potentials
 from .errors import ConfigError, InvalidWordError
 from .families import Custom1DFamily, parse_expression
-from .kernel import STAGE_STEP_CAP, PressureKernel, WindowTransfer
+from .kernel import STAGE_STEP_CAP, STEP_FLOOR, PressureKernel, WindowTransfer
 from .measures import RULE_CUTOFF, BernoulliSpec
 from .potentials import PotentialVector, cycle_birkhoff
 from .symbolic import IncidenceMatrix, Multigraph, closed_cycle
@@ -238,11 +238,9 @@ def validate_config(doc: dict, command: str) -> RunConfig:
                 "so the truncated system is empty"))
     if command in ("pressure", "beta", "spectrum", "sets"):  # read the potential
         _check_declared(potential, N, "potential.values")
-        if window is not None:
-            _check_window(system, potential, wl, N, window, command)
-        _check_steps(system, potential, wl, N, window)
-    elif command == "dimension" and window is not None:  # of a zero potential
-        _check_window(system, potentials.zero(1), wl, N, window, command)
+        _check_tables(system, potential, wl, N, window, command)
+    elif command == "dimension":  # of a zero potential
+        _check_tables(system, potentials.zero(1), wl, N, window, command)
     params = doc.get(command, {})
     if not isinstance(params, dict):
         raise ConfigError(command, "command parameters must be an object")
@@ -352,36 +350,30 @@ def _t_grid(command: str, tg, d: int, vectors) -> list:
     return expand_t_grid(tg, d)
 
 
-def _check_window(system: SystemDescriptor, potential: PotentialVector,
-                  n: int, N: int, window: int, command: str) -> None:
-    """The window tables that ``command`` builds from ``numerics.window``
-    fit the table cap: the stage kernel's (every command but
-    ``dimension``), at its :meth:`~cgdms.kernel.PressureKernel.layout`
-    window, and the certifying transfer's for ``beta`` and ``dimension``."""
+def _check_tables(system: SystemDescriptor, potential: PotentialVector,
+                  n: int, N: int, window: Optional[int], command: str) -> None:
+    """The window tables that ``command`` builds at the windows of
+    :meth:`~cgdms.kernel.WindowTransfer.windows` fit the table cap: the
+    stage kernel's (every command but ``dimension``) and the certifying
+    transfer's for ``beta`` and ``dimension``.  The stage kernel's words
+    are no shorter than its window, and one stage recursion makes at most
+    ``STAGE_STEP_CAP`` state-steps, each step counting at least its fixed
+    cost ``STEP_FLOOR``, so no word length runs for more than about a
+    second per recursion.  A table or a window past the length names
+    ``numerics.window`` when one is given, else ``numerics.word_length``."""
+    stage, certify = WindowTransfer.windows(system, potential, N, n, window)
+    tables = {"dimension": (certify,), "beta": (stage, certify)}.get(command, (stage,))
     try:
         if command != "dimension":
-            WindowTransfer.check_size(
-                N, PressureKernel.layout(system, potential, n, N, window))
-        if command in ("beta", "dimension"):
-            WindowTransfer.check_size(
-                N, WindowTransfer.window_at(system, potential, N, n, window))
+            PressureKernel.check_length(potential, n, stage)
+        for q in tables:
+            WindowTransfer.check_size(N, q)
     except ValueError as exc:
-        raise ConfigError("numerics.window", str(exc)) from exc
-
-
-def _check_steps(system: SystemDescriptor, potential: PotentialVector,
-                 n: int, N: int, window: Optional[int]) -> None:
-    """One stage recursion of the run's kernel makes at most
-    ``STAGE_STEP_CAP`` state-steps, each step counting at least its fixed
-    cost (:meth:`~cgdms.kernel.PressureKernel.stage_steps`), so no word
-    length runs for more than about a second per recursion.  A length
-    shorter than its clamped window (the potential depth, or 2 on a Markov
-    incidence) is refused too (a given ``numerics.window`` is checked by
-    :func:`_check_window` first)."""
-    try:
-        steps = PressureKernel.stage_steps(system, potential, n, N, window)
-    except ValueError as exc:
-        raise ConfigError("numerics.word_length", str(exc)) from exc
+        field = "numerics.word_length" if window is None else "numerics.window"
+        raise ConfigError(field, str(exc)) from exc
+    if command == "dimension" or stage == 1:
+        return
+    steps = (n - stage + 1) * max(N ** (stage - 1), STEP_FLOOR)
     if steps > STAGE_STEP_CAP:
         raise ConfigError("numerics.word_length", (
             f"one stage recursion at length {n} would make {steps} "

@@ -10,7 +10,8 @@ transfer recursion over (q-1)-gram states on the kernel's own
 per-word brackets.  A distortion-free (similarity) family's
 brackets are already exact at the clamped window (the potential depth,
 and 2 on a Markov incidence), where the two intervals agree up to
-rounding (:meth:`PressureKernel.layout`).
+rounding.  :meth:`WindowTransfer.windows` chooses the window of every
+table, the stage kernel's and the certifying transfer's.
 
 :class:`WindowTransfer` is the only limit-bracket object:
 log rho(L_inf) <= P <= log rho(L_sup) for its window matrix L, each radius
@@ -62,8 +63,8 @@ import numpy as np
 from .potentials import PotentialVector
 from .system import SystemDescriptor
 
-# max truncation**level at which the window of a refinement level is the
-# level itself (:meth:`WindowTransfer.window_at`)
+# max truncation**n at which the automatic window of level n is n itself
+# (:meth:`WindowTransfer.windows`)
 EXACT_CAP = 1 << 17
 DP_WINDOW_CAP = 1 << 19  # max truncation**window of an automatic window
 TABLE_CAP = DP_WINDOW_CAP * 4  # max truncation**window of any window table
@@ -255,36 +256,39 @@ class WindowTransfer:
         """ValueError when a window table of N**q entries passes the cap:
         when q is past :meth:`deepest_window`, so that no huge power of N
         is computed."""
-        deepest = WindowTransfer.deepest_window(N)
-        if deepest is not None and q > deepest:
+        if q > WindowTransfer.deepest_window(N):
             raise ValueError(f"window table too large: {N}**{q}")
 
     @staticmethod
-    def deepest_window(N: int, cap: int = TABLE_CAP) -> Optional[int]:
+    def deepest_window(N: int, cap: int = TABLE_CAP) -> int:
         """The deepest window whose table of N**q entries stays within
         ``cap`` at truncation N, by default the deepest that
-        :meth:`check_size` admits; None at N = 1, where every window fits."""
-        if N == 1:
-            return None
-        q = 0
+        :meth:`check_size` admits.  At N = 1 a table has one entry but
+        takes q levels to build, so the caps are those of N = 2."""
+        N, q = max(N, 2), 0
         while N ** (q + 1) <= cap:
             q += 1
         return q
 
     @classmethod
-    def window_at(cls, sys: SystemDescriptor, J: PotentialVector, N: int,
-                  level: int, window: Optional[int] = None) -> int:
-        """The clamped ``window``, or absent one the window of refinement
-        ``level``: exact (distortion-free) brackets need only potential
-        depth and Markov memory; otherwise it is ``level`` while
-        N**level stays within EXACT_CAP, else the deepest window below
-        ``level`` whose table fits."""
+    def windows(cls, sys: SystemDescriptor, J: PotentialVector, N: int, n: int,
+                window: Optional[int] = None) -> tuple:
+        """(stage, certify): the windows of the stage-n kernel over edges
+        <= N and of the transfer that certifies the limit, the one window
+        policy of every table.  ``certify`` is the clamped ``window``, or
+        absent one the clamp for a distortion-free family, whose brackets
+        are exact there; otherwise n while N**n stays within EXACT_CAP,
+        else n-1, and never past the deepest window within DP_WINDOW_CAP
+        (19 at N = 1 and 2).  ``stage`` is ``certify`` unless that reaches
+        n, then the clamp of n-1, which may pass n
+        (:meth:`PressureKernel.check_length`)."""
         if window is None:
             window = 1
             if not sys.family.distortion_free:
-                window = (level if N ** min(level, 40) <= EXACT_CAP else max(
-                    1, min(level - 1, cls.deepest_window(N, DP_WINDOW_CAP))))
-        return cls.clamp(sys, J, window)
+                window = min(n if N ** min(n, 40) <= EXACT_CAP else n - 1,
+                             cls.deepest_window(N, DP_WINDOW_CAP))
+        certify = cls.clamp(sys, J, window)
+        return (certify if certify < n else cls.clamp(sys, J, n - 1)), certify
 
     @cached_property
     def jcode(self) -> np.ndarray:
@@ -446,7 +450,8 @@ class PressureKernel:
             raise ValueError("word length must be >= 1")
         N = sys.effective_truncation(N)
         self.sys, self.J, self.n, self.N = sys, J, n, N
-        self.window = self.layout(sys, J, n, N, window)
+        self.window = WindowTransfer.windows(sys, J, N, n, window)[0]
+        self.check_length(J, n, self.window)
         self._derivs: dict = {}
         # log-derivative ranges of the trailing l-cylinders, l < q, from the
         # transfer's own recursion
@@ -463,38 +468,14 @@ class PressureKernel:
         return V0, np.empty((2, V0.size))
 
     @staticmethod
-    def layout(sys: SystemDescriptor, J: PotentialVector, n: int, N: int,
-               window: Optional[int] = None) -> int:
-        """The window of the stage-n kernel over edges <= N: ``window``,
-        else the window of level n (:meth:`WindowTransfer.window_at`),
-        clamped.  A window that reaches the word length falls back to the
-        clamp of n-1, which may equal n (one transfer step); ValueError
-        when even that clamp is past n.
-
-        A distortion-free family has exact brackets at the clamped window
-        (:meth:`WindowTransfer.clamp`), so absent ``window`` it takes the
-        recursion there, in (n-q+1)*N**q work, and its sums are those of
-        exact per-word brackets up to rounding.  Any other family takes
-        window n-1 while N**n stays within EXACT_CAP; its brackets contain
-        the exact per-word ones."""
-        window = WindowTransfer.window_at(sys, J, N, n, window)
-        if window >= n:
-            window = WindowTransfer.clamp(sys, J, max(1, n - 1))
-            if window > n:
-                raise ValueError(
-                    f"words of length {n} are shorter than its clamped window "
-                    f"{window} (the potential depth {J.depth}, and 2 on a Markov "
-                    "incidence); raise the length")
-        return window
-
-    @classmethod
-    def stage_steps(cls, sys: SystemDescriptor, J: PotentialVector, n: int,
-                    N: int, window: Optional[int] = None) -> int:
-        """State-steps of one stage recursion of the :meth:`layout` kernel:
-        (n - q + 1) * max(N**(q-1), STEP_FLOOR) at a window q >= 2, each
-        step charged at least its fixed cost; none at window 1."""
-        q = cls.layout(sys, J, n, N, window)
-        return 0 if q == 1 else (n - q + 1) * max(N ** (q - 1), STEP_FLOOR)
+    def check_length(J: PotentialVector, n: int, q: int) -> None:
+        """ValueError when words of length n are shorter than the stage
+        window q, a clamp past n (:meth:`WindowTransfer.windows`)."""
+        if q > n:
+            raise ValueError(
+                f"words of length {n} are shorter than its clamped window "
+                f"{q} (the potential depth {J.depth}, and 2 on a Markov "
+                "incidence); raise the length")
 
     # unused in the package; bench/tracing.py looks it up by name
     def with_length(self, n: int) -> "PressureKernel":

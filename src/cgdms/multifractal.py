@@ -141,12 +141,12 @@ class BetaSolver:
 
     @cached_property
     def transfer(self) -> WindowTransfer:
-        """The window transfer that certifies every beta, at the window of
-        :meth:`~cgdms.kernel.WindowTransfer.window_at` (``window``, or the
-        choice of level n): the stage kernel's own when its window is that
-        one, else one built on first use."""
+        """The window transfer that certifies every beta, at the ``certify``
+        window of :meth:`~cgdms.kernel.WindowTransfer.windows` (``window``,
+        or the choice of level n): the stage kernel's own when its window is
+        that one, else one built on first use."""
         kern = self.kern
-        q = WindowTransfer.window_at(self.sys, self.J, kern.N, kern.n, self._window)
+        q = WindowTransfer.windows(self.sys, self.J, kern.N, kern.n, self._window)[1]
         if kern.window == q:
             return kern.transfer
         return WindowTransfer(self.sys, self.J, kern.N, q)
@@ -228,10 +228,11 @@ def solve_beta(sys: SystemDescriptor, J: PotentialVector, t, tol: float = 1e-8,
     """Certified enclosure (width <= tol) plus point estimate of beta(t).
 
     Both come from the limit pressure bracketed by the solver's window
-    transfer (:attr:`BetaSolver.transfer`) from a fresh Perron start, so a
-    shared ``solver`` gives the same enclosure as a fresh one; the Gibbs
-    means are read from the stage-n kernel at its anchored root.  ``solver``,
-    when given, alone decides n, N and window; otherwise one is built.
+    transfer (:attr:`BetaSolver.transfer`, at the ``certify`` window of
+    :meth:`~cgdms.kernel.WindowTransfer.windows`) from a fresh Perron
+    start, so a shared ``solver`` gives the same enclosure as a fresh one;
+    the Gibbs means are read from the stage-n kernel at its anchored root.
+    ``solver``, if given, alone decides n, N and window; else one is built.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if t.size != J.dim:

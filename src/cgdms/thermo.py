@@ -295,7 +295,7 @@ def certified_pressure_zero(transfer: WindowTransfer, t, tol: float) -> tuple:
                 math.log(best.width / tol) / math.log(1.0 / rate))
             advice = f"roughly window {needed} would be needed"
             deepest = WindowTransfer.deepest_window(transfer.N)
-            if deepest is not None and needed > deepest:
+            if needed > deepest:
                 advice += (f", past window {deepest}, the deepest that the table cap "
                            f"admits at truncation {transfer.N}: by this estimate, "
                            "this tolerance is out of reach at this truncation")
@@ -311,13 +311,14 @@ def bowen_dimension(sys: SystemDescriptor, n: int, N: Optional[int] = None,
                     tol: float = 1e-9, *, window: Optional[int] = None,
                     workers: int = 1) -> BowenResult:
     """Enclosure of the zero of the one-parameter limit pressure, bracketed
-    by the window transfer matrix of ``window`` or level ``n``
-    (:meth:`~cgdms.kernel.WindowTransfer.window_at`).  ``workers`` is
-    accepted for compatibility and ignored: the kernel runs single-threaded.
+    by the window transfer matrix at the ``certify`` window of
+    :meth:`~cgdms.kernel.WindowTransfer.windows` (``window``, or the choice
+    of level ``n``).  ``workers`` is accepted for compatibility and
+    ignored: the kernel runs single-threaded.
     """
     t = np.zeros(1)
     J0, N = potentials.zero(1), sys.effective_truncation(N)
-    q = WindowTransfer.window_at(sys, J0, N, n, window)
+    q = WindowTransfer.windows(sys, J0, N, n, window)[1]
     transfer = WindowTransfer(sys, J0, N, q)
     if transfer.limit_bound(t, 0.0, "upper") < 0.0:
         # pressure already negative at the domain edge: the zero-crossing
@@ -355,7 +356,7 @@ def classify_regularity(sys: SystemDescriptor, *,
             "co-finite subsystem still blows up there and must cross zero",)
     t = np.zeros(1)
     J0, N = potentials.zero(1), sys.effective_truncation(N)
-    transfer = WindowTransfer(sys, J0, N, WindowTransfer.window_at(sys, J0, N, 1))
+    transfer = WindowTransfer(sys, J0, N, WindowTransfer.windows(sys, J0, N, 1)[1])
     lower = transfer.limit_bound(t, 0.0, "lower")
     if lower > 1e-12:
         return "strongly-regular", (

@@ -43,6 +43,19 @@ def read_body(path):
     return "\n".join(l for l in lines if not l.startswith("#"))
 
 
+def _run_cli(tmp_path, command, doc, timeout=10):
+    """``cgdms command`` on ``doc`` in a fresh interpreter, writing to
+    ``tmp_path / "o"``, killed after ``timeout`` seconds."""
+    cfg = write_config(tmp_path, doc)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from cgdms.cli import main; sys.exit(main(sys.argv[1:]))",
+         command, "--config", cfg, "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=timeout)
+
+
 class TestPressureCommand:
     def test_full_two_shift_log2_row(self, tmp_path):
         doc = dict(SIM_CONFIG)
@@ -578,17 +591,42 @@ class TestConfigValidation:
         naming its field: the cap is checked by the deepest window that it
         admits, and 3**q is never computed."""
         doc = {"system": {"kind": "moebius-cf", "alphabet": 3}, "numerics": numerics}
-        cfg = write_config(tmp_path, doc)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(SRC), os.environ.get("PYTHONPATH", "")]))
-        run = subprocess.run(
-            [sys.executable, "-c",
-             "import sys; from cgdms.cli import main; sys.exit(main(sys.argv[1:]))",
-             command, "--config", cfg, "--out", str(tmp_path / "o")],
-            capture_output=True, text=True, env=env, timeout=10)
+        run = _run_cli(tmp_path, command, doc)
         assert run.returncode == 1
         assert "'numerics.window'" in run.stderr and "Traceback" not in run.stderr
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command,numerics,field", [
+        ("dimension", {"window": 100_000_000}, "numerics.window"),
+        ("pressure", {"word_length": 10 ** 6}, "numerics.word_length"),
+    ], ids=["dimension-window", "pressure-length"])
+    def test_truncation_one_refused_at_once(self, tmp_path, command, numerics,
+                                           field):
+        """At truncation 1 a table has one entry but takes a level per
+        window symbol to build, so the caps are those of truncation 2: a
+        window of 10**8 passes the table cap, and words of length 10**6 at
+        the automatic window 19 pass the stage-step cap.  Each exits 1
+        within seconds, naming its field, with no numpy warning."""
+        doc = {"system": {"kind": "moebius-cf", "alphabet": 1}, "numerics": numerics}
+        run = _run_cli(tmp_path, command, doc)
+        assert run.returncode == 1
+        assert f"'{field}'" in run.stderr
+        assert "Traceback" not in run.stderr and "Warning" not in run.stderr
+        assert not (tmp_path / "o").exists()
+
+    def test_truncation_one_long_words_certify_at_window_19(self, tmp_path):
+        """``dimension`` at truncation 1 with words of length 10**6 runs at
+        window 19, the deepest automatic window of truncation 2, within
+        seconds and with no numpy warning."""
+        from cgdms.system import truncated_cf_system
+        from cgdms.thermo import bowen_dimension
+
+        doc = {"system": {"kind": "moebius-cf", "alphabet": 1},
+               "numerics": {"word_length": 10 ** 6}}
+        run = _run_cli(tmp_path, "dimension", doc)
+        assert run.returncode == 0, run.stderr
+        assert "Warning" not in run.stderr
+        assert bowen_dimension(truncated_cf_system(1), 10 ** 6, tol=1e-6).window == 19
 
     def test_word_length_past_the_stage_step_cap(self, tmp_path, capsys):
         """A length whose stage recursion would run for about an hour is
@@ -606,8 +644,9 @@ class TestConfigValidation:
         golden-mean similarity system, whose window 2 has two states, a
         million steps would run for minutes and are refused before any
         work, while the longest admitted length fits the cap exactly."""
-        from cgdms import potentials
-        from cgdms.kernel import STAGE_STEP_CAP, STEP_FLOOR, PressureKernel
+        from cgdms.config import validate_config
+        from cgdms.errors import ConfigError
+        from cgdms.kernel import STAGE_STEP_CAP, STEP_FLOOR
 
         doc = {
             "system": {"kind": "similarity", "ratios": [0.5, 0.5],
@@ -618,12 +657,13 @@ class TestConfigValidation:
         err = self._rejected(tmp_path, capsys, "pressure", doc,
                              "numerics.word_length")
         assert str(STAGE_STEP_CAP) in err
-        sys = similarity_system([0.5, 0.5], offsets=[0.0, 0.5],
-                                incidence=[[1, 1], [1, 0]])
+        # (longest - 1) steps of STEP_FLOOR state-steps each make the cap
         longest = STAGE_STEP_CAP // STEP_FLOOR + 1
-        J = potentials.zero(1)
-        assert PressureKernel.stage_steps(sys, J, longest, 2) == STAGE_STEP_CAP
-        assert PressureKernel.stage_steps(sys, J, longest + 1, 2) > STAGE_STEP_CAP
+        doc["numerics"] = {"word_length": longest}
+        assert validate_config(doc, "pressure").word_length == longest
+        doc["numerics"] = {"word_length": longest + 1}
+        with pytest.raises(ConfigError, match=f"'numerics.word_length'.*{STAGE_STEP_CAP}"):
+            validate_config(doc, "pressure")
 
     @pytest.mark.parametrize("window,field", [
         (None, "numerics.word_length"), (1, "numerics.window")])
