@@ -318,8 +318,16 @@ class MoebiusCFFamily(MapFamily):
         a, b = tail
         x0 = (p + p1 * a) / (q + q1 * a)
         x1 = (p + p1 * b) / (q + q1 * b)
-        return (-2.0 * np.log(np.maximum(x0, x1) + k),
-                -2.0 * np.log(np.minimum(x0, x1) + k))
+        # each bracket end is computed in its own output, without a
+        # temporary of the windows' size
+        shape = np.broadcast_shapes(np.shape(x0), np.shape(k))
+        ends = np.empty(shape), np.empty(shape)
+        for out, pick in zip(ends, (np.maximum, np.minimum)):
+            pick(x0, x1, out=out)
+            out += k
+            np.log(out, out=out)
+            out *= -2.0
+        return ends
 
 
 # ---------------------------------------------------------------------------

@@ -26,11 +26,14 @@ call warm-starts from the Perron iterates its caller passes
 (:meth:`WindowTransfer.start`), so one table serves a whole command, and
 one lazy Perron step at a time (:meth:`WindowTransfer.limit_step`) lets a
 root solve move beta while its iterate converges.  A table owns the
-buffer that its weights are written into, and a stage kernel those of
-its closure and iterates, so no evaluation allocates a table-sized array
-beyond the transfer step's output; the weights that one evaluation
-returns are valid until the table's next, so tables are not for
-concurrent threads.
+buffer that its weights are written into and the two that every
+transfer step writes (:func:`_step`); a stage kernel owns those of its
+closure, iterates and derivative accumulator, and plans the closure's
+views once per weight side.  So neither a warm stage value nor a warm
+Perron step on a class of every state allocates a state-sized array (a
+class given by a mask gathers its states).  The weights
+and steps that one evaluation returns are valid until the table's next,
+so tables are not for concurrent threads.
 
 Every window and trailing table comes from one recursion on word length
 (:func:`_levels`): the family's per-word state of all L-words, in natural
@@ -77,6 +80,10 @@ _SIDE = {"lower": "inf", "upper": "sup", "mid": "mid"}
 PERRON_LAZY = 0.1        # weight of v in the Perron step v <- vL + c*hi*v
 PERRON_ITER_CAP = 1000   # Perron steps per irreducible class and bracket
 _TINY = np.finfo(float).tiny  # floor of the Perron iterates
+# largest truncation whose transfer steps copy column by column (:func:`_step`):
+# measured faster than one strided copy up to N = 4, about even at N = 5
+# and 6, slower from N = 7 on (9.5 against 0.8 us at N = 24, 576 states)
+_COLUMN_COPY_N = 5
 
 
 def _levels(sys: SystemDescriptor, N: int, hull: tuple, top: int):
@@ -130,14 +137,29 @@ class _Sides(dict):
         return mid
 
 
-def _step(v: np.ndarray, ET: np.ndarray) -> np.ndarray:
+def _step(v: np.ndarray, ET: np.ndarray, out: tuple) -> np.ndarray:
     """One transfer step: values on the (q-1)-gram states, summed over the
     symbol leaving the window, into values on the next states.  ``ET`` holds
     the window weights in transfer order, (N, N, R) with R = N**(q-2):
     ET[a, b, r] weighs the window of first symbol a, middle (q-2)-gram r and
-    next symbol b, so that a step reads states (a, r) and writes (r, b)."""
+    next symbol b, so that a step reads states (a, r) and writes (r, b).
+
+    ``out`` is the table's pair of step buffers
+    (:attr:`WindowTransfer._step_out`): the sums are written, r fastest as
+    the reduction lays them out, into the (N, R) one and copied in state
+    order into the (R, N) one, whose flat view is returned; it is valid
+    until the table's next step.  Up to _COLUMN_COPY_N symbols the copy
+    goes column by column, as one strided copy would run an inner loop
+    only N long; past it, one copy is faster."""
     N, _, R = ET.shape
-    return np.einsum("ar,abr->rb", v.reshape(N, R), ET).reshape(N * R)
+    sums, nxt = out
+    np.einsum("ar,abr->br", v.reshape(N, R), ET, out=sums)
+    if N <= _COLUMN_COPY_N:
+        for b in range(N):
+            nxt[:, b] = sums[b]
+    else:
+        np.copyto(nxt, sums.T)
+    return nxt.ravel()
 
 
 def _transfer_order(N: int, q: int) -> np.ndarray:
@@ -148,22 +170,23 @@ def _transfer_order(N: int, q: int) -> np.ndarray:
     return codes if q == 1 else codes.reshape(N, -1, N).transpose(0, 2, 1).ravel()
 
 
-def _perron_bracket(ET: np.ndarray, live, v: np.ndarray, settled=None,
-                    steps: int = PERRON_ITER_CAP) -> tuple:
+def _perron_bracket(ET: np.ndarray, out: tuple, live, v: np.ndarray,
+                    settled=None, steps: int = PERRON_ITER_CAP) -> tuple:
     """Collatz-Wielandt bracket (lo, hi) of the spectral radius of the
     window transfer matrix on the irreducible class ``live`` (a mask or
     every state): min (vL)_i/v_i <= rho <= max (vL)_i/v_i for v > 0.  The
     step v <- vL + c*hi*v keeps the Perron vector, is aperiodic on periodic
     classes and updates ``v`` in place as the next call's warm start; it
     stops once the spread stops shrinking, once ``settled(lo, hi)`` holds
-    for the running bracket, or after ``steps`` steps.  The ratios' buffer
-    takes the lazy term, and the new iterate is normalized and floored in
-    place."""
+    for the running bracket, or after ``steps`` steps.  The steps run in
+    ``out``, the table's step buffers: the ratios are written to the sums
+    buffer, free once a step has copied it out, which then takes the lazy
+    term, and the new iterate is normalized and floored in place."""
     lo, hi, spread = 0.0, math.inf, math.inf
     for _ in range(steps):
         vl = v[live]
-        u = _step(v, ET)[live]
-        r = u / vl
+        u = _step(v, ET, out)[live]
+        r = np.divide(u, vl, out=out[0].reshape(-1)[:u.size])
         rlo, rhi = float(r.min()), float(r.max())
         lo, hi = max(lo, rlo), min(hi, rhi)
         if rhi - rlo >= spread or rhi == 0.0 or (settled and settled(lo, hi)):
@@ -344,6 +367,13 @@ class WindowTransfer:
         return base, w
 
     @cached_property
+    def _step_out(self) -> tuple:
+        """The two state-sized buffers of :func:`_step`, made on the first
+        step: (N, R) for the sums, (R, N) for the next states."""
+        N, S = self.N, self.state_valid.size
+        return np.empty((N, S // N)), np.empty((S // N, N))
+
+    @cached_property
     def _classes(self) -> list:
         """The states (a mask, or every state) of each irreducible class of
         (q-1)-gram states with a cycle: rho is the largest of their radii,
@@ -381,9 +411,10 @@ class WindowTransfer:
         if self.window == 1:
             z = float(ew.sum())
             return base, [(z, z)]
-        ET = ew.reshape(self.N, self.N, -1)
-        return base, (_perron_bracket(ET, live, v, settled, steps) for live, v in
-                      zip(self._classes, self.start() if start is None else start))
+        ET, out = ew.reshape(self.N, self.N, -1), self._step_out
+        return base, (_perron_bracket(ET, out, live, v, settled, steps)
+                      for live, v in zip(self._classes,
+                                         self.start() if start is None else start))
 
     @staticmethod
     def _largest(brackets) -> tuple:
@@ -452,7 +483,9 @@ class PressureKernel:
         self.sys, self.J, self.n, self.N = sys, J, n, N
         self.window = WindowTransfer.windows(sys, J, N, n, window)[0]
         self.check_length(J, n, self.window)
-        self._derivs: dict = {}
+        # per side: the window derivatives and closure plans, and the
+        # closure's J bounds and derivatives with the t they are for
+        self._derivs, self._plans, self._jbounds, self._dTs = {}, {}, {}, {}
         # log-derivative ranges of the trailing l-cylinders, l < q, from the
         # transfer's own recursion
         self._trail_ld: dict = {}
@@ -466,6 +499,19 @@ class PressureKernel:
         the final products of :meth:`_logsum`."""
         V0 = self.transfer.state_valid.astype(float)
         return V0, np.empty((2, V0.size))
+
+    @cached_property
+    def _grad_buffers(self) -> tuple:
+        """(M, G, A, A2, prod): the buffers of the derivative recursion of
+        :meth:`moments`, made on its first call: the weights as one (b, a)
+        matrix per middle r, the weights times their derivatives (a, r, b,
+        k), the accumulator (S, d+1), and a step's product and sum
+        (r, b, k)."""
+        N, S, d = self.N, self.transfer.state_valid.size, self.J.dim
+        R = S // N
+        return (np.empty((R, N, N)), np.empty((N, R, N, d + 1)),
+                np.empty((S, d + 1)), np.empty((R, N, d + 1)),
+                np.empty((R, N, d + 1)))
 
     @staticmethod
     def check_length(J: PotentialVector, n: int, q: int) -> None:
@@ -498,6 +544,66 @@ class PressureKernel:
             self._derivs[which] = dW
         return self._derivs[which]
 
+    def _plan(self, which: str) -> list:
+        """The closure over the trailing windows at ``which``, planned once
+        per side: per l = 1..q-1, (prev, ld, out, spare), the closure of the
+        (l-1)-suffixes read over one leading symbol, the log-derivative
+        bounds of the l-suffixes, and the views of the buffer pair that the
+        closures alternate between, all shaped (leading symbol, rest of the
+        J head, the others) as in :meth:`_logsum`."""
+        if which not in self._plans:
+            N, m, pair = self.N, self.J.depth, self._buffers[1]
+            prev, plan = np.zeros(1), []
+            for l in range(1, self.window):
+                k = min(l, m)
+                shape = (N, N ** (k - 1), N ** (l - k))
+                out, spare = (pair[i][:N ** l].reshape(shape)
+                              for i in (l % 2, 1 - l % 2))
+                plan.append((prev.reshape(1, *shape[1:]),
+                             self._trail_ld[l][which].reshape(shape), out, spare))
+                prev = out
+            self._plans[which] = plan
+        return self._plans[which]
+
+    def _closure_j(self, t, which: str) -> list:
+        """The J bounds at ``which`` of the l-suffixes, l = 1..q-1, each
+        shaped (leading symbol, rest of the J head, 1) against
+        :meth:`_plan`; from l = m on, the bound of the first m symbols.
+        Kept per side for the last t."""
+        key, hit = t.tobytes(), self._jbounds.get(which)
+        if hit is None or hit[0] != key:
+            u, N, m = self.transfer.j_dot(t)[0], self.N, self.J.depth
+            head = _pick(u, u, which).reshape(N, -1, 1)
+            hit = self._jbounds[which] = (key, [
+                _pick(*_part_j_bounds(u, l, N)[:2], which).reshape(N, -1, 1)
+                if l < m else head for l in range(1, self.window)])
+        return hit[1]
+
+    def _closure_derivs(self, t, which: str) -> np.ndarray:
+        """(S, d+1): the t- and -beta-derivatives of the closure at
+        ``which``, by the same recursion on suffix length: per l-suffix the
+        J of the completion its J bound picks, and -ld.  Free of beta, and
+        of t at depth 1, whose bounds pick no completion: kept per side,
+        and for the last t at depth >= 2."""
+        N, m, d, tr = self.N, self.J.depth, self.J.dim, self.transfer
+        key, hit = t.tobytes() if m > 1 else None, self._dTs.get(which)
+        if hit is None or hit[0] != key:
+            u = tr.j_dot(t)[0]
+            dT = np.zeros((1, d + 1))
+            for l, (_, ld, _, _) in enumerate(self._plan(which), start=1):
+                if l < m:
+                    clo, chi = _part_j_bounds(u, l, N)[2:]
+                    jl = _pick(tr.jvals[clo], tr.jvals[chi], which)
+                else:
+                    jl = tr.jvals
+                prev = dT.reshape(1, *ld.shape[1:], d + 1)
+                dT = np.empty((*ld.shape, d + 1))
+                dT[..., :d] = prev[..., :d] + jl.reshape(N, -1, 1, d)
+                dT[..., d] = prev[..., d] - ld
+                dT = dT.reshape(-1, d + 1)
+            hit = self._dTs[which] = (key, dT)
+        return hit[1]
+
     def _logsum(self, t, beta, which: str, grad: bool = False) -> tuple:
         """(value, J quotient, I quotient): the stage-n normalized log sum
         with every weight taken at the 'inf', 'sup' or 'mid' point of its
@@ -515,10 +621,11 @@ class PressureKernel:
         closure of the l-suffixes is that of the (l-1)-suffixes repeated
         over one leading symbol, plus the J bound and beta times the
         log-derivative bound of each l-suffix, whose J bound from l = m on
-        is that of its first m symbols, repeated over the rest."""
+        is that of its first m symbols, repeated over the rest.  The views
+        of each level are planned once per side (:meth:`_plan`), so a level
+        costs three ufunc calls."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        tr, N, q, n, d, m = (self.transfer, self.N, self.window, self.n,
-                             self.J.dim, self.J.depth)
+        tr, N, q, n, d = self.transfer, self.N, self.window, self.n, self.J.dim
         base, ew = tr.weights(t, beta, which)
         if base == -math.inf:
             return -math.inf, None, None
@@ -534,54 +641,36 @@ class PressureKernel:
         ET = ew.reshape(N, N, -1)
         R = ET.shape[2]
         V, pair = self._buffers
-        S = V.size
+        S, out = V.size, tr._step_out
         # trailing windows of lengths 1..q-1 on each state's last symbols:
         # the closures alternate between the pair of buffers
-        u = tr.j_dot(t)[0]
-        term = np.zeros(1)
-        dT = np.zeros((1, d + 1)) if grad else None
-        for l in range(1, q):
-            k = min(l, m)
-            # l-suffixes as (leading symbol, rest of the J head, the others)
-            shape = (N, N ** (k - 1), N ** (l - k))
-            if l < m:
-                jlo, jhi, clo, chi = _part_j_bounds(u, l, N)
-            else:  # the first m symbols fix the value
-                jlo = jhi = u
-            ld = self._trail_ld[l][which].reshape(shape)
-            out, spare = (pair[i][:N ** l].reshape(shape) for i in (l % 2, 1 - l % 2))
-            np.add(term.reshape(1, *shape[1:]),
-                   _pick(jlo, jhi, which).reshape(N, -1, 1), out=out)
-            out += np.multiply(ld, beta, out=spare)
-            term = out.ravel()
-            if grad:
-                jl = (tr.jvals if l >= m
-                      else _pick(tr.jvals[clo], tr.jvals[chi], which))
-                prev = dT.reshape(1, *shape[1:], d + 1)
-                dT = np.empty((*shape, d + 1))
-                dT[..., :d] = prev[..., :d] + jl.reshape(N, -1, 1, d)
-                dT[..., d] = prev[..., d] - ld
-                dT = dT.reshape(-1, d + 1)
+        plan = self._plan(which)
+        for (prev, ld, cl, spare), jb in zip(plan, self._closure_j(t, which)):
+            np.add(prev, jb, out=cl)
+            cl += np.multiply(ld, beta, out=spare)
+        term = plan[-1][2].ravel()
         if grad:
+            dT = self._closure_derivs(t, which)
             # the weights as one (b, a) matrix per middle r, and the weights
             # times their derivatives in natural order, (a, r, b, k)
-            M = np.ascontiguousarray(ET.transpose(2, 1, 0))
-            G = ET.transpose(0, 2, 1)[..., None] * dW.reshape(N, R, N, d + 1)
-            A = np.zeros((S, d + 1))
+            M, G, A, A2, prod = self._grad_buffers
+            np.copyto(M, ET.transpose(2, 1, 0))
+            np.multiply(ET.transpose(0, 2, 1)[..., None],
+                        dW.reshape(N, R, N, d + 1), out=G)
+            A.fill(0.0)
         # the recursion from V, each normalized iterate written to the buffer
         # that the closure left free
         logoff = 0.0
         for _ in range(n - (q - 1)):
-            Vn = _step(V, ET)
+            Vn = _step(V, ET, out)
             mx = Vn.max()
             if mx <= 0.0 or not math.isfinite(mx):
                 return -math.inf, None, None
             if grad:
-                A = np.matmul(M, A.reshape(N, R, d + 1).transpose(1, 0, 2))
-                A += np.einsum("ar,arbk->rbk", V.reshape(N, R), G)
-                A = A.reshape(S, d + 1) / mx
+                np.matmul(M, A.reshape(N, R, d + 1).transpose(1, 0, 2), out=A2)
+                A2 += np.einsum("ar,arbk->rbk", V.reshape(N, R), G, out=prod)
+                np.divide(A2.reshape(S, d + 1), mx, out=A)
             V = np.divide(Vn, mx, out=pair[q % 2])
-            del Vn  # freed before the next step allocates its own
             logoff += math.log(mx) + base
         tmax = float(term.max())
         E = np.exp(np.subtract(term, tmax, out=term), out=term)

@@ -207,13 +207,18 @@ def _zero(probe: Callable, xtol: float) -> float:
     below 0 puts it at or below.  Each bracket end of :func:`_sign_bracket`
     is probed until the running ends of its probes settle the sign, or
     stop closing in; the estimate, kept between those ends, then decides
-    the sign, as it decides the zero of the converged bound.  Inside, a
-    secant through the last two estimates moves beta.  Where it leaves the
-    bracket, the secant through the bracket ends takes over, and bisection
-    where that fails too: a bisection moves beta far, and the iterate with
-    it.  Each probe lies xtol/4 past the chosen zero, towards the farther
-    bracket end, so that probes on both sides of the zero close the
-    bracket once the iterate resolves that distance."""
+    the sign, as it decides the zero of the converged bound.  Inside, an
+    inverse quadratic step through the last three probes moves beta when
+    all three were exact (lower == upper), as an anchored stage value and
+    a window-1 transfer are; else, or where that step leaves the bracket,
+    a secant through the last two estimates.  Where that leaves the
+    bracket too, the secant through the bracket ends takes over, and
+    bisection where that fails too: a bisection moves beta far, and the
+    iterate with it.  Each probe lies xtol/4 past the chosen zero,
+    towards the farther bracket end, so that probes on both sides of the
+    zero close the bracket once the iterate resolves that distance."""
+    seen = []  # (beta, value, exact) of the bracket ends' probes, in order
+
     def settle(beta):
         lo, hi = -math.inf, math.inf
         for _ in range(PROBE_CAP):
@@ -223,23 +228,37 @@ def _zero(probe: Callable, xtol: float) -> float:
             lo, hi = max(lo, plo), min(hi, phi)
             if lo >= 0.0 or hi <= 0.0:
                 break
-        return min(max(mid, lo), hi)
+        seen.append((beta, min(max(mid, lo), hi), plo == phi))
+        return seen[-1][1]
 
     def secant(x0, f0, x1, f1):
         return x1 - f1 * (x1 - x0) / (f1 - f0) if f1 != f0 else math.nan
+
+    def inverse_quadratic(p0, p1, p2):
+        (x0, f0, _), (x1, f1, _), (x2, f2, _) = p0, p1, p2
+        d0, d1 = (f0 - f1) * (f0 - f2), (f1 - f0) * (f1 - f2)
+        d2 = (f2 - f0) * (f2 - f1)
+        if not (d0 and d1 and d2):
+            return math.nan
+        return x0 * f1 * f2 / d0 + x1 * f0 * f2 / d1 + x2 * f0 * f1 / d2
 
     bracket = _sign_bracket(settle)
     if bracket is None:
         return BETA_FLOOR
     fa, b, fb = bracket
-    a = x0 = BETA_FLOOR
-    f0, x1, f1, delta = fa, b, fb, 0.25 * xtol
+    a, delta = BETA_FLOOR, 0.25 * xtol
+    # the last probes, up to three, the newest last: first the bracket ends
+    last = [seen[0], seen[-1]]
     for _ in range(PROBE_CAP):
         # no float lies inside a bracket of two adjacent floats, which is
         # wider than xtol from beta of about 2**52 * xtol on
         if b - a <= xtol or not a < 0.5 * (a + b) < b:
             break
-        for z in (secant(x0, f0, x1, f1), secant(a, fa, b, fb), 0.5 * (a + b)):
+        (x0, f0, _), (x1, f1, _) = last[-2:]
+        steps = (secant(x0, f0, x1, f1), secant(a, fa, b, fb), 0.5 * (a + b))
+        if len(last) == 3 and all(e for _, _, e in last):
+            steps = (inverse_quadratic(*last),) + steps
+        for z in steps:
             if a < z < b:
                 break
         z += delta if b - z > z - a else -delta
@@ -248,7 +267,7 @@ def _zero(probe: Callable, xtol: float) -> float:
             a, fa = z, mid
         if hi <= 0.0:
             b, fb = z, mid
-        x0, f0, x1, f1 = x1, f1, z, mid
+        last = last[-2:] + [(z, mid, lo == hi)]
     return 0.5 * (a + b)
 
 

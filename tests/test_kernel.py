@@ -772,6 +772,36 @@ def test_buffers_do_not_alias_across_calls(name):
         assert answers(kern, beta) == answers(fresh(), beta), beta
 
 
+def test_tables_of_one_shape_answer_as_alone():
+    """Two stage kernels whose tables have one shape, cf3 and a 3-map
+    similarity system at window 6 with the depth-2 J2, called in turn
+    call by call, answer bit for bit as each does alone: coupled steps
+    from a start each keeps, stage values and moments, at two t.  The
+    stage values are also the former recursion's, which keeps no state
+    between kernels.  Each kernel keeps its buffers and its per-side
+    caches (closure plans, J bounds, derivative closures) to itself, none
+    at module level."""
+    systems = (truncated_cf_system(3),
+               similarity_system([0.2, 0.3, 0.25], offsets=[0.0, 0.35, 0.7]))
+
+    def answers(sys):
+        kern = PressureKernel(sys, J2, n=8, window=6)
+        tr, ref = kern.transfer, _Reference(kern)
+        assert kern.window == tr.window == 6
+        start = tr.start()
+        for t, beta in ((T, 0.6), (np.array([-0.3, 0.2]), 1.3), (T, 0.6)):
+            yield tr.limit_step(t, beta, start)
+            values = kern.values(t, beta)
+            assert values == tuple(ref.logsum(t, beta, which)[0] for which in ("inf", "sup"))
+            yield values
+            value, jq, iq = kern.moments(t, beta)
+            yield value, jq.tolist(), iq
+
+    alone = [list(answers(sys)) for sys in systems]
+    in_turn = zip(*(answers(sys) for sys in systems))
+    assert [list(seq) for seq in zip(*in_turn)] == alone
+
+
 def _full_certifies(transfer, t, est, half):
     """The certification test answered from two fully converged limit
     bounds, as it was before it asked only for their signs."""
